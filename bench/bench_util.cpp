@@ -81,9 +81,10 @@ Workload make_workload(const DatasetSpec& spec, double scale, GnnKind kind,
   return w;
 }
 
-InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg) {
-  GnnieEngine engine(cfg);
-  return engine.run(w.model, w.weights, w.data.graph, w.data.features, w.sampled).report;
+InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg,
+                          std::shared_ptr<const CachePolicy> policy) {
+  const CompiledModel compiled = Engine(cfg, std::move(policy)).compile(w.model, w.weights);
+  return compiled.run({compiled.plan(w.data.graph, w.sampled), &w.data.features}).report;
 }
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn) {

@@ -5,10 +5,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/serving.hpp"
 #include "datasets/spec.hpp"
 #include "datasets/synthetic.hpp"
 #include "nn/layers.hpp"
@@ -56,8 +57,10 @@ struct Workload {
 Workload make_workload(const DatasetSpec& spec, double scale, GnnKind kind,
                        std::uint64_t seed);
 
-/// Runs GNNIE and returns the report (output discarded).
-InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg);
+/// Runs GNNIE (compile, plan, run) under `policy` — null = degree-aware —
+/// and returns the report (output discarded).
+InferenceReport run_gnnie(const Workload& w, const EngineConfig& cfg,
+                          std::shared_ptr<const CachePolicy> policy = nullptr);
 
 /// Runs fn(i) for every i in [0, count) across hardware threads (atomic
 /// work-stealing; falls back to the calling thread when count is small or

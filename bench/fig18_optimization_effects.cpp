@@ -6,6 +6,7 @@
 //  Middle: GCN inference time under CP, CP+FM+LR, CP+FM+LR+LB.
 //  Right:  GAT inference time under the same stacks.
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -15,26 +16,31 @@ namespace {
 
 using namespace gnnie;
 
-EngineConfig stack_config(bool large, bool cp, bool fm, bool lr, bool lb) {
+EngineConfig stack_config(bool large, bool fm, bool lr, bool lb) {
   EngineConfig cfg = EngineConfig::paper_default(large);
   cfg.array = fm ? ArrayConfig::design_e() : ArrayConfig::design_a();
   cfg.opts.workload_binning = fm;
   cfg.opts.load_redistribution = lr;
-  cfg.opts.degree_aware_cache = cp;
-  // Without CP the §VIII-E baseline pulls neighbors on demand (random DRAM).
-  cfg.cache.on_demand_baseline = !cp;
   cfg.opts.aggregation_load_balance = lb;
   return cfg;
 }
 
-AggregationReport aggregation_report(const Dataset& d, const EngineConfig& cfg) {
+// CP is the degree-aware cache policy; without it the §VIII-E baseline pulls
+// neighbors on demand (random DRAM).
+std::shared_ptr<const CachePolicy> stack_policy(bool cp) {
+  return CachePolicy::make(cp ? CachePolicyKind::kDegreeAware : CachePolicyKind::kOnDemand);
+}
+
+AggregationReport aggregation_report(const Dataset& d, const EngineConfig& cfg, bool cp) {
   Matrix hw(d.graph.vertex_count(), 128, 0.5f);
   HbmModel hbm(cfg.hbm);
   AggregationEngine eng(cfg, &hbm);
+  const std::shared_ptr<const CachePolicy> policy = stack_policy(cp);
   AggregationTask task;
   task.graph = &d.graph;
   task.hw = &hw;
   task.kind = AggKind::kGcnNormalizedSum;
+  task.policy = policy.get();
   AggregationReport rep;
   eng.run(task, &rep);
   return rep;
@@ -69,10 +75,10 @@ int main(int argc, char** argv) {
     const DatasetSpec& spec = spec_by_short_name(name);
     const bool large = spec.vertices > 10000;
     Dataset d = generate_dataset(spec, opt.seed);
-    const auto base = aggregation_report(d, stack_config(large, false, false, false, false));
-    const auto cp = aggregation_report(d, stack_config(large, true, false, false, false));
-    const auto cp_fm = aggregation_report(d, stack_config(large, true, true, false, false));
-    const auto cp_fm_lb = aggregation_report(d, stack_config(large, true, true, false, true));
+    const auto base = aggregation_report(d, stack_config(large, false, false, false), false);
+    const auto cp = aggregation_report(d, stack_config(large, false, false, false), true);
+    const auto cp_fm = aggregation_report(d, stack_config(large, true, false, false), true);
+    const auto cp_fm_lb = aggregation_report(d, stack_config(large, true, false, true), true);
     print_reduction_row(agg, name, base.total_cycles, cp.total_cycles, cp_fm.total_cycles,
                         cp_fm_lb.total_cycles, "(paper 11/35/80)", "(paper 17/39/82)",
                         "(paper 47/69/87)");
@@ -93,13 +99,17 @@ int main(int argc, char** argv) {
       const bool large = spec.vertices > 10000;
       bench::Workload w = bench::make_workload(spec, 1.0, kind, opt.seed);
       const Cycles base =
-          bench::run_gnnie(w, stack_config(large, false, false, false, false)).total_cycles;
+          bench::run_gnnie(w, stack_config(large, false, false, false), stack_policy(false))
+              .total_cycles;
       const Cycles cp =
-          bench::run_gnnie(w, stack_config(large, true, false, false, false)).total_cycles;
+          bench::run_gnnie(w, stack_config(large, false, false, false), stack_policy(true))
+              .total_cycles;
       const Cycles cp_fl =
-          bench::run_gnnie(w, stack_config(large, true, true, true, false)).total_cycles;
+          bench::run_gnnie(w, stack_config(large, true, true, false), stack_policy(true))
+              .total_cycles;
       const Cycles cp_all =
-          bench::run_gnnie(w, stack_config(large, true, true, true, true)).total_cycles;
+          bench::run_gnnie(w, stack_config(large, true, true, true), stack_policy(true))
+              .total_cycles;
       print_reduction_row(inf, name, base, cp, cp_fl, cp_all, "", "", "");
     }
     std::printf("%s", inf.render().c_str());

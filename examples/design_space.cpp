@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "core/engine.hpp"
+#include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "nn/model.hpp"
 
@@ -19,9 +19,8 @@ Cycles run_inference(const Dataset& d, EngineConfig cfg) {
   ModelConfig model;
   model.kind = GnnKind::kGcn;
   model.input_dim = d.spec.feature_length;
-  GnnWeights weights = init_weights(model, 7);
-  GnnieEngine engine(std::move(cfg));
-  return engine.run(model, weights, d.graph, d.features).report.total_cycles;
+  const CompiledModel compiled = Engine(std::move(cfg)).compile(model, init_weights(model, 7));
+  return compiled.run({compiled.plan(d.graph), &d.features}).report.total_cycles;
 }
 
 }  // namespace

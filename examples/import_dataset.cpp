@@ -8,8 +8,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/engine.hpp"
 #include "core/report_io.hpp"
+#include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "graph/io.hpp"
 #include "nn/model.hpp"
@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   model.kind = GnnKind::kGcn;
   model.input_dim = 64;
   GnnWeights weights = init_weights(model, 5);
-  GnnieEngine engine(EngineConfig::paper_default(g.vertex_count() > 10000));
-  InferenceResult res = engine.run(model, weights, g, features);
+  Engine engine(EngineConfig::paper_default(g.vertex_count() > 10000));
+  CompiledModel compiled = engine.compile(model, weights);
+  InferenceResult res = compiled.run({compiled.plan(g), &features});
   std::printf("inference: %.1f us, %.2f effective TOPS\n",
               res.report.runtime_seconds() * 1e6, res.report.effective_tops());
 

@@ -20,23 +20,16 @@ produce bit-identical reports, on every platform, serial or parallel):
            nondeterministic. Lookup-only use is fine; declaring such a
            container is flagged only when the file also iterates it.
 
-  shims    No deprecated-shim calls in shipping code: the positional
-           CompiledModel::run_cost / run_cost_batch cost queries and the
-           positional Cluster::simulate(trace, scheduler[, admission])
-           overloads are compatibility shims pinned for bit-exactness, not
-           entry points. src/, bench/, and examples/ must call
-           cost(CostQuery) and simulate(trace, SimulateOptions) instead;
-           tests/ is exempt (the equivalence suites pin the shims against
-           the new entry points by design).
-
   headers  Every public header under src/ (plus bench/bench_util.hpp) must
            compile standalone: a generated one-include translation unit per
            header is compiled with -fsyntax-only. A header that only
            compiles after its includer pulled in prerequisites breaks
-           incremental refactors silently.
+           incremental refactors silently. The compiles run in parallel
+           across os.cpu_count() workers; findings still come out in header
+           order.
 
 A finding can be suppressed by putting  lint-invariants: allow(<rule>)  in a
-comment on the offending line (rule = clocks | ptrmaps | shims).
+comment on the offending line (rule = clocks | ptrmaps).
 
 `--self-test` runs the rules against the checked-in violation fixtures in
 scripts/lint_fixtures/ and exits nonzero unless every fixture is flagged —
@@ -46,6 +39,7 @@ Exit status: 0 = clean, 1 = findings (or self-test failure), 2 = usage error.
 """
 
 import argparse
+import concurrent.futures
 import os
 import re
 import subprocess
@@ -170,72 +164,14 @@ def check_ptrmaps(path, text):
 
 
 # ---------------------------------------------------------------------------
-# shims rule
-
-# Member-access only: the qualified CompiledModel::run_cost / Cluster::
-# simulate definitions and declarations of the shims themselves never carry
-# a '.' or '->' and stay unflagged.
-SHIM_COST_CALL = re.compile(r"(?:\.|->)\s*run_cost(?:_batch)?\s*\(")
-SHIM_SIMULATE_CALL = re.compile(r"(?:\.|->)\s*simulate\s*\(")
-
-
-def check_shims(path, text):
-    """Flag calls to the deprecated cost/simulate compatibility shims."""
-    lines = text.splitlines()
-    # Search comment-stripped text (prose legitimately names the shims) but
-    # keep the line structure so match offsets map back to line numbers.
-    code_text = "\n".join(strip_line_comment(line) for line in lines)
-
-    def lineno_of(pos):
-        return code_text.count("\n", 0, pos) + 1
-
-    def flagged(pos, rule):
-        return not suppressed(lines[lineno_of(pos) - 1], rule)
-
-    findings = []
-    for m in SHIM_COST_CALL.finditer(code_text):
-        if flagged(m.start(), "shims"):
-            findings.append(
-                (path, lineno_of(m.start()),
-                 "shims: run_cost/run_cost_batch are deprecated cost shims; "
-                 "query CompiledModel::cost(CostQuery) instead"))
-    for m in SHIM_SIMULATE_CALL.finditer(code_text):
-        # Walk the argument list with bracket counting; only the positional
-        # (trace, scheduler[, admission]) shims are deprecated — a braced
-        # SimulateOptions second argument (or none, the default options) is
-        # the supported entry point.
-        depth, i, second = 1, m.end(), None
-        while i < len(code_text) and depth > 0:
-            ch = code_text[i]
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-            elif ch == "," and depth == 1 and second is None:
-                second = i + 1
-            i += 1
-        if depth != 0 or second is None:
-            continue
-        if code_text[second:i - 1].lstrip().startswith("{"):
-            continue
-        if flagged(m.start(), "shims"):
-            findings.append(
-                (path, lineno_of(m.start()),
-                 "shims: positional simulate(trace, scheduler[, admission]) "
-                 "is a deprecated shim; pass SimulateOptions (e.g. "
-                 "{.custom_scheduler = &scheduler})"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # headers rule
 
 def check_headers(root, headers, include_dirs, compiler):
-    findings = []
+    """Compile one generated TU per header across os.cpu_count() workers;
+    findings come back in `headers` order."""
     with tempfile.TemporaryDirectory(prefix="gnnie_lint_") as tmp:
-        for header in headers:
-            rel = os.path.relpath(header, root)
-            tu = os.path.join(tmp, "tu.cpp")
+        def compile_one(index, header):
+            tu = os.path.join(tmp, f"tu{index}.cpp")
             with open(tu, "w", encoding="utf-8") as f:
                 incpath = os.path.relpath(
                     header, next(d for d in include_dirs
@@ -246,13 +182,18 @@ def check_headers(root, headers, include_dirs, compiler):
                 cmd += ["-I", d]
             cmd.append(tu)
             proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                detail = proc.stderr.strip().splitlines()
-                head = detail[0] if detail else "compile failed"
-                findings.append(
-                    (rel, 1,
-                     f"headers: not self-contained ({head})"))
-    return findings
+            if proc.returncode == 0:
+                return None
+            detail = proc.stderr.strip().splitlines()
+            head = detail[0] if detail else "compile failed"
+            return (os.path.relpath(header, root), 1,
+                    f"headers: not self-contained ({head})")
+
+        # Threads suffice: each worker just waits on its compiler process.
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+            results = list(pool.map(compile_one, range(len(headers)), headers))
+    return [finding for finding in results if finding is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +229,6 @@ def run_lint(root, compiler, check_headers_too=True):
         rel = os.path.relpath(path, root)
         findings += check_ptrmaps(rel, text)
 
-    for path in iter_files(root, ["src", "bench", "examples"],
-                           {".cpp", ".hpp", ".h"}):
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        rel = os.path.relpath(path, root)
-        findings += check_shims(rel, text)
-
     if check_headers_too:
         src = os.path.join(root, "src")
         bench = os.path.join(root, "bench")
@@ -326,15 +260,6 @@ def self_test(root, compiler):
         text = f.read()
     expect("bad_ptr_map_iteration.cpp", check_ptrmaps(path, text), "ptrmaps")
 
-    path = os.path.join(fixtures, "bad_deprecated_shim.cpp")
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    # Both shim families must be caught, and the fixture's braced
-    # SimulateOptions call must not be — three findings exactly.
-    if len(check_shims(path, text)) != 3:
-        failures.append("shims rule did not flag exactly the three "
-                        "deprecated calls in bad_deprecated_shim.cpp")
-
     bad_header = os.path.join(fixtures, "bad_header.hpp")
     expect("bad_header.hpp",
            check_headers(fixtures, [bad_header], [fixtures], compiler),
@@ -345,8 +270,7 @@ def self_test(root, compiler):
     path = os.path.join(fixtures, "clean.cpp")
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    if check_clocks(path, text) or check_ptrmaps(path, text) \
-            or check_shims(path, text):
+    if check_clocks(path, text) or check_ptrmaps(path, text):
         failures.append("clean.cpp fixture was falsely flagged")
 
     if failures:

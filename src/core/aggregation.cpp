@@ -219,18 +219,14 @@ Matrix AggregationEngine::run(const AggregationTask& task, AggregationReport* re
   rep.cache_capacity_vertices =
       task.cache_capacity_hint != 0 ? task.cache_capacity_hint : cache_capacity(task);
 
-  const CachePolicy* policy = task.policy;
-  std::unique_ptr<CachePolicy> owned_policy;
-  if (policy == nullptr) {
-    // Deprecated path: derive the policy from the legacy config booleans.
-    owned_policy = CachePolicy::make(CachePolicy::kind_from_flags(config_.opts, config_.cache));
-    policy = owned_policy.get();
+  static const std::unique_ptr<CachePolicy> degree_aware =
+      CachePolicy::make(CachePolicyKind::kDegreeAware);
+  const CachePolicy& policy = task.policy != nullptr ? *task.policy : *degree_aware;
+  rep.policy = policy.kind();
+  if (!policy.uses_subgraph_machinery()) {
+    return run_on_demand(task, policy, rep);
   }
-  rep.policy = policy->kind();
-  if (!policy->uses_subgraph_machinery()) {
-    return run_on_demand(task, *policy, rep);
-  }
-  return run_subgraph(task, *policy, rep);
+  return run_subgraph(task, policy, rep);
 }
 
 Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CachePolicy& policy,

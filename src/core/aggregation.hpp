@@ -18,8 +18,7 @@
 // LRU-managed input buffer become individual random DRAM reads.
 //
 // The policy comes from AggregationTask::policy (the serving path binds it
-// from the GraphPlan); tasks without one fall back to the deprecated
-// OptimizationFlags/CacheConfig booleans via CachePolicy::kind_from_flags.
+// from the GraphPlan); tasks without one run the degree-aware policy.
 //
 // The engine is functional (produces the aggregated feature matrix for the
 // GNN kind at hand) and timed (cycles, DRAM traffic, α histograms).
@@ -76,8 +75,7 @@ struct AggregationTask {
   const std::vector<float>* e2 = nullptr;
   std::uint32_t gat_heads = 1;
   float leaky_slope = 0.2f;
-  /// Cache policy driving layout and fetch behavior. Null → derived from
-  /// the deprecated config booleans (legacy GnnieEngine path).
+  /// Cache policy driving layout and fetch behavior. Null → degree-aware.
   const CachePolicy* policy = nullptr;
   /// Precomputed layout order / inverse positions (GraphPlan reuse). Must
   /// be consistent with `policy->layout_order(*graph)`; null → computed on
@@ -153,9 +151,8 @@ class AggregationEngine {
  public:
   AggregationEngine(const EngineConfig& config, HbmModel* hbm, const DramLayout& layout = {});
 
-  /// Runs aggregation under the task's CachePolicy (falling back to the
-  /// deprecated config booleans when task.policy is null). Returns the
-  /// aggregated matrix.
+  /// Runs aggregation under the task's CachePolicy (degree-aware when
+  /// task.policy is null). Returns the aggregated matrix.
   Matrix run(const AggregationTask& task, AggregationReport* report = nullptr);
 
   /// Input-buffer capacity in vertices for a task (exposed for tests).

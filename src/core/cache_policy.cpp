@@ -169,10 +169,4 @@ std::unique_ptr<CachePolicy> CachePolicy::make_set_aware(std::uint32_t associati
   return std::make_unique<SetAwarePolicy>(associativity, block_vertices);
 }
 
-CachePolicyKind CachePolicy::kind_from_flags(const OptimizationFlags& opts,
-                                             const CacheConfig& cache) {
-  if (opts.degree_aware_cache) return CachePolicyKind::kDegreeAware;
-  return cache.on_demand_baseline ? CachePolicyKind::kOnDemand : CachePolicyKind::kIdOrder;
-}
-
 }  // namespace gnnie

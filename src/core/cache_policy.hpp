@@ -22,19 +22,18 @@
 //     offline-optimal replacement over the deterministic access sequence —
 //     the upper bound every heuristic's hit rate is reported against.
 //
-// AggregationEngine dispatches through this interface; the deprecated
-// OptimizationFlags::degree_aware_cache / CacheConfig::on_demand_baseline
-// booleans are mapped through kind_from_flags() for legacy callers. The
-// degree-aware kind stays the default everywhere; the new kinds are
-// strictly opt-in.
+// AggregationEngine dispatches through this interface, and a policy object
+// is the only way to pick one. The degree-aware kind is the default
+// everywhere: a null policy (Engine, AggregationTask) means degree-aware,
+// and every other kind is strictly opt-in.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
-#include "core/engine_config.hpp"
 #include "graph/csr.hpp"
 
 namespace gnnie {
@@ -92,12 +91,6 @@ class CachePolicy {
   /// configuration). associativity 0 degenerates to the degree-aware order.
   static std::unique_ptr<CachePolicy> make_set_aware(std::uint32_t associativity,
                                                      std::uint32_t block_vertices);
-
-  /// Mapping from the deprecated config booleans, for callers still on the
-  /// GnnieEngine shim: degree_aware_cache → kDegreeAware; otherwise
-  /// on_demand_baseline picks kOnDemand over kIdOrder.
-  static CachePolicyKind kind_from_flags(const OptimizationFlags& opts,
-                                         const CacheConfig& cache);
 };
 
 }  // namespace gnnie

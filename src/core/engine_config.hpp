@@ -1,7 +1,9 @@
 // Top-level GNNIE configuration: the PE array design point, on-chip buffer
 // sizes, HBM parameters, and the optimization switches the paper ablates in
-// §VIII-E (CP = degree-aware cache policy, FM = flexible-MAC workload
-// binning, LR = load redistribution, LB = aggregation load balancing).
+// §VIII-E (FM = flexible-MAC workload binning, LR = load redistribution,
+// LB = aggregation load balancing). The fourth ablated switch, CP (the
+// degree-aware cache policy), is not a flag: it is the CachePolicy handed to
+// Engine (core/cache_policy.hpp), degree-aware unless told otherwise.
 #pragma once
 
 #include <cstdint>
@@ -23,20 +25,13 @@ struct OptimizationFlags {
   bool workload_binning = true;
   /// Weighting: LR — offload blocks from heavy to light rows after FM.
   bool load_redistribution = true;
-  /// Aggregation: degree-aware cache policy (CP, §VI). Without it the same
-  /// subgraph machinery runs with vertices laid out and fetched in ID order
-  /// (the §VIII-E baseline). See also CacheConfig::on_demand_baseline.
-  /// DEPRECATED: cache behavior is a CachePolicy instance handed to Engine
-  /// (core/cache_policy.hpp); this boolean only feeds the legacy mapping
-  /// CachePolicy::kind_from_flags used by the GnnieEngine shim.
-  bool degree_aware_cache = true;
   /// Aggregation: edge-level load balancing across CPEs (LB, §V-C).
   /// Without it each vertex's aggregation runs on a single CPE.
   bool aggregation_load_balance = true;
 
   static OptimizationFlags all_on() { return {}; }
   static OptimizationFlags all_off() {
-    return {false, false, false, false, false};
+    return {false, false, false, false};
   }
 };
 
@@ -56,13 +51,6 @@ struct CacheConfig {
   /// forces an eviction within that set even when the γ rule finds no
   /// candidate. 0 = fully associative (no placement constraint).
   std::uint32_t associativity = 0;
-  /// When degree_aware_cache is off: use the HyGCN-style on-demand pull
-  /// engine (per-vertex neighbor fetches through an LRU input buffer,
-  /// random DRAM accesses on misses) instead of the ID-order subgraph
-  /// machinery. This is the "no caching at all" reference.
-  /// DEPRECATED: select CachePolicyKind::kOnDemand instead (see
-  /// OptimizationFlags::degree_aware_cache).
-  bool on_demand_baseline = false;
 };
 
 /// Scheduler-visible cache warmth for the serving cluster (serve::Cluster).

@@ -1,6 +1,6 @@
-// Inference reporting types shared by the serving API (core/serving.hpp)
-// and the deprecated single-shot entry point (core/engine.hpp): per-layer
-// phase reports, the per-run InferenceReport, and the functional result.
+// Inference reporting types of the serving API (core/serving.hpp) and the
+// serving cluster (serve/cluster.hpp): per-layer phase reports, the per-run
+// InferenceReport, the functional result, and the cluster's ServingReport.
 #pragma once
 
 #include <cstdint>
@@ -320,7 +320,7 @@ Cycles batch_follower_saved_cycles(const InferenceReport& rep);
 /// Charge of one slot member given its (already warmth-discounted) serial
 /// cost and its follower saving: the head pays serial, followers subtract
 /// the saving, clamped so a slot is never longer than serial service. The
-/// single encoding of the member-charge rule — run_cost_batch and the
+/// single encoding of the member-charge rule — CompiledModel::cost and the
 /// cluster both price slots through this.
 inline Cycles batch_member_charge(Cycles serial_cycles, Cycles follower_saving,
                                   bool follower) {

@@ -5,7 +5,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/engine.hpp"
+#include "core/report.hpp"
 
 namespace gnnie {
 

@@ -110,10 +110,7 @@ double CompiledModel::peak_tops() const { return state_->config.peak_tops(); }
 Engine::Engine(EngineConfig config, std::shared_ptr<const CachePolicy> policy)
     : config_(std::move(config)), policy_(std::move(policy)) {
   config_.validate();
-  if (policy_ == nullptr) {
-    // Legacy configs select the policy through the deprecated booleans.
-    policy_ = CachePolicy::make(CachePolicy::kind_from_flags(config_.opts, config_.cache));
-  }
+  if (policy_ == nullptr) policy_ = CachePolicy::make(CachePolicyKind::kDegreeAware);
 }
 
 double Engine::peak_tops() const { return config_.peak_tops(); }
@@ -526,12 +523,16 @@ struct Executor {
 
 }  // namespace
 
+bool CompiledModel::owns(const GraphPlan& plan) const {
+  const std::shared_ptr<const void> owner = plan.owner_.lock();
+  return owner != nullptr && owner.get() == state_.get();
+}
+
 InferenceResult CompiledModel::run(const RunRequest& request) const {
   const State& s = *state_;
   GNNIE_REQUIRE(request.plan != nullptr, "request needs a GraphPlan (CompiledModel::plan)");
   GNNIE_REQUIRE(request.features != nullptr, "request needs input features");
-  const std::shared_ptr<const void> plan_owner = request.plan->owner_.lock();
-  GNNIE_REQUIRE(plan_owner != nullptr && plan_owner.get() == state_.get(),
+  GNNIE_REQUIRE(owns(*request.plan),
                 "plan was created by a different (or destroyed) CompiledModel");
   const Csr& g = request.plan->graph();
   // O(1) staleness guard: catches the planned Csr being reassigned in
@@ -573,21 +574,6 @@ InferenceResult CompiledModel::run(const RunRequest& request) const {
   rep.dram = exec.hbm.stats();
   rep.dram_energy = exec.hbm.energy();
   return result;
-}
-
-InferenceReport CompiledModel::run_cost(const RunRequest& request) const {
-  // The full run is required — cycle costs are value-dependent (zero-skip,
-  // sparsity) — but the output matrix dies here instead of being returned.
-  return run(request).report;
-}
-
-InferenceReport CompiledModel::run_cost(const RunRequest& request,
-                                        double warm_fraction) const {
-  GNNIE_REQUIRE(warm_fraction >= 0.0 && warm_fraction <= 1.0,
-                "warm fraction must be in [0, 1]");
-  InferenceReport rep = run(request).report;
-  apply_warmth_discount(rep, warm_fraction);
-  return rep;
 }
 
 ServiceCost CompiledModel::cost(const CostQuery& query) const {
@@ -707,23 +693,6 @@ ServiceCost CompiledModel::cost(const RunRequest& request, double warm_fraction)
   query.requests = std::span<const RunRequest>(&request, 1);
   query.warm_fraction = warm_fraction;
   return cost(query);
-}
-
-BatchCostReport CompiledModel::run_cost_batch(std::span<const RunRequest> requests,
-                                              double warm_fraction) const {
-  // Deprecated shim: cost() prices the identical slot (the default variant
-  // family reproduces the pre-variant model bit-exactly); this just maps
-  // the staged answer back into the legacy report shape.
-  CostQuery query;
-  query.requests = requests;
-  query.warm_fraction = warm_fraction;
-  ServiceCost cost = this->cost(query);
-  BatchCostReport batch;
-  batch.request_cycles = std::move(cost.request_cycles);
-  batch.total_cycles = cost.total_cycles;
-  batch.serial_cycles = cost.serial_cycles;
-  batch.weighting_saved_cycles = cost.weighting_saved_cycles;
-  return batch;
 }
 
 BatchResult CompiledModel::run_batch(std::span<const RunRequest> requests) const {

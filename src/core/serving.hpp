@@ -18,12 +18,12 @@
 //   * CompiledModel::run / run_batch execute requests against a plan.
 //     Every run builds its accelerator state (HbmModel) fresh, so runs are
 //     stateless by construction: back-to-back runs report identical stats.
+//   * CompiledModel::cost prices a service slot (CostQuery → ServiceCost)
+//     for the serving cluster: warmth, coalescing, and plan variants in one
+//     query, answered with the weighting/aggregation stage split.
 //
 // The cache behavior is selected by a CachePolicy instance handed to the
-// Engine (degree-aware / ID-order / on-demand), replacing the deprecated
-// OptimizationFlags::degree_aware_cache / CacheConfig::on_demand_baseline
-// booleans. core/engine.hpp keeps a thin GnnieEngine shim over this API
-// for incremental migration.
+// Engine (core/cache_policy.hpp); a null policy means degree-aware.
 #pragma once
 
 #include <cstdint>
@@ -204,34 +204,21 @@ struct BatchResult {
   BatchReport report;
 };
 
-/// Timing of one coalesced same-plan service slot (run_cost_batch): the
-/// head request runs in full; each follower reuses the slot's streamed
-/// weights and shared per-plan setup, skipping the weight-stream share of
-/// its weighting stages' exposed memory time (batch_follower_saved_cycles,
-/// core/report.hpp). total_cycles ≤ serial_cycles by construction.
-/// DEPRECATED alongside run_cost_batch — ServiceCost carries the same
-/// numbers plus the per-stage split.
-struct BatchCostReport {
-  std::vector<Cycles> request_cycles;  ///< charged cycles per request, group order
-  Cycles total_cycles = 0;             ///< the slot's service time (Σ request_cycles)
-  Cycles serial_cycles = 0;            ///< the same requests serviced serially
-  Cycles weighting_saved_cycles = 0;   ///< serial_cycles − total_cycles
-};
-
 /// One service-cost question: how long does this slot of requests run?
-/// The unified parameter surface of CompiledModel::cost — warmth,
-/// coalescing, and the pipeline/variant knobs in one struct, replacing the
-/// run_cost / run_cost(warm) / run_cost_batch overload family. Designed for
-/// designated initializers: `{.requests = reqs, .warm_fraction = 0.5}`.
+/// The parameter surface of CompiledModel::cost — warmth, coalescing, and
+/// the pipeline/variant knobs in one struct. Designed for designated
+/// initializers: `{.requests = reqs, .warm_fraction = 0.5}`.
 struct CostQuery {
   /// Slot members, head first. All must share one plan fingerprint.
   std::span<const RunRequest> requests;
   /// Share of the plan's working set resident at slot start, in [0, 1],
   /// applied to every member (apply_warmth_discount).
   double warm_fraction = 0.0;
-  /// Coalesce requests[1..] as followers of the head's weight stream (the
-  /// run_cost_batch slot model). false prices the members back-to-back
-  /// serially. Irrelevant for single-request queries.
+  /// Coalesce requests[1..] as followers of the head's weight stream: each
+  /// follower skips the weight-stream share of its weighting stages'
+  /// exposed memory time (batch_follower_saved_cycles, core/report.hpp).
+  /// false prices the members back-to-back serially. Irrelevant for
+  /// single-request queries.
   bool coalesce = true;
   /// Plan variant to price the slot under: 0 picks the cheapest member of
   /// the plan's family (dispatch's rule); a nonzero width selects that
@@ -255,9 +242,8 @@ struct ServiceCostSummary {
 /// Answer to one CostQuery: the slot's charged timing, split into the
 /// weighting (weight-stream) and aggregation (compute) stages, plus the
 /// head request's parametric surface so serving memos can re-price the same
-/// slot at any warmth without re-running the engine. Replaces
-/// InferenceReport-returning run_cost for serving-layer callers; callers
-/// needing per-layer detail still use run().
+/// slot at any warmth without re-running the engine. Callers needing
+/// per-layer detail use run().
 struct ServiceCost {
   // -- The queried slot, charged at the query's warmth/coalesce/variant --
   std::vector<Cycles> request_cycles;  ///< charged cycles per member, slot order
@@ -313,56 +299,28 @@ class CompiledModel {
   /// eviction drops the cache's reference, not the plan.
   GraphPlanPtr plan(const Csr& g, std::vector<Csr> sampled_per_layer = {}) const;
 
+  /// True when `plan` was built by this model's plan() — the only plans
+  /// run() and cost() accept.
+  bool owns(const GraphPlan& plan) const;
+
   /// Executes one request. Stateless: builds fresh accelerator state per
   /// call, so identical requests produce bit-identical outputs and reports.
   InferenceResult run(const RunRequest& request) const;
 
   /// Prices one service slot (see CostQuery): every distinct (plan,
   /// features) member is simulated once (runs are stateless, the in-call
-  /// memo is exact), warmth discounts each member's aggregation stages,
-  /// followers of a coalesced slot skip their weight-stream share, and the
-  /// slot is dispatched onto the cheapest plan variant (or the one the
-  /// query names). The single cost entry point: a one-request query at
-  /// warm_fraction f charges exactly run_cost(request, f).total_cycles,
-  /// and a multi-request query reproduces run_cost_batch field for field
-  /// under the default variant family.
+  /// memo is exact), warmth discounts each member's aggregation stages
+  /// (apply_warmth_discount, core/report.hpp), followers of a coalesced
+  /// slot skip their weight-stream share, and the slot is dispatched onto
+  /// the cheapest plan variant (or the one the query names). The single
+  /// cost entry point: a one-request query at warm_fraction f charges
+  /// exactly warm_total_cycles(run(request).report, f). All members must
+  /// share one plan fingerprint (distinct plan objects of the same graph —
+  /// e.g. across a plan-cache eviction — are fine).
   ServiceCost cost(const CostQuery& query) const;
 
   /// Convenience single-request query: cost({{&request, 1}, warm_fraction}).
   ServiceCost cost(const RunRequest& request, double warm_fraction = 0.0) const;
-
-  /// Timing-only variant of run(): the identical simulation producing the
-  /// identical report, but the output matrix is dropped inside the call
-  /// instead of being materialized in a result. (The values are still
-  /// computed — timing is value-dependent through zero-skip and sparsity —
-  /// but serving simulators that only need cycle costs avoid holding |V|×F
-  /// outputs per request.)
-  /// DEPRECATED for cycle-cost callers: use cost(request) — it exposes the
-  /// same total plus the per-stage split without the per-layer report.
-  /// Still the right call when per-layer detail is needed without the
-  /// output matrix (scripts/lint_invariants.py flags serving-layer usage).
-  InferenceReport run_cost(const RunRequest& request) const;
-
-  /// Warmth-aware run_cost: the same cold simulation with fraction
-  /// `warm_fraction` ∈ [0, 1] of the plan's cached working set already
-  /// resident on chip — that share of each aggregation stage's exposed
-  /// DRAM-fetch time is discounted (apply_warmth_discount, core/report.hpp).
-  /// warm_fraction 0 is bit-exact with run_cost(request); warm cost is
-  /// never above cold cost.
-  /// DEPRECATED: use cost(request, warm_fraction) (same totals, staged).
-  InferenceReport run_cost(const RunRequest& request, double warm_fraction) const;
-
-  /// Timing of `requests` coalesced into one service slot. All requests
-  /// must share one plan fingerprint (same graph structure; distinct plan
-  /// objects of the same graph — e.g. across a plan-cache eviction — are
-  /// fine). A single request degenerates to run_cost(request,
-  /// warm_fraction) exactly.
-  /// DEPRECATED: a thin shim over cost({requests, warm_fraction}) — the
-  /// ServiceCost it maps into a BatchCostReport carries strictly more
-  /// (per-stage split, head surface). Pinned bit-exact against the shim's
-  /// pre-cost() output under the default variant family.
-  BatchCostReport run_cost_batch(std::span<const RunRequest> requests,
-                                 double warm_fraction = 0.0) const;
 
   /// Services requests sequentially on the modeled accelerator and returns
   /// per-request results plus the aggregate batch report (makespan,
@@ -383,8 +341,7 @@ class CompiledModel {
 /// and the cache policy, and compiles models against them.
 class Engine {
  public:
-  /// `policy` null → derived from the (deprecated) config booleans, which
-  /// keeps legacy EngineConfig ablation setups working through the shim.
+  /// `policy` null → the degree-aware policy (CP, §VI).
   explicit Engine(EngineConfig config = EngineConfig::paper_default(true),
                   std::shared_ptr<const CachePolicy> policy = nullptr);
 

@@ -6,7 +6,7 @@
 #pragma once
 
 #include "common/units.hpp"
-#include "core/engine.hpp"
+#include "core/report.hpp"
 
 namespace gnnie {
 

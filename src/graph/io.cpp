@@ -1,9 +1,11 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -39,9 +41,18 @@ template <typename T>
 std::vector<T> read_vec(std::istream& in, std::uint64_t sanity_limit) {
   const auto n = read_pod<std::uint64_t>(in);
   GNNIE_REQUIRE(n <= sanity_limit, "binary stream declares an implausible array size");
-  std::vector<T> v(n);
-  in.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
-  GNNIE_REQUIRE(static_cast<bool>(in), "truncated binary stream");
+  // Grow in bounded chunks as bytes arrive, so a header declaring a huge
+  // array in a short stream fails as truncated instead of allocating the
+  // declared size up front.
+  constexpr std::uint64_t kChunk = (std::uint64_t{1} << 20) / sizeof(T);
+  std::vector<T> v;
+  while (v.size() < n) {
+    const std::size_t at = v.size();
+    const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, n - at));
+    v.resize(at + take);
+    in.read(reinterpret_cast<char*>(v.data() + at), static_cast<std::streamsize>(take * sizeof(T)));
+    GNNIE_REQUIRE(static_cast<bool>(in), "truncated binary stream");
+  }
   return v;
 }
 
@@ -61,6 +72,14 @@ Csr read_edge_list(std::istream& in, const EdgeListOptions& options) {
     if (!(ls >> src >> dst) || src < 0 || dst < 0) {
       throw std::invalid_argument("malformed edge list at line " + std::to_string(line_no) +
                                   ": '" + line + "'");
+    }
+    // The vertex count is max id + 1, so the largest VertexId itself is
+    // out of range too: it would wrap the count to 0.
+    constexpr long long kIdLimit = std::numeric_limits<VertexId>::max();
+    if (src >= kIdLimit || dst >= kIdLimit) {
+      throw std::invalid_argument("vertex id out of range at line " + std::to_string(line_no) +
+                                  ": '" + line + "' (ids must be below " +
+                                  std::to_string(kIdLimit) + ")");
     }
     edges.push_back({static_cast<VertexId>(src), static_cast<VertexId>(dst)});
     max_id = std::max({max_id, edges.back().src, edges.back().dst});
@@ -127,6 +146,8 @@ void read_binary(std::istream& in, Csr& g, SparseMatrix& features) {
   for (std::uint64_t r = 0; r < rows; ++r) {
     auto idx = read_vec<std::uint32_t>(in, cols);
     auto val = read_vec<float>(in, cols);
+    GNNIE_REQUIRE(std::all_of(val.begin(), val.end(), [](float x) { return std::isfinite(x); }),
+                  "binary stream holds a non-finite feature value");
     sparse_rows.emplace_back(std::move(idx), std::move(val), cols);
   }
   features = SparseMatrix(std::move(sparse_rows), cols);

@@ -18,9 +18,11 @@ Cluster::Cluster(CompiledModel model, std::size_t dies)
       die_count_(dies),
       cost_cache_(std::make_shared<ServiceCostCache>()) {
   GNNIE_REQUIRE(dies >= 1, "a cluster needs at least one die");
-  // Bookkeeping only: the homogeneous constructor never compiles per-config
-  // models — simulate() uses model_ and the requests' own plans directly.
+  // A one-config fleet whose config 0 is the model itself, so the
+  // requests' own plans (GraphSAGE's sampled ones included) price as is.
   spec_ = FleetSpec::homogeneous(model_.config(), dies);
+  spec_.configs[0].cache_policy = model_.cache_policy().kind();
+  config_models_.push_back(model_);
   die_config_.assign(dies, 0);
   config_scale_.assign(1, 1.0);
 }
@@ -46,14 +48,9 @@ Cluster::Cluster(const CompiledModel& reference, FleetSpec spec)
                   "fleet configs must match the reference pipeline enablement");
     GNNIE_REQUIRE(cfg.engine.pipeline.variant_widths == ref.pipeline.variant_widths,
                   "fleet configs must match the reference plan-variant widths");
-    // Per-die cache policy: an explicit kind overrides the config-derived
-    // default (null → Engine falls back to the deprecated booleans).
-    std::shared_ptr<const CachePolicy> policy;
-    if (cfg.cache_policy.has_value()) {
-      policy = std::shared_ptr<const CachePolicy>(CachePolicy::make(*cfg.cache_policy));
-    }
-    config_models_.push_back(
-        Engine(cfg.engine, std::move(policy)).compile(model_.model(), model_.weights()));
+    const CachePolicyKind policy = cfg.cache_policy.value_or(CachePolicyKind::kDegreeAware);
+    config_models_.push_back(Engine(cfg.engine, CachePolicy::make(policy))
+                                 .compile(model_.model(), model_.weights()));
     config_scale_.push_back(ref.clock_hz / cfg.engine.clock_hz);
   }
   die_config_ = spec_.assignment;
@@ -181,28 +178,13 @@ ServingReport Cluster::simulate(const RequestTrace& trace,
   return simulate_impl(trace, *scheduler, *admission);
 }
 
-// DEPRECATED shims — delegate to the one real loop, bit-exact.
-ServingReport Cluster::simulate(const RequestTrace& trace,
-                                const Scheduler& scheduler) const {
-  return simulate_impl(trace, scheduler, AdmissionPolicy::admit_all());
-}
-
-ServingReport Cluster::simulate(const RequestTrace& trace, const Scheduler& scheduler,
-                                const AdmissionPolicy& admission) const {
-  return simulate_impl(trace, scheduler, admission);
-}
-
 ServingReport Cluster::simulate_impl(const RequestTrace& trace,
                                      const Scheduler& scheduler,
                                      const AdmissionPolicy& admission) const {
   const EngineConfig& config = model_.config();
   const WarmthConfig& wcfg = config.warmth;
   const std::uint32_t max_coalesce = config.batching.max_coalesce;
-  // Fleet mode: per-config compiled models exist; the homogeneous
-  // constructor leaves the vector empty and everything below costs against
-  // model_ with scale 1.0 — bit-exact with the fleet-unaware simulator.
-  const bool fleet = !config_models_.empty();
-  const std::size_t config_count = fleet ? spec_.configs.size() : 1;
+  const std::size_t config_count = config_models_.size();
 
   // Intra-die pipelining and the per-config plan-variant families. The
   // fleet constructor pins enablement and widths to the reference config,
@@ -211,8 +193,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   std::vector<std::vector<PlanVariant>> config_family;
   config_family.reserve(config_count);
   for (std::size_t c = 0; c < config_count; ++c) {
-    config_family.push_back(
-        plan_variant_family(fleet ? spec_.configs[c].engine : config));
+    config_family.push_back(plan_variant_family(config_models_[c].config()));
   }
   // A family of one unbounded zero-setup variant is today's slot semantics
   // — dispatch is a no-op and the report keeps its legacy shape.
@@ -265,7 +246,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
     return static_cast<Cycles>(std::llround(static_cast<double>(cycles) * s));
   };
   auto config_engine = [&](std::size_t cfg) -> const EngineConfig& {
-    return fleet ? spec_.configs[cfg].engine : config;
+    return config_models_[cfg].config();
   };
 
   // ---- Per-stream resolution --------------------------------------------
@@ -276,10 +257,11 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   // a raw ServiceCost pointer per (config, stream) so the hot path never
   // hashes. Costs come from the cluster-lifetime ServiceCostCache: runs are
   // stateless, so entries are exact and shared across simulate() calls —
-  // a load sweep over one cluster costs each triple once. On a fleet the
-  // request's graph is re-planned per config (deterministic, so
-  // structurally identical plans with the same fingerprint) and costed on
-  // that config's compiled model.
+  // a load sweep over one cluster costs each triple once. A config prices
+  // the request's own plan when its compiled model built that plan (config
+  // 0 of the homogeneous constructor); otherwise it re-plans the request's
+  // graph (deterministic, so a structurally identical plan with the same
+  // fingerprint) and costs that.
   const std::size_t stream_count = trace.stream_count();
   std::vector<std::uint64_t> stream_fp(stream_count);
   std::vector<std::uint32_t> stream_fpi(stream_count);
@@ -294,8 +276,8 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   const std::size_t fp_slots = distinct_fp.size();
 
   // Lazily resolved so a stream no request ever touches is never costed
-  // (matching the old per-call memo, including its fleet-mode rejection of
-  // sampled plans only for streams actually served).
+  // (and a sampled plan is rejected only when a request actually needs it
+  // re-planned).
   std::vector<const CostEntry*> resolved(config_count * stream_count, nullptr);
   auto cost_at = [&](std::size_t cfg, std::size_t s) -> const CostEntry& {
     const CostEntry*& slot = resolved[cfg * stream_count + s];
@@ -303,26 +285,27 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
       const TraceStream& stream = trace.stream(s);
       const ServiceCostCache::Key key{cfg, stream.plan.get(), stream.features};
       slot = &cost_cache_->get(key, [&]() -> CostEntry {
+        const CompiledModel& priced_on = config_models_[cfg];
         CostEntry entry;
         RunRequest routed;
         routed.plan = stream.plan;
         routed.features = stream.features;
-        if (fleet) {
-          // Sampling is fresh per plan() call, so a per-config re-plan could
-          // not reproduce the request's sampled adjacencies.
+        if (!priced_on.owns(*stream.plan)) {
+          // Sampling is fresh per plan() call, so a re-plan could not
+          // reproduce the request's sampled adjacencies.
           GNNIE_REQUIRE(stream.plan->sampled_layer_count() == 0,
-                        "sampled (GraphSAGE) plans are not supported on fleet clusters");
-          routed.plan = config_models_[cfg].plan(stream.plan->graph());
+                        "sampled (GraphSAGE) plans cannot be re-planned for a fleet die config");
+          routed.plan = priced_on.plan(stream.plan->graph());
         }
         entry.plan = routed.plan;
         entry.working_set = routed.plan->warm_working_set_bytes();
         // One staged cold cost query per triple: entry.cost.head carries
         // the cold/warm/stage-split scalars, entry.cost.warm_stages the
-        // exact per-stage warmth surface (warm_total(f) reproduces the
-        // legacy per-report discount bit-for-bit). Policy gating (warmth
+        // exact per-stage warmth surface (warm_total(f) reproduces
+        // warm_total_cycles on the cold report bit-for-bit). Policy gating (warmth
         // off, coalescing off) happens at charge/estimate time, not here —
         // the entry is policy-independent by design.
-        entry.cost = (fleet ? config_models_[cfg] : model_).cost(routed);
+        entry.cost = priced_on.cost(routed);
         return entry;
       });
     }
@@ -757,7 +740,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
         rec.start = w_start;
         rec.finish = compute_begin + scale_cycles(service - stream_work, cfg);
         GNNIE_AUDIT_ASSERT(
-            rec.finish <= now + scale_cycles(service, cfg) + (fleet ? 1 : 0),
+            rec.finish <= now + scale_cycles(service, cfg) + (config_scale_[cfg] == 1.0 ? 0 : 1),
             "pipelined slot finished later than its serial service");
         GNNIE_AUDIT_ASSERT(rec.service_cycles() ==
                                stream_scaled + scale_cycles(service - stream_work, cfg),

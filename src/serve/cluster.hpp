@@ -1,9 +1,9 @@
 // The serving cluster: N modeled GNNIE dies advanced by a discrete-event
 // loop in virtual time.
 //
-// Each die is an independent engine instance sharing one CompiledModel's
-// immutable compiled state (runs are stateless by construction, so dies
-// never interfere). The simulation is entirely in *modeled* time: a
+// Each die is an independent engine instance sharing the immutable compiled
+// state of its config's CompiledModel (runs are stateless by construction,
+// so dies never interfere). The simulation is entirely in *modeled* time: a
 // request's service time is its InferenceReport::total_cycles — the same
 // number a lone run() would report — and queueing delay accrues in cluster
 // virtual cycles between its open-loop arrival and its service start.
@@ -60,8 +60,8 @@
 // service it drains up to max_coalesce waiting requests sharing the head
 // request's plan fingerprint — first from its own queue, then from the
 // global queue — into one atomic slot, modeled as a single weighting/setup
-// pass plus per-request aggregation (the run_cost_batch slot model,
-// core/serving.hpp): followers skip the weight-stream share of their
+// pass plus per-request aggregation (the slot model CompiledModel::cost
+// prices, core/serving.hpp): followers skip the weight-stream share of their
 // weighting stages' exposed memory time. Warmth residency is touched once
 // per slot (the head pays any swap; followers see the post-load fraction),
 // per-request latencies run from each member's own arrival, and a slot is
@@ -98,22 +98,25 @@
 // list compiles the single unbounded variant with zero setup — today's
 // slot semantics, bit-exact.
 //
-// Heterogeneous fleets (serve/fleet.hpp): the FleetSpec constructor gives
-// every die its own EngineConfig. The cluster compiles the reference
-// model's (model, weights) once per distinct config, re-plans each request
-// graph per config, and keys the service memo by config — so the same
-// request carries a different cost on every die design, which is the
-// per-(die, request) RequestEstimate vector handed to Scheduler::pick and
-// AdmissionPolicy::shed. Per-config costs are normalized into the
-// *reference* model's clock domain, keeping the simulation in one virtual
-// time base. Warmth enablement, max_coalesce, pipeline enablement, and the
-// plan-variant widths must match the reference config across the fleet
-// (they are serving-protocol knobs, not die properties); budgets,
-// penalties, and variant setup costs may differ per die. Sampled
-// (GraphSAGE) plans are rejected on fleet clusters — sampling is fresh per
-// plan() call, so a per-config re-plan could not reproduce the request's
-// sampled adjacencies. A homogeneous FleetSpec over the reference config
-// is bit-exact with the fleet-unaware constructor.
+// Die configs (serve/fleet.hpp): every cluster is a fleet of die configs,
+// each with its own CompiledModel, and the service memo is keyed by config.
+// The homogeneous Cluster(model, dies) constructor is the one-config fleet
+// whose config 0 is `model` itself. The FleetSpec constructor gives every
+// die its own EngineConfig and compiles the reference model's (model,
+// weights) once per distinct config — so the same request carries a
+// different cost on every die design, which is the per-(die, request)
+// RequestEstimate vector handed to Scheduler::pick and
+// AdmissionPolicy::shed. A config prices the request's own plan when its
+// compiled model built that plan, and re-plans the request's graph
+// otherwise; sampled (GraphSAGE) plans cannot be re-planned (sampling is
+// fresh per plan() call), so they serve on the homogeneous constructor
+// only. Per-config costs are normalized into the *reference* model's clock
+// domain, keeping the simulation in one virtual time base. Warmth
+// enablement, max_coalesce, pipeline enablement, and the plan-variant
+// widths must match the reference config across the fleet (they are
+// serving-protocol knobs, not die properties); budgets, penalties, and
+// variant setup costs may differ per die. A homogeneous FleetSpec over the
+// reference config is bit-exact with the Cluster(model, dies) constructor.
 //
 // SLOs and admission (serve/slo.hpp): deadline-carrying traces
 // (TraceStream::slo_cycles) stamp each record's deadline, and every offer
@@ -121,7 +124,7 @@
 // with shed = true, start = finish = the shed time, no die attribution,
 // and counted against SLO attainment but never in latency percentiles.
 // The default admit-all policy sheds nothing and is bit-exact with the
-// admission-unaware simulate overload.
+// admission-unaware simulator.
 #pragma once
 
 #include <cstdint>
@@ -141,12 +144,10 @@ class ServiceCostCache;
 
 /// Options for Cluster::simulate, designed for designated initializers:
 /// `cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware})`.
-/// The default-constructed value reproduces the historical two-argument
-/// FIFO/admit-all behavior exactly. The custom_* pointers override the
-/// corresponding kind when non-null (for caller-owned policy objects, e.g.
-/// a scheduler shared across sweep cells); the pointee must outlive the
-/// simulate call. This is the one simulate entry point — the positional
-/// scheduler/admission overloads are deprecated shims over it.
+/// The default-constructed value is FIFO scheduling with admit-all
+/// admission. The custom_* pointers override the corresponding kind when
+/// non-null (for caller-owned policy objects, e.g. a scheduler shared
+/// across sweep cells); the pointee must outlive the simulate call.
 struct SimulateOptions {
   SchedulerKind scheduler = SchedulerKind::kFifo;
   AdmissionKind admission = AdmissionKind::kAdmitAll;
@@ -156,14 +157,18 @@ struct SimulateOptions {
 
 class Cluster {
  public:
-  /// `dies` independent engine instances over one compiled model.
+  /// `dies` independent engine instances over one compiled model: a
+  /// one-config fleet whose config 0 is `model`, so requests planned by
+  /// `model` (sampled GraphSAGE plans included) are priced on their own
+  /// plans.
   Cluster(CompiledModel model, std::size_t dies);
 
   /// A heterogeneous fleet: die d runs `spec.configs[spec.assignment[d]]`.
   /// Each distinct config gets its own compile of the reference model's
   /// (model, weights) — with FleetDieConfig::cache_policy when set, else
-  /// that config's *default-derived* cache policy; a custom CachePolicy
-  /// handed to the reference Engine does not propagate to fleet configs.
+  /// the degree-aware policy; a custom CachePolicy handed to the reference
+  /// Engine does not propagate to fleet configs. Sampled (GraphSAGE) plans
+  /// are rejected at simulate() time with std::invalid_argument.
   /// Throws unless the spec validates and every config matches the
   /// reference's warmth enablement, max_coalesce, pipeline enablement, and
   /// plan-variant widths (all serving-protocol knobs).
@@ -178,21 +183,9 @@ class Cluster {
 
   /// Runs the trace over this cluster and returns the per-request records
   /// plus the tail-latency/utilization/SLO rollup. Scheduling and admission
-  /// come from `options` (default: FIFO, admit-all — byte-identical to the
-  /// historical simulate(trace, scheduler) overloads with those policies).
+  /// come from `options` (default: FIFO, admit-all).
   ServingReport simulate(const RequestTrace& trace,
                          const SimulateOptions& options = {}) const;
-
-  /// DEPRECATED shim: equivalent to simulate(trace, {.custom_scheduler =
-  /// &scheduler}). Kept bit-exact for existing callers; new code uses the
-  /// SimulateOptions overload.
-  ServingReport simulate(const RequestTrace& trace, const Scheduler& scheduler) const;
-
-  /// DEPRECATED shim: equivalent to simulate(trace, {.custom_scheduler =
-  /// &scheduler, .custom_admission = &admission}). Kept bit-exact for
-  /// existing callers; new code uses the SimulateOptions overload.
-  ServingReport simulate(const RequestTrace& trace, const Scheduler& scheduler,
-                         const AdmissionPolicy& admission) const;
 
   /// Distinct (die config, plan, features) triples costed so far by this
   /// cluster's ServiceCostCache — across all simulate() calls. A sweep that
@@ -200,18 +193,18 @@ class Cluster {
   std::size_t costed_triples() const;
 
  private:
-  /// The one real simulation loop; every public simulate overload resolves
-  /// its policies and lands here.
+  /// The simulation loop; simulate() resolves the policy objects and lands
+  /// here.
   ServingReport simulate_impl(const RequestTrace& trace, const Scheduler& scheduler,
                               const AdmissionPolicy& admission) const;
 
   CompiledModel model_;
   std::size_t die_count_;
   FleetSpec spec_;
-  /// One compiled model per spec_.configs entry; empty for the homogeneous
-  /// constructor (which reuses model_ and the request's own plans).
+  /// One compiled model per spec_.configs entry (model_ itself for the
+  /// homogeneous constructor).
   std::vector<CompiledModel> config_models_;
-  /// die → index into spec_.configs (and config_models_ when non-empty).
+  /// die → index into spec_.configs and config_models_.
   std::vector<std::size_t> die_config_;
   /// Per-config cycle normalization into the reference clock domain:
   /// reference_clock / config_clock.

@@ -42,9 +42,9 @@ namespace gnnie::serve {
 /// they share this entry. All cycles are in the CONFIG'S OWN clock domain —
 /// callers scale into reference cycles at charge/estimate time.
 struct CostEntry {
-  /// The plan the costed run used: the request's own plan on a homogeneous
-  /// cluster, the per-config re-plan of its graph on a fleet (held here so
-  /// a fleet's plans outlive the plan cache).
+  /// The plan the costed run used: the request's own plan when the config's
+  /// compiled model built it, else the per-config re-plan of its graph
+  /// (held here so re-plans outlive the plan cache).
   GraphPlanPtr plan;
   Bytes working_set = 0;  ///< plan->warm_working_set_bytes()
   /// Staged surface of a lone cold service of this triple

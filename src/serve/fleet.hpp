@@ -16,8 +16,9 @@
 // normalized to the *reference* model's clock so the simulation stays in one
 // virtual-cycle domain.
 //
-// A homogeneous FleetSpec over the reference config is bit-exact with the
-// fleet-unaware Cluster(model, dies) constructor.
+// The homogeneous Cluster(model, dies) constructor is itself a one-config
+// fleet (FleetSpec::homogeneous); a homogeneous FleetSpec over the
+// reference config is bit-exact with it.
 #pragma once
 
 #include <cstddef>
@@ -37,12 +38,11 @@ struct FleetDieConfig {
   EngineConfig engine;
   double cost = 1.0;
   std::string label;  ///< shown in reports; e.g. "A", "E", "big"
-  /// Cache policy the dies built from this config run. nullopt → derived
-  /// from the engine config's (deprecated) booleans, i.e. the degree-aware
-  /// default — so existing fleets are untouched. Setting it makes the
-  /// policy a per-die provisioning knob: a fleet can mix, say, dual-cache
-  /// dies for skewed workloads with degree-aware dies for the rest, and the
-  /// cluster's service memo prices each request per die accordingly.
+  /// Cache policy the dies built from this config run. nullopt → the
+  /// degree-aware default. Setting it makes the policy a per-die
+  /// provisioning knob: a fleet can mix, say, dual-cache dies for skewed
+  /// workloads with degree-aware dies for the rest, and the cluster's
+  /// service memo prices each request per die accordingly.
   std::optional<CachePolicyKind> cache_policy;
 };
 

@@ -141,16 +141,15 @@ TEST(Aggregation, BaselineIdOrderComputesSameFunction) {
   task.hw = &hw;
   task.kind = AggKind::kGcnNormalizedSum;
 
-  EngineConfig cp = small_config();
-  Matrix with_cp = AggregationEngine(cp, &hbm).run(task);
-  EngineConfig nocp = small_config();
-  nocp.opts.degree_aware_cache = false;
-  Matrix id_order = AggregationEngine(nocp, &hbm).run(task);
+  const EngineConfig cfg = small_config();
+  Matrix with_cp = AggregationEngine(cfg, &hbm).run(task);
+  const auto id_order_policy = CachePolicy::make(CachePolicyKind::kIdOrder);
+  task.policy = id_order_policy.get();
+  Matrix id_order = AggregationEngine(cfg, &hbm).run(task);
   EXPECT_LT(Matrix::max_abs_diff(with_cp, id_order), 1e-4f);
-  EngineConfig ondemand = small_config();
-  ondemand.opts.degree_aware_cache = false;
-  ondemand.cache.on_demand_baseline = true;
-  Matrix pulled = AggregationEngine(ondemand, &hbm).run(task);
+  const auto on_demand_policy = CachePolicy::make(CachePolicyKind::kOnDemand);
+  task.policy = on_demand_policy.get();
+  Matrix pulled = AggregationEngine(cfg, &hbm).run(task);
   EXPECT_LT(Matrix::max_abs_diff(with_cp, pulled), 1e-4f);
 }
 
@@ -173,9 +172,9 @@ TEST(Aggregation, PolicyModeHasNoRandomAccessesBaselineHasMany) {
   EXPECT_EQ(rep_cp.random_dram_accesses, 0u);
 
   HbmModel hbm2;
-  EngineConfig nocp = small_config();
-  nocp.opts.degree_aware_cache = false;
-  nocp.cache.on_demand_baseline = true;
+  const EngineConfig nocp = small_config();
+  const auto on_demand_policy = CachePolicy::make(CachePolicyKind::kOnDemand);
+  task.policy = on_demand_policy.get();
   AggregationReport rep_base;
   AggregationEngine(nocp, &hbm2).run(task, &rep_base);
   EXPECT_GT(rep_base.random_dram_accesses, 0u);
@@ -189,15 +188,14 @@ TEST(Aggregation, PolicyBeatsBaselineOnDramRowHitRate) {
   task.hw = &hw;
   task.kind = AggKind::kGcnNormalizedSum;
 
+  const EngineConfig cfg = EngineConfig::paper_default(true);
   HbmModel hbm_cp;
-  EngineConfig cp = EngineConfig::paper_default(true);
-  AggregationEngine(cp, &hbm_cp).run(task);
+  AggregationEngine(cfg, &hbm_cp).run(task);
 
   HbmModel hbm_base;
-  EngineConfig nocp = EngineConfig::paper_default(true);
-  nocp.opts.degree_aware_cache = false;
-  nocp.cache.on_demand_baseline = true;
-  AggregationEngine(nocp, &hbm_base).run(task);
+  const auto on_demand_policy = CachePolicy::make(CachePolicyKind::kOnDemand);
+  task.policy = on_demand_policy.get();
+  AggregationEngine(cfg, &hbm_base).run(task);
 
   EXPECT_GT(hbm_cp.stats().row_hit_rate(), hbm_base.stats().row_hit_rate());
 }

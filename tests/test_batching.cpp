@@ -1,11 +1,11 @@
 // Tests for die-level same-plan coalescing (EngineConfig::batching): the
-// run_cost_batch slot model (batched ≤ serial by construction, singleton
-// degeneracy, validation), the coalescing cluster (group atomicity, the
-// acceptance criterion that max_coalesce = 8 strictly improves p99 and
-// makespan over serial service on a single-graph Poisson trace at 4 dies),
-// interaction with cache warmth (one residency touch per slot), coalescing
-// across a plan-cache eviction, and the warmth-aware scheduler's
-// head-of-line plan preference.
+// coalesced-slot cost model of CompiledModel::cost (batched ≤ serial by
+// construction, singleton degeneracy, validation), the coalescing cluster
+// (group atomicity, the acceptance criterion that max_coalesce = 8 strictly
+// improves p99 and makespan over serial service on a single-graph Poisson
+// trace at 4 dies), interaction with cache warmth (one residency touch per
+// slot), coalescing across a plan-cache eviction, and the warmth-aware
+// scheduler's head-of-line plan preference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,14 +36,16 @@ EngineConfig coalescing_config(std::uint32_t max_coalesce) {
   return config;
 }
 
-// --- The run_cost_batch slot model. ---
+// --- The coalesced-slot cost model. ---
 
 TEST(RunCostBatch, SingletonDegeneratesToRunCostExactly) {
   ServeFixture f;
   const RunRequest request{f.plan_a, &f.a.features};
+  const InferenceReport cold = f.compiled.run(request).report;
   for (double fraction : {0.0, 0.5, 1.0}) {
-    const BatchCostReport batch = f.compiled.run_cost_batch({&request, 1}, fraction);
-    const Cycles solo = f.compiled.run_cost(request, fraction).total_cycles;
+    const ServiceCost batch =
+        f.compiled.cost({.requests = {&request, 1}, .warm_fraction = fraction});
+    const Cycles solo = warm_total_cycles(cold, fraction);
     ASSERT_EQ(batch.request_cycles.size(), 1u);
     EXPECT_EQ(batch.request_cycles[0], solo);
     EXPECT_EQ(batch.total_cycles, solo);
@@ -56,11 +58,11 @@ TEST(RunCostBatch, BatchedNeverExceedsSerialSumAndFollowersSave) {
   ServeFixture f;
   const RunRequest request{f.plan_a, &f.a.features};
   for (double fraction : {0.0, 0.5, 1.0}) {
-    const Cycles solo = f.compiled.run_cost(request, fraction).total_cycles;
+    const Cycles solo = f.compiled.cost(request, fraction).total_cycles;
     Cycles prev_total = 0;
     for (std::size_t k = 1; k <= 5; ++k) {
       const std::vector<RunRequest> group(k, request);
-      const BatchCostReport batch = f.compiled.run_cost_batch(group, fraction);
+      const ServiceCost batch = f.compiled.cost({.requests = group, .warm_fraction = fraction});
       ASSERT_EQ(batch.request_cycles.size(), k);
       // The head runs in full; every follower is charged no more than the
       // head and the slot total never exceeds the serial sum.
@@ -93,9 +95,9 @@ TEST(RunCostBatch, MixedFeaturesOfOnePlanShareTheSlot) {
   const std::vector<RunRequest> group = {{f.plan_a, &f.a.features},
                                          {f.plan_a, &other_features},
                                          {f.plan_a, &f.a.features}};
-  const BatchCostReport batch = f.compiled.run_cost_batch(group);
-  const Cycles cost_0 = f.compiled.run_cost(group[0]).total_cycles;
-  const Cycles cost_1 = f.compiled.run_cost(group[1]).total_cycles;
+  const ServiceCost batch = f.compiled.cost({.requests = group});
+  const Cycles cost_0 = f.compiled.cost(group[0]).total_cycles;
+  const Cycles cost_1 = f.compiled.cost(group[1]).total_cycles;
   EXPECT_EQ(batch.serial_cycles, 2 * cost_0 + cost_1);
   EXPECT_LT(batch.total_cycles, batch.serial_cycles);
   EXPECT_EQ(batch.request_cycles[0], cost_0);
@@ -105,13 +107,13 @@ TEST(RunCostBatch, ValidatesItsArguments) {
   ServeFixture f;
   const RunRequest a{f.plan_a, &f.a.features};
   const RunRequest b{f.plan_b, &f.b_features};
-  EXPECT_THROW(f.compiled.run_cost_batch({}), std::invalid_argument);
+  EXPECT_THROW(f.compiled.cost(CostQuery{}), std::invalid_argument);
   const std::vector<RunRequest> mixed = {a, b};
-  EXPECT_THROW(f.compiled.run_cost_batch(mixed), std::invalid_argument);
-  EXPECT_THROW(f.compiled.run_cost_batch({&a, 1}, -0.1), std::invalid_argument);
-  EXPECT_THROW(f.compiled.run_cost_batch({&a, 1}, 1.1), std::invalid_argument);
+  EXPECT_THROW(f.compiled.cost({.requests = mixed}), std::invalid_argument);
+  EXPECT_THROW(f.compiled.cost(a, -0.1), std::invalid_argument);
+  EXPECT_THROW(f.compiled.cost(a, 1.1), std::invalid_argument);
   const RunRequest no_plan{nullptr, &f.a.features};
-  EXPECT_THROW(f.compiled.run_cost_batch({&no_plan, 1}), std::invalid_argument);
+  EXPECT_THROW(f.compiled.cost(no_plan), std::invalid_argument);
 }
 
 // --- The coalescing cluster. ---
@@ -119,8 +121,8 @@ TEST(RunCostBatch, ValidatesItsArguments) {
 TEST(BatchingCluster, DisabledCoalescingReportsOnlySingletonSlots) {
   ServeFixture f;  // default config: max_coalesce = 1
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 12, 0);
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *sq);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
   EXPECT_EQ(rep.max_coalesce, 1u);
   for (const RequestRecord& r : rep.requests) EXPECT_EQ(r.group_size, 1u);
   ASSERT_EQ(rep.batch_size_counts.size(), 1u);
@@ -140,9 +142,9 @@ TEST(BatchingCluster, CoalescingStrictlyImprovesTailLatencyAndMakespan) {
   // Identical datasets/weights per fixture (seeded), so the two compiled
   // models price every request identically; only coalescing differs.
   const Cycles service =
-      serial_f.compiled.run_cost({serial_f.plan_a, &serial_f.a.features}).total_cycles;
+      serial_f.compiled.cost({serial_f.plan_a, &serial_f.a.features}).total_cycles;
   ASSERT_EQ(service,
-            batched_f.compiled.run_cost({batched_f.plan_a, &batched_f.a.features})
+            batched_f.compiled.cost({batched_f.plan_a, &batched_f.a.features})
                 .total_cycles);
   // Offered load 1.5x the 4-die capacity: queues build, so slots coalesce.
   const double mean_gap = static_cast<double>(service) / 6.0;
@@ -151,9 +153,10 @@ TEST(BatchingCluster, CoalescingStrictlyImprovesTailLatencyAndMakespan) {
   RequestTrace batched_trace =
       RequestTrace::poisson({batched_f.stream_a()}, 60, mean_gap, /*seed=*/11);
 
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport serial = Cluster(serial_f.compiled, 4).simulate(serial_trace, *sq);
-  ServingReport batched = Cluster(batched_f.compiled, 4).simulate(batched_trace, *sq);
+  ServingReport serial = Cluster(serial_f.compiled, 4).simulate(
+      serial_trace, {.scheduler = SchedulerKind::kShortestQueue});
+  ServingReport batched = Cluster(batched_f.compiled, 4).simulate(
+      batched_trace, {.scheduler = SchedulerKind::kShortestQueue});
 
   EXPECT_LT(batched.p99_latency_cycles(), serial.p99_latency_cycles());
   EXPECT_LT(batched.makespan, serial.makespan);
@@ -171,11 +174,11 @@ TEST(BatchingCluster, CoalescingStrictlyImprovesTailLatencyAndMakespan) {
 
 TEST(BatchingCluster, GroupsAreAtomicContiguousAndAccountedExactly) {
   ServeFixture f(coalescing_config(4));
-  const Cycles service = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   RequestTrace trace = RequestTrace::poisson(
       {f.stream_a(), f.stream_b()}, 50, static_cast<double>(service) / 5.0, /*seed=*/3);
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *sq);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
 
   // The histogram accounts for every request exactly once.
   std::uint64_t histogram_requests = 0;
@@ -210,8 +213,7 @@ TEST(BatchingCluster, FifoCoalescesFromTheGlobalQueue) {
   // the rest wait in the global queue. Each freed slot then drains its
   // plan-mates: groups of 1, 4, then the leftover 1.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 6, 0);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ASSERT_EQ(rep.requests.size(), 6u);
   EXPECT_EQ(rep.requests[0].group_size, 1u);
   for (std::size_t i = 1; i <= 4; ++i) EXPECT_EQ(rep.requests[i].group_size, 4u);
@@ -220,12 +222,12 @@ TEST(BatchingCluster, FifoCoalescesFromTheGlobalQueue) {
   EXPECT_EQ(rep.batch_size_counts[0], 2u);
   EXPECT_EQ(rep.batch_size_counts[3], 1u);
   // Followers ride the slot back-to-back, and the cluster's charges are
-  // exactly the run_cost_batch slot model for the 4-group.
+  // exactly the cost query's slot model for the 4-group.
   for (std::size_t i = 2; i <= 4; ++i) {
     EXPECT_EQ(rep.requests[i].start, rep.requests[i - 1].finish);
   }
   const std::vector<RunRequest> slot(4, RunRequest{f.plan_a, &f.a.features});
-  const BatchCostReport model = f.compiled.run_cost_batch(slot);
+  const ServiceCost model = f.compiled.cost({.requests = slot});
   for (std::size_t i = 1; i <= 4; ++i) {
     EXPECT_EQ(rep.requests[i].service_cycles(), model.request_cycles[i - 1]);
   }
@@ -235,8 +237,7 @@ TEST(BatchingCluster, FifoCoalescesFromTheGlobalQueue) {
 TEST(BatchingCluster, CapLargerThanQueueDepthDrainsWhatIsThere) {
   ServeFixture f(coalescing_config(100));
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 10, 0);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ASSERT_EQ(rep.requests.size(), 10u);
   // Slot 1: the first arrival alone; slot 2: everything else (9 < 100).
   EXPECT_EQ(rep.requests[0].group_size, 1u);
@@ -261,8 +262,7 @@ TEST(BatchingCluster, CoalescesAcrossPlanCacheEvictionByFingerprint) {
   // old-plan and new-plan requests coalesce into one slot.
   RequestTrace trace = RequestTrace::fixed_interval(
       {f.stream_a(), {plan_a2, &f.a.features, 1.0}}, 3, 0);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ASSERT_EQ(rep.requests.size(), 3u);
   EXPECT_EQ(rep.requests[0].group_size, 1u);
   EXPECT_EQ(rep.requests[1].group_size, 2u);  // stream 1: the evicted plan's successor
@@ -275,13 +275,12 @@ TEST(BatchingCluster, WarmthAndCoalescingComposeWithOneTouchPerSlot) {
   config.warmth.enabled = true;
   config.warmth.die_budget_bytes = 48 << 10;  // holds exactly one fixture plan
   ServeFixture f(config);
-  const InferenceReport cold = f.compiled.run_cost({f.plan_a, &f.a.features});
+  const InferenceReport cold = f.compiled.run({f.plan_a, &f.a.features}).report;
   const Cycles follower_saving = batch_follower_saved_cycles(cold);
   ASSERT_GT(follower_saving, 0u);
 
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 5, 0);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ASSERT_EQ(rep.requests.size(), 5u);
   // Slot 1: the head alone, cold. Slot 2: a head that finds the plan
   // resident (one touch) and three followers charged fully warm minus the
@@ -302,12 +301,11 @@ TEST(BatchingCluster, WarmthAndCoalescingComposeWithOneTouchPerSlot) {
 TEST(BatchingCluster, SimulationStaysDeterministicWithCoalescing) {
   ServeFixture f(coalescing_config(8));
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
     Cluster cluster(f.compiled, 3);
     RequestTrace t1 = RequestTrace::poisson({f.stream_a(), f.stream_b()}, 80, 2000.0, 17);
     RequestTrace t2 = RequestTrace::poisson({f.stream_a(), f.stream_b()}, 80, 2000.0, 17);
-    ServingReport r1 = cluster.simulate(t1, *sched);
-    ServingReport r2 = cluster.simulate(t2, *sched);
+    ServingReport r1 = cluster.simulate(t1, {.scheduler = kind});
+    ServingReport r2 = cluster.simulate(t2, {.scheduler = kind});
     ASSERT_EQ(r1.requests.size(), r2.requests.size());
     for (std::size_t i = 0; i < r1.requests.size(); ++i) {
       EXPECT_EQ(r1.requests[i].die, r2.requests[i].die);
@@ -368,7 +366,7 @@ TEST(BatchingScheduler, FullSlotsStopAdvertisingTheirHeadOfLinePlan) {
     }
   } probe;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 4, 0);
-  Cluster(f.compiled, 1).simulate(trace, probe);
+  Cluster(f.compiled, 1).simulate(trace, {.custom_scheduler = &probe});
   ASSERT_EQ(probe.seen.size(), 4u);
   EXPECT_EQ(probe.seen[2].first, 1u);  // one same-plan waiter: slot open
   EXPECT_EQ(probe.seen[2].second, f.plan_a->fingerprint());
@@ -397,7 +395,7 @@ TEST(BatchingScheduler, EstimateCarriesTheDrainableOpportunity) {
     }
   } probe;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 12, 0);
-  Cluster(f.compiled, 1).simulate(trace, probe);
+  Cluster(f.compiled, 1).simulate(trace, {.custom_scheduler = &probe});
   EXPECT_GT(probe.max_seen, 1u);
   EXPECT_LE(probe.max_seen, 8u);
   EXPECT_GT(probe.saving_seen, 0u);
@@ -426,7 +424,7 @@ TEST(BatchingScheduler, CoalesceCountIsPerDieNotClusterWide) {
   // Zero-gap arrivals: the first seats die 0, the rest stack its queue, so
   // each offer sees a strictly deeper die-0 backlog.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 6, 0);
-  Cluster(f.compiled, 2).simulate(trace, probe);
+  Cluster(f.compiled, 2).simulate(trace, {.custom_scheduler = &probe});
   EXPECT_GT(probe.die0_max, 1u);
   EXPECT_EQ(probe.die1_max, 1u);
 }

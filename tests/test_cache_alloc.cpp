@@ -459,10 +459,9 @@ TEST(FleetCachePolicy, ExplicitDefaultKindIsBitExactWithDerivedDefault) {
 
   const serve::RequestTrace trace =
       serve::RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 12, 40000);
-  const auto scheduler = serve::Scheduler::make(serve::SchedulerKind::kFifo);
-  const ServingReport want = plain.simulate(trace, *scheduler);
+  const ServingReport want = plain.simulate(trace, {.scheduler = serve::SchedulerKind::kFifo});
   for (const serve::Cluster* cluster : {&fleet_derived, &fleet_explicit}) {
-    const ServingReport got = cluster->simulate(trace, *scheduler);
+    const ServingReport got = cluster->simulate(trace, {.scheduler = serve::SchedulerKind::kFifo});
     ASSERT_EQ(got.requests.size(), want.requests.size());
     for (std::size_t i = 0; i < want.requests.size(); ++i) {
       EXPECT_EQ(got.requests[i].die, want.requests[i].die) << i;
@@ -488,15 +487,15 @@ TEST(FleetCachePolicy, PerDiePolicyPricesServiceByThatPolicy) {
   // single-stream trace and per-die service-cost checks.
   const serve::RequestTrace trace =
       serve::RequestTrace::fixed_interval({f.stream_a()}, 8, 1);
-  const auto scheduler = serve::Scheduler::make(serve::SchedulerKind::kShortestQueue);
-  const ServingReport report = cluster.simulate(trace, *scheduler);
+  const ServingReport report = cluster.simulate(
+      trace, {.scheduler = serve::SchedulerKind::kShortestQueue});
 
   Engine od_engine(f.engine.config(), shared_policy(CachePolicyKind::kOnDemand));
   CompiledModel od_compiled = test::ServeFixture::make_compiled(od_engine, f.a);
   const Cycles od_cost =
-      od_compiled.run_cost({od_compiled.plan(f.a.graph), &f.a.features}).total_cycles;
+      od_compiled.cost({od_compiled.plan(f.a.graph), &f.a.features}).total_cycles;
   const Cycles ref_cost =
-      f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+      f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   ASSERT_NE(od_cost, ref_cost) << "policies cost identically; test is vacuous";
 
   bool saw_die1 = false;
@@ -519,9 +518,10 @@ TEST(FleetCachePolicy, DualCacheDieServesThroughPlanArtifact) {
 
   const serve::RequestTrace trace =
       serve::RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 10, 1);
-  const auto scheduler = serve::Scheduler::make(serve::SchedulerKind::kShortestQueue);
-  const ServingReport first = cluster.simulate(trace, *scheduler);
-  const ServingReport second = cluster.simulate(trace, *scheduler);
+  const ServingReport first = cluster.simulate(
+      trace, {.scheduler = serve::SchedulerKind::kShortestQueue});
+  const ServingReport second = cluster.simulate(
+      trace, {.scheduler = serve::SchedulerKind::kShortestQueue});
   ASSERT_EQ(first.requests.size(), 10u);
   for (std::size_t i = 0; i < first.requests.size(); ++i) {
     EXPECT_GT(first.requests[i].finish, first.requests[i].start) << i;

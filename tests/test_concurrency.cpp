@@ -71,7 +71,7 @@ struct CellGrid {
   std::uint64_t run_cell(const Cluster& cluster, std::size_t cell) const {
     const Scheduler& s = *schedulers[cell % schedulers.size()];
     const RequestTrace& t = traces[cell / schedulers.size()];
-    return fold_records(cluster.simulate(t, s));
+    return fold_records(cluster.simulate(t, {.custom_scheduler = &s}));
   }
 };
 
@@ -125,14 +125,14 @@ TEST(Concurrency, ConcurrentColdStartFillsShareOneCacheAcrossCopies) {
   std::vector<Cluster> copies(6, base);
   const RequestTrace trace =
       RequestTrace::poisson({f.stream_a(), f.stream_b()}, 200, 1500.0, /*seed=*/21);
-  const auto scheduler = Scheduler::make(SchedulerKind::kShortestQueue);
 
   std::vector<std::uint64_t> checksums(copies.size(), 0);
   std::vector<std::thread> threads;
   threads.reserve(copies.size());
   for (std::size_t i = 0; i < copies.size(); ++i) {
     threads.emplace_back([&, i] {
-      checksums[i] = fold_records(copies[i].simulate(trace, *scheduler));
+      checksums[i] = fold_records(copies[i].simulate(
+          trace, {.scheduler = SchedulerKind::kShortestQueue}));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -144,7 +144,8 @@ TEST(Concurrency, ConcurrentColdStartFillsShareOneCacheAcrossCopies) {
     EXPECT_EQ(checksums[i], checksums[0]);
   }
   EXPECT_EQ(base.costed_triples(), 2u);
-  EXPECT_EQ(fold_records(base.simulate(trace, *scheduler)), checksums[0]);
+  EXPECT_EQ(fold_records(base.simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue})), checksums[0]);
 }
 
 TEST(Concurrency, ParallelForRunsEveryIndexExactlyOnceUnderContention) {

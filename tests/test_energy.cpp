@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/hygcn.hpp"
-#include "core/engine.hpp"
 #include "datasets/synthetic.hpp"
 #include "energy/energy_model.hpp"
+#include "engine_test_util.hpp"
 #include "nn/layers.hpp"
 
 namespace gnnie {
@@ -18,8 +18,8 @@ InferenceReport run_gcn_report(double scale = 0.2) {
   m.kind = GnnKind::kGcn;
   m.input_dim = d.spec.feature_length;
   GnnWeights w = init_weights(m, 7);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  return engine.run(m, w, d.graph, d.features).report;
+  return test::run_once(Engine(EngineConfig::paper_default(false)), m, w, d.graph, d.features)
+      .report;
 }
 
 TEST(Energy, BreakdownSumsToTotal) {
@@ -93,8 +93,9 @@ TEST(Energy, GnnieBeatsHygcnOnEfficiency) {
   m.kind = GnnKind::kGcn;
   m.input_dim = d.spec.feature_length;
   GnnWeights w = init_weights(m, 7);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceReport rep = engine.run(m, w, d.graph, d.features).report;
+  InferenceReport rep =
+      test::run_once(Engine(EngineConfig::paper_default(false)), m, w, d.graph, d.features)
+          .report;
   EnergyBreakdown e = compute_energy(rep);
 
   HygcnModel hygcn;

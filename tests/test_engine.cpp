@@ -1,51 +1,40 @@
-// End-to-end tests for GnnieEngine: functional equivalence against the
-// reference forward pass for all five GNNs, report sanity, determinism,
-// and configuration effects on inference time.
+// End-to-end tests for the Engine compile → plan → run path: functional
+// equivalence against the reference forward pass for all five GNNs, report
+// sanity, determinism, and configuration effects on inference time.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
-#include "datasets/synthetic.hpp"
-#include "nn/layers.hpp"
+#include <memory>
+
+#include "engine_test_util.hpp"
 #include "nn/reference.hpp"
 
 namespace gnnie {
 namespace {
 
-struct Fixture {
-  Dataset data;
-  ModelConfig model;
-  GnnWeights weights;
-  std::vector<Csr> sampled;
+using test::ModelFixture;
 
-  Fixture(GnnKind kind, double scale = 0.1, std::uint32_t hidden = 32) {
-    data = generate_dataset(spec_of(DatasetId::kCora).scaled(scale), 1);
-    model.kind = kind;
-    model.input_dim = data.spec.feature_length;
-    model.hidden_dim = hidden;
-    model.pool_clusters = 16;
-    weights = init_weights(model, 42);
-    if (kind == GnnKind::kGraphSage) {
-      for (std::uint32_t l = 0; l < model.num_layers; ++l) {
-        sampled.push_back(sample_neighborhood(data.graph, model.sample_size, 100 + l));
-      }
-    }
-  }
-};
-
-float run_and_compare(const Fixture& f, const EngineConfig& cfg,
-                      InferenceReport* report = nullptr) {
-  GnnieEngine engine(cfg);
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
+/// Runs the fixture under `cfg` and `policy` (null = degree-aware) and
+/// returns the max deviation from the reference forward pass.
+float run_and_compare(const ModelFixture& f, const EngineConfig& cfg,
+                      InferenceReport* report = nullptr,
+                      std::shared_ptr<const CachePolicy> policy = nullptr) {
+  InferenceResult res = f.run(Engine(cfg, std::move(policy)));
   Matrix want =
       reference_forward(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
   if (report != nullptr) *report = res.report;
   return Matrix::max_abs_diff(res.output, want);
 }
 
+/// The §VIII-E baseline's cache behavior: the subgraph machinery over a
+/// plain vertex-ID layout (no CP).
+std::shared_ptr<const CachePolicy> id_order() {
+  return CachePolicy::make(CachePolicyKind::kIdOrder);
+}
+
 class EngineEquivalence : public ::testing::TestWithParam<GnnKind> {};
 
 TEST_P(EngineEquivalence, MatchesReferenceForward) {
-  Fixture f(GetParam());
+  ModelFixture f(GetParam());
   EngineConfig cfg = EngineConfig::paper_default(false);
   InferenceReport rep;
   EXPECT_LT(run_and_compare(f, cfg, &rep), 2e-3f);
@@ -55,18 +44,18 @@ TEST_P(EngineEquivalence, MatchesReferenceForward) {
 }
 
 TEST_P(EngineEquivalence, MatchesReferenceWithTinyCache) {
-  Fixture f(GetParam());
+  ModelFixture f(GetParam());
   EngineConfig cfg = EngineConfig::paper_default(false);
   cfg.buffers.input = 16u << 10;  // force heavy eviction traffic
   EXPECT_LT(run_and_compare(f, cfg), 2e-3f);
 }
 
 TEST_P(EngineEquivalence, MatchesReferenceWithAllOptimizationsOff) {
-  Fixture f(GetParam());
+  ModelFixture f(GetParam());
   EngineConfig cfg = EngineConfig::paper_default(false);
   cfg.array = ArrayConfig::design_a();
   cfg.opts = OptimizationFlags::all_off();
-  EXPECT_LT(run_and_compare(f, cfg), 2e-3f);
+  EXPECT_LT(run_and_compare(f, cfg, nullptr, id_order()), 2e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGnns, EngineEquivalence,
@@ -75,18 +64,16 @@ INSTANTIATE_TEST_SUITE_P(AllGnns, EngineEquivalence,
                          [](const auto& info) { return to_string(info.param); });
 
 TEST(Engine, PeakTopsMatchesPaper) {
-  GnnieEngine e(EngineConfig::paper_default(true));
+  Engine e(EngineConfig::paper_default(true));
   // 1216 MACs × 2 ops × 1.3 GHz = 3.16 TOPS (Table IV reports 3.17).
   EXPECT_NEAR(e.peak_tops(), 3.16, 0.03);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
-  InferenceReport a, b;
-  GnnieEngine e1(cfg), e2(cfg);
-  InferenceResult r1 = e1.run(f.model, f.weights, f.data.graph, f.data.features);
-  InferenceResult r2 = e2.run(f.model, f.weights, f.data.graph, f.data.features);
+  InferenceResult r1 = f.run(Engine(cfg));
+  InferenceResult r2 = f.run(Engine(cfg));
   EXPECT_EQ(r1.report.total_cycles, r2.report.total_cycles);
   EXPECT_EQ(Matrix::max_abs_diff(r1.output, r2.output), 0.0f);
 }
@@ -95,10 +82,12 @@ TEST(Engine, BackToBackRunsOnOneEngineReportIdenticalStats) {
   // Regression: the engine used to share one accumulating HbmModel across
   // runs, so a second run's InferenceReport.dram included the first run's
   // traffic. Runs are stateless now — identical requests, identical stats.
-  Fixture f(GnnKind::kGcn);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult r1 = engine.run(f.model, f.weights, f.data.graph, f.data.features);
-  InferenceResult r2 = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  ModelFixture f(GnnKind::kGcn);
+  const CompiledModel compiled =
+      Engine(EngineConfig::paper_default(false)).compile(f.model, f.weights);
+  const RunRequest request{compiled.plan(f.data.graph), &f.data.features};
+  InferenceResult r1 = compiled.run(request);
+  InferenceResult r2 = compiled.run(request);
   EXPECT_EQ(r1.report.dram.bytes_read, r2.report.dram.bytes_read);
   EXPECT_EQ(r1.report.dram.bytes_written, r2.report.dram.bytes_written);
   EXPECT_EQ(r1.report.dram.accesses, r2.report.dram.accesses);
@@ -108,10 +97,8 @@ TEST(Engine, BackToBackRunsOnOneEngineReportIdenticalStats) {
 }
 
 TEST(Engine, LayerReportsAreComplete) {
-  Fixture f(GnnKind::kGat);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res =
-      engine.run(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
+  ModelFixture f(GnnKind::kGat);
+  InferenceResult res = f.run(Engine(EngineConfig::paper_default(false)));
   ASSERT_EQ(res.report.layers.size(), 2u);
   for (const LayerReport& lr : res.report.layers) {
     EXPECT_GT(lr.weighting.total_cycles, 0u);
@@ -123,9 +110,8 @@ TEST(Engine, LayerReportsAreComplete) {
 }
 
 TEST(Engine, GinGetsSecondLinearReport) {
-  Fixture f(GnnKind::kGinConv);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  ModelFixture f(GnnKind::kGinConv);
+  InferenceResult res = f.run(Engine(EngineConfig::paper_default(false)));
   for (const LayerReport& lr : res.report.layers) {
     ASSERT_TRUE(lr.mlp2.has_value());
     EXPECT_GT(lr.mlp2->total_cycles, 0u);
@@ -133,16 +119,15 @@ TEST(Engine, GinGetsSecondLinearReport) {
 }
 
 TEST(Engine, DiffPoolReportsEmbedPoolAndCoarsen) {
-  Fixture f(GnnKind::kDiffPool);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  ModelFixture f(GnnKind::kDiffPool);
+  InferenceResult res = f.run(Engine(EngineConfig::paper_default(false)));
   // 2 embed + 2 pool + 1 coarsen.
   EXPECT_EQ(res.report.layers.size(), 5u);
   EXPECT_EQ(res.output.rows(), f.model.pool_clusters);
 }
 
 TEST(Engine, OptimizationsReduceInferenceCycles) {
-  Fixture f(GnnKind::kGcn, 0.15, 64);
+  ModelFixture f(GnnKind::kGcn, 0.15, 64);
   EngineConfig all_on = EngineConfig::paper_default(false);
   all_on.buffers.input = 32u << 10;
   EngineConfig all_off = all_on;
@@ -152,13 +137,13 @@ TEST(Engine, OptimizationsReduceInferenceCycles) {
 
   InferenceReport rep_on, rep_off;
   run_and_compare(f, all_on, &rep_on);
-  run_and_compare(f, all_off, &rep_off);
+  run_and_compare(f, all_off, &rep_off, id_order());
   EXPECT_LT(rep_on.total_cycles, rep_off.total_cycles);
 }
 
 TEST(Engine, GatCostsMoreThanGcn) {
-  Fixture gcn(GnnKind::kGcn);
-  Fixture gat(GnnKind::kGat);
+  ModelFixture gcn(GnnKind::kGcn);
+  ModelFixture gat(GnnKind::kGat);
   EngineConfig cfg = EngineConfig::paper_default(false);
   InferenceReport rep_gcn, rep_gat;
   run_and_compare(gcn, cfg, &rep_gcn);
@@ -167,7 +152,7 @@ TEST(Engine, GatCostsMoreThanGcn) {
 }
 
 TEST(Engine, DramStatsPopulated) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   InferenceReport rep;
   run_and_compare(f, cfg, &rep);
@@ -178,23 +163,23 @@ TEST(Engine, DramStatsPopulated) {
 }
 
 TEST(Engine, EffectiveTopsBelowPeak) {
-  Fixture f(GnnKind::kGcn, 0.2, 128);
-  EngineConfig cfg = EngineConfig::paper_default(false);
-  GnnieEngine engine(cfg);
-  InferenceResult res = engine.run(f.model, f.weights, f.data.graph, f.data.features);
+  ModelFixture f(GnnKind::kGcn, 0.2, 128);
+  Engine engine(EngineConfig::paper_default(false));
+  InferenceResult res = f.run(engine);
   EXPECT_GT(res.report.effective_tops(), 0.0);
   EXPECT_LT(res.report.effective_tops(), engine.peak_tops() * 1.001);
 }
 
 TEST(Engine, RejectsMismatchedInputs) {
-  Fixture f(GnnKind::kGcn);
-  GnnieEngine engine(EngineConfig::paper_default(false));
+  ModelFixture f(GnnKind::kGcn);
+  Engine engine(EngineConfig::paper_default(false));
   ModelConfig bad = f.model;
   bad.input_dim += 1;
-  EXPECT_THROW(engine.run(bad, f.weights, f.data.graph, f.data.features),
+  EXPECT_THROW(test::run_once(engine, bad, f.weights, f.data.graph, f.data.features),
                std::invalid_argument);
-  Fixture sage(GnnKind::kGraphSage);
-  EXPECT_THROW(engine.run(sage.model, sage.weights, sage.data.graph, sage.data.features, {}),
+  ModelFixture sage(GnnKind::kGraphSage);
+  EXPECT_THROW(test::run_once(engine, sage.model, sage.weights, sage.data.graph,
+                              sage.data.features),
                std::invalid_argument);
 }
 

@@ -87,9 +87,8 @@ TEST(FleetCluster, HomogeneousFleetSpecIsBitExactWithThePlainCluster) {
   RequestTrace trace =
       RequestTrace::poisson({f.stream_a(), f.stream_b()}, 60, 2000.0, /*seed=*/11);
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
-    ServingReport a = plain.simulate(trace, *sched);
-    ServingReport b = fleet.simulate(trace, *sched);
+    ServingReport a = plain.simulate(trace, {.scheduler = kind});
+    ServingReport b = fleet.simulate(trace, {.scheduler = kind});
     ASSERT_EQ(a.requests.size(), b.requests.size());
     for (std::size_t i = 0; i < a.requests.size(); ++i) {
       EXPECT_EQ(a.requests[i].die, b.requests[i].die) << a.scheduler;
@@ -103,7 +102,7 @@ TEST(FleetCluster, HomogeneousFleetSpecIsBitExactWithThePlainCluster) {
 
 TEST(FleetCluster, HeterogeneousServiceCostsMatchPerConfigRuns) {
   // Each die charges the cost its own design would report: a record on an
-  // A die must equal run_cost on an A-configured compile of the same
+  // A die must equal the cost query of an A-configured compile of the same
   // (model, weights, graph, features) — not the reference E cost.
   ServeFixture f;
   Cluster fleet(f.compiled, FleetSpec::from_designs("EA"));
@@ -115,15 +114,14 @@ TEST(FleetCluster, HeterogeneousServiceCostsMatchPerConfigRuns) {
   CompiledModel on_e = Engine(EngineConfig::design_point('E', false))
                            .compile(f.compiled.model(), f.compiled.weights());
   const Cycles cost_a_die_a =
-      on_a.run_cost({on_a.plan(f.a.graph), &f.a.features}).total_cycles;
+      on_a.cost({on_a.plan(f.a.graph), &f.a.features}).total_cycles;
   const Cycles cost_a_die_e =
-      on_e.run_cost({on_e.plan(f.a.graph), &f.a.features}).total_cycles;
+      on_e.cost({on_e.plan(f.a.graph), &f.a.features}).total_cycles;
   ASSERT_NE(cost_a_die_a, cost_a_die_e) << "designs A and E must price differently";
 
   // Spaced arrivals so both dies serve stream-a requests without queueing.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 8, 0);
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport rep = fleet.simulate(trace, *sq);
+  ServingReport rep = fleet.simulate(trace, {.scheduler = SchedulerKind::kShortestQueue});
   EXPECT_TRUE(rep.heterogeneous);
   EXPECT_EQ(rep.die_labels, (std::vector<std::string>{"E", "A"}));
   std::set<std::size_t> dies_used;
@@ -168,8 +166,7 @@ TEST(SloTrace, SloCyclesZeroMeansNoSloEverywhere) {
   ServeFixture f;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 4, 100);
   EXPECT_FALSE(trace.has_slo());
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   EXPECT_FALSE(rep.slo_enabled);
   EXPECT_EQ(rep.slo_request_count(), 0u);
   EXPECT_EQ(rep.shed_count(), 0u);
@@ -194,14 +191,14 @@ TEST(SloCluster, ZeroSlackDeadlineIsMetOnAnIdleCluster) {
   // finishes at its deadline and finish <= deadline must count as met —
   // under every scheduler, and shed-hopeless must not shed it.
   ServeFixture f;
-  const Cycles service = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   TraceStream exact = f.stream_a();
   exact.slo_cycles = static_cast<std::int64_t>(service);
   RequestTrace trace = RequestTrace::fixed_interval({exact}, 1, 100);
   auto shed = AdmissionPolicy::make(AdmissionKind::kShedHopeless);
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
-    ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *sched, *shed);
+    ServingReport rep = Cluster(f.compiled, 2).simulate(
+        trace, {.scheduler = kind, .custom_admission = shed.get()});
     ASSERT_EQ(rep.requests.size(), 1u) << rep.scheduler;
     EXPECT_FALSE(rep.requests[0].shed) << rep.scheduler;
     EXPECT_EQ(rep.requests[0].finish, rep.requests[0].deadline) << rep.scheduler;
@@ -220,9 +217,9 @@ TEST(SloCluster, AdmitAllOverloadIsBitExactWithTheTwoArgSimulate) {
       RequestTrace::poisson({tight, f.stream_b()}, 50, 2000.0, /*seed=*/7);
   Cluster cluster(f.compiled, 2);
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
-    ServingReport a = cluster.simulate(trace, *sched);
-    ServingReport b = cluster.simulate(trace, *sched, AdmissionPolicy::admit_all());
+    ServingReport a = cluster.simulate(trace, {.scheduler = kind});
+    ServingReport b = cluster.simulate(
+        trace, {.scheduler = kind, .custom_admission = &AdmissionPolicy::admit_all()});
     ASSERT_EQ(a.requests.size(), b.requests.size());
     for (std::size_t i = 0; i < a.requests.size(); ++i) {
       EXPECT_EQ(a.requests[i].die, b.requests[i].die) << a.scheduler;
@@ -249,9 +246,8 @@ TEST(SloCluster, DeadlinesDoNotPerturbDeadlineBlindSchedulers) {
   for (SchedulerKind kind :
        {SchedulerKind::kFifo, SchedulerKind::kShortestQueue,
         SchedulerKind::kGraphAffinity, SchedulerKind::kWarmthAware}) {
-    auto sched = Scheduler::make(kind);
-    ServingReport a = cluster.simulate(plain_trace, *sched);
-    ServingReport b = cluster.simulate(slo_trace, *sched);
+    ServingReport a = cluster.simulate(plain_trace, {.scheduler = kind});
+    ServingReport b = cluster.simulate(slo_trace, {.scheduler = kind});
     EXPECT_FALSE(a.slo_enabled);
     EXPECT_TRUE(b.slo_enabled);
     ASSERT_EQ(a.requests.size(), b.requests.size());
@@ -273,8 +269,8 @@ TEST(SloCluster, ShedHopelessDropsOnlyDoomedRequests) {
   RequestTrace trace =
       RequestTrace::poisson({doomed, f.stream_b()}, 40, 2000.0, /*seed=*/5);
   auto shed = AdmissionPolicy::make(AdmissionKind::kShedHopeless);
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *sq, *shed);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue, .custom_admission = shed.get()});
   std::size_t doomed_count = 0;
   for (const RequestRecord& r : rep.requests) {
     if (r.stream == 0) {
@@ -304,8 +300,8 @@ TEST(SloCluster, SheddingEverythingLeavesZeroPercentilesNotACrash) {
   doomed.slo_cycles = 1;
   RequestTrace trace = RequestTrace::poisson({doomed}, 20, 2000.0, /*seed=*/3);
   auto shed = AdmissionPolicy::make(AdmissionKind::kShedHopeless);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *fifo, *shed);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kFifo, .custom_admission = shed.get()});
   EXPECT_EQ(rep.shed_count(), rep.requests.size());
   EXPECT_EQ(rep.completed_count(), 0u);
   EXPECT_EQ(rep.p50_latency_cycles(), 0u);
@@ -329,9 +325,9 @@ TEST(SloScheduler, FallsBackToEarliestCompletionWithoutDeadlines) {
       RequestTrace::poisson({f.stream_a(), f.stream_b()}, 60, 1500.0, /*seed=*/21);
   Cluster cluster(f.compiled, 3);
   ServingReport wa =
-      cluster.simulate(trace, *Scheduler::make(SchedulerKind::kWarmthAware));
+      cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware});
   ServingReport slo =
-      cluster.simulate(trace, *Scheduler::make(SchedulerKind::kSloAware));
+      cluster.simulate(trace, {.scheduler = SchedulerKind::kSloAware});
   ASSERT_EQ(wa.requests.size(), slo.requests.size());
   for (std::size_t i = 0; i < wa.requests.size(); ++i) {
     EXPECT_EQ(wa.requests[i].die, slo.requests[i].die);
@@ -358,9 +354,9 @@ TEST(SloScheduler, BeatsFifoAndShortestQueueAtTheKneeOnAHeterogeneousFleet) {
   CompiledModel on_e = Engine(EngineConfig::design_point('E', false))
                            .compile(f.compiled.model(), f.compiled.weights());
   const Cycles cost_fast =
-      on_a.run_cost({on_a.plan(f.a.graph), &f.a.features}).total_cycles;
+      on_a.cost({on_a.plan(f.a.graph), &f.a.features}).total_cycles;
   const Cycles cost_slow =
-      on_e.run_cost({on_e.plan(f.a.graph), &f.a.features}).total_cycles;
+      on_e.cost({on_e.plan(f.a.graph), &f.a.features}).total_cycles;
   ASSERT_LT(cost_fast, cost_slow);
 
   TraceStream tight = f.stream_a();
@@ -378,7 +374,7 @@ TEST(SloScheduler, BeatsFifoAndShortestQueueAtTheKneeOnAHeterogeneousFleet) {
       {tight, loose}, 160, static_cast<double>(cost_fast) / 1.8, /*seed=*/2);
 
   auto attainment_of = [&](SchedulerKind kind) {
-    ServingReport rep = fleet.simulate(trace, *Scheduler::make(kind));
+    ServingReport rep = fleet.simulate(trace, {.scheduler = kind});
     return rep.slo_attainment();
   };
   const double slo_aware = attainment_of(SchedulerKind::kSloAware);
@@ -417,15 +413,15 @@ TEST(SloCluster, ShedHeavyTraceDoesNotInflateMeanQueueDepth) {
   // requests only — exactly sorted_latencies()'s exclusion rule.
   ServeFixture f;
   const Cycles cost_a =
-      f.compiled.run_cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;
+      f.compiled.cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;
   TraceStream tight = f.stream_a();
   tight.slo_cycles = static_cast<std::int64_t>(3 * cost_a / 2);
   RequestTrace trace =
       RequestTrace::poisson({tight, f.stream_b()}, 60,
                             static_cast<double>(cost_a) / 6.0, /*seed=*/7);
   auto shed = AdmissionPolicy::make(AdmissionKind::kShedHopeless);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  const ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *fifo, *shed);
+  const ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kFifo, .custom_admission = shed.get()});
 
   double served_integral = 0.0;
   double shed_integral = 0.0;

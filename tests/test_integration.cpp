@@ -9,9 +9,9 @@
 
 #include "baselines/hygcn.hpp"
 #include "baselines/sw_platform.hpp"
-#include "core/engine.hpp"
 #include "datasets/synthetic.hpp"
 #include "energy/energy_model.hpp"
+#include "engine_test_util.hpp"
 #include "graph/io.hpp"
 #include "nn/layers.hpp"
 #include "nn/quantization.hpp"
@@ -31,8 +31,8 @@ TEST_P(DatasetSweep, FullPipelineProducesConsistentReports) {
   model.hidden_dim = 32;
   GnnWeights w = init_weights(model, 5);
 
-  GnnieEngine engine(EngineConfig::paper_default(true));
-  InferenceResult res = engine.run(model, w, d.graph, d.features);
+  InferenceResult res =
+      test::run_once(Engine(EngineConfig::paper_default(true)), model, w, d.graph, d.features);
 
   // Functional correctness.
   Matrix ref = reference_forward(model, w, d.graph, d.features);
@@ -71,10 +71,9 @@ TEST(Integration, SerializedDatasetRunsIdenticallyOnEngine) {
   model.hidden_dim = 16;
   GnnWeights w = init_weights(model, 9);
 
-  GnnieEngine e1(EngineConfig::paper_default(false));
-  GnnieEngine e2(EngineConfig::paper_default(false));
-  InferenceResult r1 = e1.run(model, w, d.graph, d.features);
-  InferenceResult r2 = e2.run(model, w, g2, f2);
+  const Engine engine(EngineConfig::paper_default(false));
+  InferenceResult r1 = test::run_once(engine, model, w, d.graph, d.features);
+  InferenceResult r2 = test::run_once(engine, model, w, g2, f2);
   EXPECT_EQ(r1.report.total_cycles, r2.report.total_cycles);
   EXPECT_EQ(Matrix::max_abs_diff(r1.output, r2.output), 0.0f);
 }
@@ -97,8 +96,8 @@ TEST(Integration, EdgeListImportFeedsEngine) {
   model.input_dim = 6;
   model.hidden_dim = 8;
   GnnWeights w = init_weights(model, 2);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res = engine.run(model, w, g, features);
+  InferenceResult res =
+      test::run_once(Engine(EngineConfig::paper_default(false)), model, w, g, features);
   Matrix ref = reference_forward(model, w, g, features);
   EXPECT_LT(Matrix::max_abs_diff(res.output, ref), 1e-4f);
 }
@@ -113,10 +112,9 @@ TEST(Integration, QuantizedWeightsOnEngineStayAccurate) {
   GnnWeights q = fp;
   for (LayerWeights& lw : q.layers) lw.w = QuantizedMatrix::quantize(lw.w).dequantize();
 
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult fp_res = engine.run(model, fp, d.graph, d.features);
-  GnnieEngine engine2(EngineConfig::paper_default(false));
-  InferenceResult q_res = engine2.run(model, q, d.graph, d.features);
+  const Engine engine(EngineConfig::paper_default(false));
+  InferenceResult fp_res = test::run_once(engine, model, fp, d.graph, d.features);
+  InferenceResult q_res = test::run_once(engine, model, q, d.graph, d.features);
 
   float fp_max = 0.0f;
   for (float x : fp_res.output.data()) fp_max = std::max(fp_max, std::fabs(x));
@@ -136,8 +134,9 @@ TEST(Integration, HygcnAndEngineAgreeOnWorkloadScaling) {
     model.kind = GnnKind::kGcn;
     model.input_dim = d.spec.feature_length;
     GnnWeights w = init_weights(model, 5);
-    GnnieEngine engine(EngineConfig::paper_default(true));
-    gnnie_times.push_back(engine.run(model, w, d.graph, d.features).report.runtime_seconds());
+    const Engine engine(EngineConfig::paper_default(true));
+    gnnie_times.push_back(
+        test::run_once(engine, model, w, d.graph, d.features).report.runtime_seconds());
     hygcn_times.push_back(hygcn.run(model, d.graph, d.features).runtime_seconds);
   }
   EXPECT_LT(gnnie_times[0], gnnie_times[1]);
@@ -154,8 +153,8 @@ TEST(Integration, ScaledDatasetsPreserveEngineBehaviourQualitatively) {
     Dataset d = generate_dataset(spec_of(DatasetId::kPubmed).scaled(scale), 3);
     model.input_dim = d.spec.feature_length;
     GnnWeights w = init_weights(model, 5);
-    GnnieEngine engine(EngineConfig::paper_default(true));
-    InferenceResult res = engine.run(model, w, d.graph, d.features);
+    InferenceResult res =
+        test::run_once(Engine(EngineConfig::paper_default(true)), model, w, d.graph, d.features);
     EXPECT_GT(res.report.total_cycles, prev_cycles);
     prev_cycles = res.report.total_cycles;
   }

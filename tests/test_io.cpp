@@ -3,9 +3,12 @@
 // detection).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "datasets/synthetic.hpp"
 #include "graph/builder.hpp"
@@ -84,6 +87,32 @@ TEST(EdgeList, RejectsIdsBeyondDeclaredCount) {
   EXPECT_THROW(read_edge_list(in, opt), std::invalid_argument);
 }
 
+/// The invalid_argument message read_edge_list throws on `text` ("" if none).
+std::string edge_list_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_edge_list(in);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EdgeList, RejectsIdsBeyondTheVertexIdRangeWithTheLineNumber) {
+  // 4294967297 = 2^32 + 1 would truncate to vertex 1 as a 32-bit VertexId.
+  const std::string error = edge_list_error("0 1\n# comment\n0 4294967297\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+}
+
+TEST(EdgeList, RejectsTheMaxVertexIdWhoseCountWouldWrap) {
+  // max id + 1 would wrap the 32-bit vertex count to 0.
+  const std::string error = edge_list_error("4294967295 0\n");
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  // One below is the largest id that still has a representable count.
+  std::istringstream ok("0 1\n");
+  EXPECT_EQ(read_edge_list(ok).vertex_count(), 2u);
+}
+
 TEST(EdgeList, EmptyInputGivesEmptyGraph) {
   std::istringstream in("# nothing\n");
   Csr g = read_edge_list(in);
@@ -143,6 +172,38 @@ TEST(Binary, RejectsTruncatedStream) {
   Csr g;
   SparseMatrix f;
   EXPECT_THROW(read_binary(cut, g, f), std::invalid_argument);
+}
+
+TEST(Binary, HugeDeclaredArrayInAShortStreamIsTruncationNotAnAllocation) {
+  // 20 bytes: magic, vertex count, then an offset array declaring 2^35
+  // entries (256 GiB) that never arrive.
+  std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
+  s.write("GNNIE1\0\0", 8);
+  const std::uint32_t vertices = 4;
+  const std::uint64_t declared = std::uint64_t{1} << 35;
+  s.write(reinterpret_cast<const char*>(&vertices), sizeof(vertices));
+  s.write(reinterpret_cast<const char*>(&declared), sizeof(declared));
+  ASSERT_EQ(s.str().size(), 20u);
+  Csr g;
+  SparseMatrix f;
+  EXPECT_THROW(read_binary(s, g, f), std::invalid_argument);
+}
+
+TEST(Binary, RejectsNonFiniteFeatureValues) {
+  GraphBuilder b(2);
+  b.add_edge(0, 1).symmetrize();
+  const Csr g = b.build();
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    std::vector<SparseRow> rows;
+    rows.emplace_back(std::vector<std::uint32_t>{1}, std::vector<float>{bad}, 4);
+    rows.emplace_back(std::vector<std::uint32_t>{0}, std::vector<float>{1.0f}, 4);
+    std::stringstream s(std::ios::in | std::ios::out | std::ios::binary);
+    write_binary(s, g, SparseMatrix(std::move(rows), 4));
+    Csr g2;
+    SparseMatrix f2;
+    EXPECT_THROW(read_binary(s, g2, f2), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Binary, FileRoundtrip) {

@@ -3,8 +3,8 @@
 // in the attention engine, and validation paths.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
 #include "datasets/synthetic.hpp"
+#include "engine_test_util.hpp"
 #include "graph/builder.hpp"
 #include "nn/layers.hpp"
 #include "nn/reference.hpp"
@@ -86,8 +86,8 @@ TEST_P(HeadSweep, EngineMatchesReferenceForward) {
   model.gat_heads = GetParam();
   GnnWeights w = init_weights(model, 21);
 
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  InferenceResult res = engine.run(model, w, d.graph, d.features);
+  InferenceResult res =
+      test::run_once(Engine(EngineConfig::paper_default(false)), model, w, d.graph, d.features);
   Matrix want = reference_forward(model, w, d.graph, d.features);
   EXPECT_LT(Matrix::max_abs_diff(res.output, want), 2e-3f);
 }
@@ -105,8 +105,9 @@ TEST(MultiHeadGat, SfuOpsScaleWithHeads) {
     model.hidden_dim = 32;
     model.gat_heads = heads;
     GnnWeights w = init_weights(model, 21);
-    GnnieEngine engine(EngineConfig::paper_default(false));
-    return engine.run(model, w, d.graph, d.features).report.total_sfu_ops;
+    return test::run_once(Engine(EngineConfig::paper_default(false)), model, w, d.graph,
+                          d.features)
+        .report.total_sfu_ops;
   };
   const std::uint64_t one = sfu_ops_for(1);
   const std::uint64_t four = sfu_ops_for(4);

@@ -1,9 +1,9 @@
 // Tests for intra-die weighting/aggregation pipelining and per-shape plan
 // variants (EngineConfig::pipeline), and for the unified staged cost-query
 // API that prices them: the plan-variant family compilation, cost(CostQuery)
-// pinned field-for-field against the deprecated run_cost/run_cost_batch
-// shims, the SimulateOptions entry point pinned byte-identical against the
-// positional simulate shims, the two-track timeline's invariants (zero
+// pinned against the warmth-discounted run report, the SimulateOptions
+// entry point (policy kinds, caller-owned policy objects, and defaults
+// byte-identical), the two-track timeline's invariants (zero
 // overlap under FIFO, cycle conservation, pipelined ≤ serial per slot),
 // the ISSUE acceptance criterion that pipelining strictly improves p99 and
 // makespan on a weight-stream-heavy trace at 4 dies, variant-dispatch
@@ -84,40 +84,23 @@ TEST(PlanVariants, WidthsMustBeStrictlyIncreasingAndPositive) {
   EXPECT_NO_THROW(Engine(pipeline_config(false, {1, 2, 4})));
 }
 
-// --- The unified cost query vs the deprecated shims. ---
+// --- The cost query vs the run report. ---
 
-TEST(CostQuery, MatchesRunCostShimAtEveryWarmFraction) {
+TEST(CostQuery, MatchesTheRunReportAtEveryWarmFraction) {
   ServeFixture f;
   const RunRequest request{f.plan_a, &f.a.features};
+  const InferenceReport cold = f.compiled.run(request).report;
   for (double fraction : {0.0, 0.25, 0.5, 1.0}) {
-    const InferenceReport legacy = f.compiled.run_cost(request, fraction);
+    const Cycles want = warm_total_cycles(cold, fraction);
     const ServiceCost staged = f.compiled.cost(request, fraction);
     ASSERT_EQ(staged.request_cycles.size(), 1u);
-    EXPECT_EQ(staged.request_cycles[0], legacy.total_cycles);
-    EXPECT_EQ(staged.total_cycles, legacy.total_cycles);
-    EXPECT_EQ(staged.warm_total(fraction), legacy.total_cycles);
-    // The parametric head surface reprices exactly like the legacy
-    // warm-total helper at any other fraction too.
-    const InferenceReport cold = f.compiled.run_cost(request);
+    EXPECT_EQ(staged.request_cycles[0], want);
+    EXPECT_EQ(staged.total_cycles, want);
+    EXPECT_EQ(staged.warm_total(fraction), want);
+    // The parametric head surface reprices exactly like warm_total_cycles
+    // at any other fraction too.
     EXPECT_EQ(staged.head.cold_cycles, cold.total_cycles);
     EXPECT_EQ(staged.warm_total(0.75), warm_total_cycles(cold, 0.75));
-  }
-}
-
-TEST(CostQuery, MatchesRunCostBatchShimFieldForField) {
-  ServeFixture f;
-  const RunRequest request{f.plan_a, &f.a.features};
-  for (double fraction : {0.0, 0.5, 1.0}) {
-    for (std::size_t k = 1; k <= 5; ++k) {
-      const std::vector<RunRequest> group(k, request);
-      const BatchCostReport legacy = f.compiled.run_cost_batch(group, fraction);
-      const ServiceCost staged =
-          f.compiled.cost({.requests = group, .warm_fraction = fraction});
-      EXPECT_EQ(staged.request_cycles, legacy.request_cycles);
-      EXPECT_EQ(staged.total_cycles, legacy.total_cycles);
-      EXPECT_EQ(staged.serial_cycles, legacy.serial_cycles);
-      EXPECT_EQ(staged.weighting_saved_cycles, legacy.weighting_saved_cycles);
-    }
   }
 }
 
@@ -159,28 +142,27 @@ TEST(CostQuery, ExplicitVariantSelectionAndDefaultDispatch) {
                std::invalid_argument);
 }
 
-// --- The SimulateOptions entry point vs the positional shims. ---
+// --- The SimulateOptions entry point. ---
 
-TEST(SimulateOptions, ShimsAreByteIdenticalToTheOptionsEntryPoint) {
+TEST(SimulateOptions, KindsCustomPointersAndDefaultsAreByteIdentical) {
   ServeFixture f;
   Cluster cluster(f.compiled, 3);
   RequestTrace trace =
       RequestTrace::poisson({f.stream_a(), f.stream_b()}, 60, 1500.0, /*seed=*/7);
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
     auto sched = Scheduler::make(kind);
-    const ServingReport positional = cluster.simulate(trace, *sched);
     const ServingReport by_kind = cluster.simulate(trace, {.scheduler = kind});
     const ServingReport by_pointer =
         cluster.simulate(trace, {.custom_scheduler = sched.get()});
-    expect_same_records(positional, by_kind);
-    expect_same_records(positional, by_pointer);
+    expect_same_records(by_kind, by_pointer);
   }
-  // The three-argument admission shim and the default-constructed options
-  // (FIFO, admit-all) land on the same loop too.
+  // Caller-owned FIFO and admit-all objects land on the same loop as the
+  // default-constructed options (FIFO, admit-all).
   auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  const ServingReport with_admission =
-      cluster.simulate(trace, *fifo, serve::AdmissionPolicy::admit_all());
-  expect_same_records(with_admission, cluster.simulate(trace));
+  const ServingReport custom = cluster.simulate(
+      trace, {.custom_scheduler = fifo.get(),
+              .custom_admission = &serve::AdmissionPolicy::admit_all()});
+  expect_same_records(custom, cluster.simulate(trace));
 }
 
 // --- The two-track timeline. ---

@@ -6,9 +6,9 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "core/engine.hpp"
 #include "core/report_io.hpp"
 #include "datasets/synthetic.hpp"
+#include "engine_test_util.hpp"
 #include "nn/model.hpp"
 
 namespace gnnie {
@@ -21,8 +21,8 @@ InferenceReport make_report(GnnKind kind) {
   m.input_dim = d.spec.feature_length;
   m.hidden_dim = 16;
   GnnWeights w = init_weights(m, 3);
-  GnnieEngine engine(EngineConfig::paper_default(false));
-  return engine.run(m, w, d.graph, d.features).report;
+  return test::run_once(Engine(EngineConfig::paper_default(false)), m, w, d.graph, d.features)
+      .report;
 }
 
 using bench::json_braces_balanced;

@@ -2,7 +2,8 @@
 // of the degenerate single-die FIFO zero-gap case, strict tail-latency and
 // makespan improvement with more dies, determinism under a fixed seed,
 // FIFO vs shortest-queue ordering invariants, graph-affinity routing on a
-// two-graph trace, trace generation, and the ServingReport rollup math.
+// two-graph trace, GraphSAGE's sampled plans on homogeneous and FleetSpec
+// clusters, trace generation, and the ServingReport rollup math.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +11,10 @@
 
 #include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
+#include "engine_test_util.hpp"
 #include "nn/layers.hpp"
 #include "serve/cluster.hpp"
+#include "serve/fleet.hpp"
 #include "serve_test_util.hpp"
 
 namespace gnnie {
@@ -121,8 +124,7 @@ TEST(ServeCluster, SingleDieFifoZeroGapReproducesRunBatchExactly) {
   BatchResult batch = f.compiled.run_batch(requests);
 
   Cluster cluster(f.compiled, 1);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = cluster.simulate(trace, *fifo);
+  ServingReport rep = cluster.simulate(trace, {.scheduler = SchedulerKind::kFifo});
 
   ASSERT_EQ(rep.requests.size(), batch.results.size());
   for (std::size_t i = 0; i < rep.requests.size(); ++i) {
@@ -139,14 +141,15 @@ TEST(ServeCluster, SingleDieFifoZeroGapReproducesRunBatchExactly) {
 
 TEST(ServeCluster, FourDiesStrictlyImproveTailLatencyAndMakespan) {
   ServeFixture f;
-  const Cycles service = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   // Offered load ~1.6x one die's capacity: a single die drowns, four don't.
   RequestTrace trace = RequestTrace::poisson(
       {f.stream_a()}, 60, static_cast<double>(service) / 1.6, /*seed=*/3);
-  auto sched = Scheduler::make(SchedulerKind::kShortestQueue);
 
-  ServingReport one = Cluster(f.compiled, 1).simulate(trace, *sched);
-  ServingReport four = Cluster(f.compiled, 4).simulate(trace, *sched);
+  ServingReport one = Cluster(f.compiled, 1).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
+  ServingReport four = Cluster(f.compiled, 4).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
   EXPECT_LT(four.p99_latency_cycles(), one.p99_latency_cycles());
   EXPECT_LT(four.makespan, one.makespan);
   EXPECT_LT(four.mean_queue_depth(), one.mean_queue_depth());
@@ -157,12 +160,11 @@ TEST(ServeCluster, FourDiesStrictlyImproveTailLatencyAndMakespan) {
 TEST(ServeCluster, SimulationIsDeterministicUnderAFixedSeed) {
   ServeFixture f;
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
     Cluster cluster(f.compiled, 3);
     RequestTrace t1 = RequestTrace::poisson({f.stream_a(), f.stream_b()}, 80, 2000.0, 17);
     RequestTrace t2 = RequestTrace::poisson({f.stream_a(), f.stream_b()}, 80, 2000.0, 17);
-    ServingReport r1 = cluster.simulate(t1, *sched);
-    ServingReport r2 = cluster.simulate(t2, *sched);
+    ServingReport r1 = cluster.simulate(t1, {.scheduler = kind});
+    ServingReport r2 = cluster.simulate(t2, {.scheduler = kind});
     ASSERT_EQ(r1.requests.size(), r2.requests.size());
     for (std::size_t i = 0; i < r1.requests.size(); ++i) {
       EXPECT_EQ(r1.requests[i].die, r2.requests[i].die);
@@ -177,11 +179,10 @@ TEST(ServeCluster, SimulationIsDeterministicUnderAFixedSeed) {
 
 TEST(ServeCluster, FifoStartsInArrivalOrderClusterWide) {
   ServeFixture f;
-  const Cycles service = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   RequestTrace trace = RequestTrace::poisson(
       {f.stream_a(), f.stream_b()}, 60, static_cast<double>(service) / 3.0, /*seed=*/23);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 3).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 3).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   // Global FIFO invariant: service starts are non-decreasing in arrival
   // order even across dies.
   for (std::size_t i = 1; i < rep.requests.size(); ++i) {
@@ -194,8 +195,8 @@ TEST(ServeCluster, ShortestQueueBalancesAndKeepsPerDieFifo) {
   // Zero-gap single-stream trace: every request identical, so shortest-queue
   // must deal them out round-robin — per-die counts differ by at most one.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 21, 0);
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport rep = Cluster(f.compiled, 4).simulate(trace, *sq);
+  ServingReport rep = Cluster(f.compiled, 4).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
 
   std::vector<std::size_t> per_die(4, 0);
   std::vector<Cycles> last_start(4, 0);
@@ -218,13 +219,13 @@ TEST(ServeCluster, GraphAffinityRoutesEachGraphToItsOwnDie) {
   // each graph a dedicated die (plan/cache state never thrashes). The 2:1
   // mix produces runs of the same stream, which is exactly what tempts a
   // load balancer into crossing graphs over dies.
-  const Cycles service = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   TraceStream heavy_a = f.stream_a();
   heavy_a.weight = 2.0;
   RequestTrace trace = RequestTrace::poisson(
       {heavy_a, f.stream_b()}, 40, static_cast<double>(service) / 1.5, /*seed=*/19);
   auto affinity = Scheduler::make(SchedulerKind::kGraphAffinity);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *affinity);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, {.custom_scheduler = affinity.get()});
 
   std::set<std::size_t> dies_of_a, dies_of_b;
   for (const RequestRecord& r : rep.requests) {
@@ -236,8 +237,8 @@ TEST(ServeCluster, GraphAffinityRoutesEachGraphToItsOwnDie) {
 
   // Sanity contrast: shortest-queue has no reason to keep the graphs apart
   // on this trace (it balances by load, so some graph visits both dies).
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport mixed = Cluster(f.compiled, 2).simulate(trace, *sq);
+  ServingReport mixed = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
   std::set<std::pair<std::size_t, std::size_t>> stream_die;
   for (const RequestRecord& r : mixed.requests) stream_die.insert({r.stream, r.die});
   EXPECT_GT(stream_die.size(), 2u);
@@ -254,8 +255,7 @@ TEST(ServeCluster, ShortestQueueTieBreaksDeterministicallyByLowestIndex) {
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 8, 0);
   for (SchedulerKind kind : {SchedulerKind::kShortestQueue,
                              SchedulerKind::kWarmthAware, SchedulerKind::kSloAware}) {
-    auto sched = Scheduler::make(kind);
-    ServingReport rep = Cluster(f.compiled, 4).simulate(trace, *sched);
+    ServingReport rep = Cluster(f.compiled, 4).simulate(trace, {.scheduler = kind});
     ASSERT_EQ(rep.requests.size(), 8u);
     for (std::size_t i = 0; i < rep.requests.size(); ++i) {
       EXPECT_EQ(rep.requests[i].die, i % 4) << "scheduler " << rep.scheduler;
@@ -278,8 +278,8 @@ TEST(ServeCluster, AffinityRoutesByFingerprintAcrossPlanCacheEviction) {
 
   RequestTrace trace = RequestTrace::fixed_interval(
       {f.stream_a(), f.stream_b(), {plan_a2, &f.a.features, 1.0}}, 30, 0);
-  auto affinity = Scheduler::make(SchedulerKind::kGraphAffinity);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *affinity);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kGraphAffinity});
 
   std::set<std::size_t> dies_of_a, dies_of_b;
   for (const RequestRecord& r : rep.requests) {
@@ -295,8 +295,7 @@ TEST(ServeCluster, EmptyTraceYieldsEmptyReportUnderEveryScheduler) {
   ServeFixture f;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 0, 100);
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
-    ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *sched);
+    ServingReport rep = Cluster(f.compiled, 2).simulate(trace, {.scheduler = kind});
     EXPECT_TRUE(rep.requests.empty()) << rep.scheduler;
     EXPECT_EQ(rep.makespan, 0u);
     EXPECT_EQ(rep.p99_latency_cycles(), 0u);
@@ -306,11 +305,10 @@ TEST(ServeCluster, EmptyTraceYieldsEmptyReportUnderEveryScheduler) {
 
 TEST(ServeCluster, SingleRequestIsServicedImmediatelyUnderEveryScheduler) {
   ServeFixture f;
-  const Cycles service = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 1, 100);
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
-    ServingReport rep = Cluster(f.compiled, 3).simulate(trace, *sched);
+    ServingReport rep = Cluster(f.compiled, 3).simulate(trace, {.scheduler = kind});
     ASSERT_EQ(rep.requests.size(), 1u) << rep.scheduler;
     const RequestRecord& r = rep.requests[0];
     EXPECT_LT(r.die, 3u);
@@ -332,8 +330,8 @@ TEST(ServeCluster, AffinityOverflowSpillsToLeastLoadedDie) {
 
   RequestTrace trace = RequestTrace::fixed_interval(
       {f.stream_a(), f.stream_b(), {plan_c, &c_features, 1.0}}, 30, 0);
-  auto affinity = Scheduler::make(SchedulerKind::kGraphAffinity);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *affinity);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kGraphAffinity});
   ASSERT_EQ(rep.requests.size(), 30u);
   for (const RequestRecord& r : rep.requests) EXPECT_LT(r.die, 2u);
 }
@@ -341,14 +339,44 @@ TEST(ServeCluster, AffinityOverflowSpillsToLeastLoadedDie) {
 TEST(ServeCluster, ServiceCostsMatchStandaloneRuns) {
   ServeFixture f;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 6, 1000);
-  auto sq = Scheduler::make(SchedulerKind::kShortestQueue);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *sq);
-  const Cycles cost_a = f.compiled.run_cost({f.plan_a, &f.a.features}).total_cycles;
-  const Cycles cost_b = f.compiled.run_cost({f.plan_b, &f.b_features}).total_cycles;
+  ServingReport rep = Cluster(f.compiled, 2).simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
+  const Cycles cost_a = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
+  const Cycles cost_b = f.compiled.cost({f.plan_b, &f.b_features}).total_cycles;
   for (const RequestRecord& r : rep.requests) {
     EXPECT_EQ(r.service_cycles(), r.stream == 0 ? cost_a : cost_b);
     EXPECT_GE(r.start, r.arrival);  // no service before arrival
   }
+}
+
+/// GraphSAGE on a cluster: one compiled model and a plan binding freshly
+/// sampled adjacencies — a plan no re-plan of the graph can reproduce.
+struct SageServe {
+  test::ModelFixture workload{GnnKind::kGraphSage, 0.08};
+  CompiledModel compiled =
+      Engine(EngineConfig::paper_default(false)).compile(workload.model, workload.weights);
+  GraphPlanPtr plan = compiled.plan(workload.data.graph, workload.sampled);
+
+  TraceStream stream() const { return {plan, &workload.data.features, 1.0}; }
+};
+
+TEST(ServeCluster, HomogeneousClusterServesSampledGraphSagePlans) {
+  SageServe f;
+  const Cycles service = f.compiled.cost({f.plan, &f.workload.data.features}).total_cycles;
+  const RequestTrace trace = RequestTrace::fixed_interval({f.stream()}, 6, service / 3);
+  const ServingReport rep =
+      Cluster(f.compiled, 2).simulate(trace, {.scheduler = SchedulerKind::kShortestQueue});
+  ASSERT_EQ(rep.requests.size(), 6u);
+  for (const RequestRecord& r : rep.requests) EXPECT_EQ(r.service_cycles(), service);
+}
+
+TEST(ServeCluster, FleetSpecClusterRejectsSampledGraphSagePlans) {
+  // A fleet re-plans each request's graph per die config; sampling is fresh
+  // per plan() call, so a sampled plan cannot be re-planned and is refused.
+  SageServe f;
+  const Cluster fleet(f.compiled, serve::FleetSpec::homogeneous(f.compiled.config(), 2));
+  const RequestTrace trace = RequestTrace::fixed_interval({f.stream()}, 2, 0);
+  EXPECT_THROW(fleet.simulate(trace), std::invalid_argument);
 }
 
 TEST(ServeReport, RollupMathIsExact) {
@@ -388,8 +416,7 @@ TEST(ServeReport, RollupMathIsExact) {
 TEST(ServeCluster, EmptyTraceYieldsEmptyReport) {
   ServeFixture f;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 0, 100);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 2).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   EXPECT_TRUE(rep.requests.empty());
   EXPECT_EQ(rep.makespan, 0u);
   EXPECT_EQ(rep.dies, 2u);

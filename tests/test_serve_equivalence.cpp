@@ -182,7 +182,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
       }
       entry.plan = routed.plan;
       entry.working_set = routed.plan->warm_working_set_bytes();
-      InferenceReport cold = (fleet ? config_models_[cfg] : model_).run_cost(routed);
+      InferenceReport cold = (fleet ? config_models_[cfg] : model_).run(routed).report;
       entry.cold = cold.total_cycles;
       entry.warm_full = wcfg.enabled ? warm_total_cycles(cold, 1.0) : cold.total_cycles;
       entry.follower_saving = max_coalesce > 1 ? batch_follower_saved_cycles(cold) : 0;
@@ -479,7 +479,7 @@ void run_matrix_cell(bool warmth, std::uint32_t max_coalesce, bool fleet) {
   // shed double-digit counts of these under this load); stream b is
   // SLO-free.
   const Cycles cost_a =
-      f.compiled.run_cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;
+      f.compiled.cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;
   TraceStream a = f.stream_a();
   a.weight = 3.0;
   a.slo_cycles = static_cast<std::int64_t>(3 * cost_a / 2);
@@ -514,7 +514,8 @@ void run_matrix_cell(bool warmth, std::uint32_t max_coalesce, bool fleet) {
         SCOPED_TRACE(std::string(serve::to_string(kind)) + " / " +
                      serve::to_string(admission_kind) +
                      (trace == &poisson ? " / poisson" : " / bursty"));
-        const ServingReport got = cluster->simulate(*trace, *scheduler, *admission);
+        const ServingReport got = cluster->simulate(
+            *trace, {.custom_scheduler = scheduler.get(), .custom_admission = admission.get()});
         const ServingReport want = reference->simulate(*trace, *scheduler, *admission);
         expect_reports_identical(got, want);
       }
@@ -592,15 +593,15 @@ TEST(ServeEquivalence, MillionRequestDeterminismSmoke) {
   ServeFixture f(matrix_config(false, 8));
   Cluster cluster(f.compiled, 4);
   const Cycles cost_a =
-      f.compiled.run_cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;
+      f.compiled.cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;
   TraceStream a = f.stream_a();
   a.weight = 3.0;
   const RequestTrace trace = RequestTrace::poisson(
       {a, f.stream_b()}, 1'000'000, static_cast<double>(cost_a) / 4.0, 42);
-  const auto scheduler = Scheduler::make(SchedulerKind::kShortestQueue);
 
-  const ServingReport first = cluster.simulate(trace, *scheduler);
-  const ServingReport second = cluster.simulate(trace, *scheduler);
+  const ServingReport first = cluster.simulate(trace, {.scheduler = SchedulerKind::kShortestQueue});
+  const ServingReport second = cluster.simulate(
+      trace, {.scheduler = SchedulerKind::kShortestQueue});
   ASSERT_EQ(first.requests.size(), 1'000'000u);
   EXPECT_EQ(first.makespan, second.makespan);
   EXPECT_EQ(fold_records(first), fold_records(second));
@@ -615,19 +616,19 @@ TEST(ServeEquivalence, CostCacheIsSharedAcrossSimulateCalls) {
   Cluster cluster(f.compiled, 4);
   EXPECT_EQ(cluster.costed_triples(), 0u);
 
-  const auto scheduler = Scheduler::make(SchedulerKind::kFifo);
   const RequestTrace light =
       RequestTrace::poisson({f.stream_a(), f.stream_b()}, 16, 50000.0, 1);
   const RequestTrace heavy =
       RequestTrace::poisson({f.stream_a(), f.stream_b()}, 16, 500.0, 2);
 
-  const ServingReport first = cluster.simulate(light, *scheduler);
+  const ServingReport first = cluster.simulate(light, {.scheduler = SchedulerKind::kFifo});
   EXPECT_EQ(cluster.costed_triples(), 2u);
   // A different load point over the same streams re-costs nothing…
-  const ServingReport again = cluster.simulate(heavy, *scheduler);
+  const ServingReport again = cluster.simulate(heavy, {.scheduler = SchedulerKind::kFifo});
   EXPECT_EQ(cluster.costed_triples(), 2u);
   // …and the shared entries produce the same records a fresh cluster would.
-  const ServingReport fresh = Cluster(f.compiled, 4).simulate(heavy, *scheduler);
+  const ServingReport fresh = Cluster(f.compiled, 4).simulate(
+      heavy, {.scheduler = SchedulerKind::kFifo});
   expect_reports_identical(again, fresh);
 }
 

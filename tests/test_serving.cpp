@@ -1,69 +1,20 @@
-// Tests for the serving API (core/serving.hpp): compile-once/run-many
-// equivalence with the legacy single-shot GnnieEngine path (bit-identical
-// outputs and cycle counts), plan caching and reuse across runs, batch
+// Tests for the serving API (core/serving.hpp): plan caching and reuse
+// across runs (bit-identical to a fresh compile → plan → run), batch
 // determinism vs sequential runs, cache-policy selection through the
 // CachePolicy interface, and compile/plan/run validation.
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
 #include "core/serving.hpp"
-#include "datasets/synthetic.hpp"
-#include "nn/layers.hpp"
+#include "engine_test_util.hpp"
 #include "nn/reference.hpp"
 
 namespace gnnie {
 namespace {
 
-struct Fixture {
-  Dataset data;
-  ModelConfig model;
-  GnnWeights weights;
-  std::vector<Csr> sampled;
-
-  explicit Fixture(GnnKind kind, double scale = 0.1, std::uint32_t hidden = 32) {
-    data = generate_dataset(spec_of(DatasetId::kCora).scaled(scale), 1);
-    model.kind = kind;
-    model.input_dim = data.spec.feature_length;
-    model.hidden_dim = hidden;
-    model.pool_clusters = 16;
-    weights = init_weights(model, 42);
-    if (kind == GnnKind::kGraphSage) {
-      for (std::uint32_t l = 0; l < model.num_layers; ++l) {
-        sampled.push_back(sample_neighborhood(data.graph, model.sample_size, 100 + l));
-      }
-    }
-  }
-};
-
-class ServingEquivalence : public ::testing::TestWithParam<GnnKind> {};
-
-TEST_P(ServingEquivalence, CompilePlanRunMatchesLegacyRunBitExactly) {
-  Fixture f(GetParam());
-  EngineConfig cfg = EngineConfig::paper_default(false);
-
-  GnnieEngine legacy(cfg);
-  InferenceResult want = legacy.run(f.model, f.weights, f.data.graph, f.data.features, f.sampled);
-
-  Engine engine(cfg);
-  CompiledModel compiled = engine.compile(f.model, f.weights);
-  GraphPlanPtr plan = compiled.plan(f.data.graph, f.sampled);
-  RunRequest request{plan, &f.data.features};
-  InferenceResult got = compiled.run(request);
-
-  EXPECT_EQ(Matrix::max_abs_diff(got.output, want.output), 0.0f);
-  EXPECT_EQ(got.report.total_cycles, want.report.total_cycles);
-  EXPECT_EQ(got.report.dram.bytes_read, want.report.dram.bytes_read);
-  EXPECT_EQ(got.report.dram.bytes_written, want.report.dram.bytes_written);
-  EXPECT_EQ(got.report.total_macs, want.report.total_macs);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllGnns, ServingEquivalence,
-                         ::testing::Values(GnnKind::kGcn, GnnKind::kGraphSage, GnnKind::kGat,
-                                           GnnKind::kGinConv, GnnKind::kDiffPool),
-                         [](const auto& info) { return to_string(info.param); });
+using test::ModelFixture;
 
 TEST(Serving, PlanIsCachedPerGraphAndReusedAcrossRuns) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   Engine engine(cfg);
   CompiledModel compiled = engine.compile(f.model, f.weights);
@@ -72,10 +23,9 @@ TEST(Serving, PlanIsCachedPerGraphAndReusedAcrossRuns) {
   GraphPlanPtr plan2 = compiled.plan(f.data.graph);
   EXPECT_EQ(plan1.get(), plan2.get());  // cache hit: same plan object
 
-  // One plan, several runs — outputs bit-identical to the legacy
-  // single-shot path (the ISSUE acceptance criterion).
-  GnnieEngine legacy(cfg);
-  InferenceResult want = legacy.run(f.model, f.weights, f.data.graph, f.data.features);
+  // One plan, several runs — outputs bit-identical to a fresh compile →
+  // plan → run of the same workload.
+  InferenceResult want = f.run(Engine(cfg));
   RunRequest request{plan1, &f.data.features};
   InferenceResult r1 = compiled.run(request);
   InferenceResult r2 = compiled.run(request);
@@ -89,7 +39,7 @@ TEST(Serving, PlanIsCachedPerGraphAndReusedAcrossRuns) {
 }
 
 TEST(Serving, PlanCacheRevalidatesWhenGraphObjectIsReassigned) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   Engine engine(EngineConfig::paper_default(false));
   CompiledModel compiled = engine.compile(f.model, f.weights);
 
@@ -107,7 +57,7 @@ TEST(Serving, PlanCacheRevalidatesWhenGraphObjectIsReassigned) {
 }
 
 TEST(Serving, PlanCacheEvictsLeastRecentlyPlannedGraph) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   cfg.plan_cache_capacity = 2;
   Engine engine(cfg);
@@ -146,7 +96,7 @@ TEST(Serving, PlanCacheEvictsLeastRecentlyPlannedGraph) {
 }
 
 TEST(Serving, PlanCacheDefaultCapacityIsSixteen) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   EXPECT_EQ(cfg.plan_cache_capacity, 16u);
   cfg.plan_cache_capacity = 0;
@@ -154,7 +104,7 @@ TEST(Serving, PlanCacheDefaultCapacityIsSixteen) {
 }
 
 TEST(Serving, PlanPrecomputesAggregationHints) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   Engine engine(cfg);
   CompiledModel compiled = engine.compile(f.model, f.weights);
@@ -175,23 +125,8 @@ TEST(Serving, PlanPrecomputesAggregationHints) {
   EXPECT_EQ(plan->cache_capacity_for_width(12345), 0u);  // unknown width: no hint
 }
 
-TEST(Serving, RunCostMatchesRunReportWithoutTheOutput) {
-  Fixture f(GnnKind::kGcn);
-  Engine engine(EngineConfig::paper_default(false));
-  CompiledModel compiled = engine.compile(f.model, f.weights);
-  GraphPlanPtr plan = compiled.plan(f.data.graph);
-  RunRequest request{plan, &f.data.features};
-
-  InferenceResult full = compiled.run(request);
-  InferenceReport cost = compiled.run_cost(request);
-  EXPECT_EQ(cost.total_cycles, full.report.total_cycles);
-  EXPECT_EQ(cost.total_macs, full.report.total_macs);
-  EXPECT_EQ(cost.dram.bytes_read, full.report.dram.bytes_read);
-  EXPECT_EQ(cost.dram.bytes_written, full.report.dram.bytes_written);
-}
-
 TEST(Serving, RunBatchMatchesSequentialRuns) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   Engine engine(cfg);
   CompiledModel compiled = engine.compile(f.model, f.weights);
@@ -228,7 +163,7 @@ TEST(Serving, RunBatchMatchesSequentialRuns) {
 }
 
 TEST(Serving, DifferentFeaturesDifferentOutputsSamePlan) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   Engine engine(EngineConfig::paper_default(false));
   CompiledModel compiled = engine.compile(f.model, f.weights);
   GraphPlanPtr plan = compiled.plan(f.data.graph);
@@ -250,10 +185,9 @@ class PolicySelection : public ::testing::TestWithParam<CachePolicyKind> {};
 
 TEST_P(PolicySelection, AllCacheBehaviorsSelectableThroughTheInterface) {
   const CachePolicyKind kind = GetParam();
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
-  // No config booleans involved: the policy object alone selects the
-  // behavior (the deprecated flags stay at their defaults).
+  // The policy object alone selects the behavior.
   Engine engine(cfg, CachePolicy::make(kind));
   EXPECT_EQ(engine.cache_policy().kind(), kind);
 
@@ -281,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicySelection,
                          });
 
 TEST(Serving, PolicyChoiceChangesTheCostModelNotTheFunction) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   cfg.buffers.input = 32u << 10;  // small buffer so the policies diverge
 
@@ -308,7 +242,7 @@ TEST(Serving, PolicyChoiceChangesTheCostModelNotTheFunction) {
 }
 
 TEST(Serving, CompileValidatesShapesUpFront) {
-  Fixture f(GnnKind::kGcn);
+  ModelFixture f(GnnKind::kGcn);
   Engine engine(EngineConfig::paper_default(false));
   ModelConfig bad = f.model;
   bad.input_dim += 1;  // weights no longer match
@@ -320,8 +254,8 @@ TEST(Serving, CompileValidatesShapesUpFront) {
 }
 
 TEST(Serving, PlanAndRunValidateTheirInputs) {
-  Fixture f(GnnKind::kGcn);
-  Fixture sage(GnnKind::kGraphSage);
+  ModelFixture f(GnnKind::kGcn);
+  ModelFixture sage(GnnKind::kGraphSage);
   Engine engine(EngineConfig::paper_default(false));
   CompiledModel compiled = engine.compile(f.model, f.weights);
 
@@ -347,7 +281,7 @@ TEST(Serving, PlanAndRunValidateTheirInputs) {
 }
 
 TEST(Serving, GraphSagePlanBindsSampledAdjacencies) {
-  Fixture f(GnnKind::kGraphSage);
+  ModelFixture f(GnnKind::kGraphSage);
   EngineConfig cfg = EngineConfig::paper_default(false);
   Engine engine(cfg);
   CompiledModel compiled = engine.compile(f.model, f.weights);

@@ -38,7 +38,7 @@ EngineConfig tight_warmth_config() {
   return config;
 }
 
-// --- The warm-cost discount on run_cost. ---
+// --- The warm-cost discount on the cost query. ---
 
 TEST(WarmthCost, WarmCostNeverExceedsColdAndIsMonotoneInWarmFraction) {
   for (GnnKind kind : {GnnKind::kGcn, GnnKind::kGat, GnnKind::kGinConv}) {
@@ -52,19 +52,19 @@ TEST(WarmthCost, WarmCostNeverExceedsColdAndIsMonotoneInWarmFraction) {
     GraphPlanPtr plan = compiled.plan(d.graph);
     const RunRequest request{plan, &d.features};
 
-    const Cycles cold = compiled.run_cost(request).total_cycles;
+    const Cycles cold = compiled.cost(request).total_cycles;
     Cycles prev = cold;
     for (double f : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-      const Cycles warm = compiled.run_cost(request, f).total_cycles;
+      const Cycles warm = compiled.cost(request, f).total_cycles;
       EXPECT_LE(warm, cold) << "kind " << static_cast<int>(kind) << " f " << f;
       EXPECT_LE(warm, prev) << "warm cost must be monotone in the warm fraction";
       prev = warm;
     }
     // A fully warm run actually saves something on these memory-bound
     // aggregation stages (the discount is not vacuously zero).
-    EXPECT_LT(compiled.run_cost(request, 1.0).total_cycles, cold);
-    EXPECT_THROW(compiled.run_cost(request, -0.1), std::invalid_argument);
-    EXPECT_THROW(compiled.run_cost(request, 1.1), std::invalid_argument);
+    EXPECT_LT(compiled.cost(request, 1.0).total_cycles, cold);
+    EXPECT_THROW(compiled.cost(request, -0.1), std::invalid_argument);
+    EXPECT_THROW(compiled.cost(request, 1.1), std::invalid_argument);
   }
 }
 
@@ -72,8 +72,9 @@ TEST(WarmthCost, ZeroWarmFractionReproducesRunCostBitExactly) {
   WarmthFixture f;
   for (const RunRequest request :
        {RunRequest{f.plan_a, &f.a.features}, RunRequest{f.plan_b, &f.b_features}}) {
-    const InferenceReport cold = f.compiled.run_cost(request);
-    const InferenceReport zero = f.compiled.run_cost(request, 0.0);
+    const InferenceReport cold = f.compiled.run(request).report;
+    InferenceReport zero = cold;
+    apply_warmth_discount(zero, 0.0);
     EXPECT_EQ(zero.total_cycles, cold.total_cycles);
     EXPECT_EQ(zero.total_macs, cold.total_macs);
     EXPECT_EQ(zero.dram.bytes_read, cold.dram.bytes_read);
@@ -87,6 +88,7 @@ TEST(WarmthCost, ZeroWarmFractionReproducesRunCostBitExactly) {
                 cold.layers[l].aggregation.memory_cycles);
     }
     EXPECT_EQ(warm_total_cycles(cold, 0.0), cold.total_cycles);
+    EXPECT_EQ(f.compiled.cost(request, 0.0).total_cycles, cold.total_cycles);
   }
 }
 
@@ -146,16 +148,15 @@ TEST(WarmthResidency, LruDemotionAndSwapFlagsAreExact) {
 
 TEST(WarmthCluster, ServiceChargesMatchTheWarmCostModelExactly) {
   WarmthFixture f(tight_warmth_config());
-  const InferenceReport cold_a = f.compiled.run_cost({f.plan_a, &f.a.features});
-  const InferenceReport cold_b = f.compiled.run_cost({f.plan_b, &f.b_features});
+  const InferenceReport cold_a = f.compiled.run({f.plan_a, &f.a.features}).report;
+  const InferenceReport cold_b = f.compiled.run({f.plan_b, &f.b_features}).report;
   const Cycles penalty = f.engine.config().warmth.plan_swap_penalty_cycles;
 
   // One die, alternating graphs, gaps wide enough that nothing queues:
   // every service alternates plans under a one-plan budget, so after the
   // first (pure cold) request every request is a cold plan swap.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 8, 100000);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
 
   ASSERT_EQ(rep.requests.size(), 8u);
   EXPECT_TRUE(rep.warmth_enabled);
@@ -172,7 +173,8 @@ TEST(WarmthCluster, ServiceChargesMatchTheWarmCostModelExactly) {
   // Same trace, one graph only: after the cold first request every service
   // is a full warm hit at exactly the fully-warm cost.
   RequestTrace warm_trace = RequestTrace::fixed_interval({f.stream_a()}, 6, 100000);
-  ServingReport warm_rep = Cluster(f.compiled, 1).simulate(warm_trace, *fifo);
+  ServingReport warm_rep = Cluster(f.compiled, 1).simulate(
+      warm_trace, {.scheduler = SchedulerKind::kFifo});
   for (std::size_t i = 0; i < warm_rep.requests.size(); ++i) {
     const RequestRecord& r = warm_rep.requests[i];
     if (i == 0) {
@@ -191,12 +193,11 @@ TEST(WarmthCluster, ServiceChargesMatchTheWarmCostModelExactly) {
 TEST(WarmthCluster, EvictionAndChargingAreDeterministicPerSeed) {
   WarmthFixture f(tight_warmth_config());
   for (SchedulerKind kind : serve::all_scheduler_kinds()) {
-    auto sched = Scheduler::make(kind);
     Cluster cluster(f.compiled, 3);
     RequestTrace t1 = RequestTrace::poisson({f.stream_a(), f.stream_b()}, 80, 4000.0, 17);
     RequestTrace t2 = RequestTrace::poisson({f.stream_a(), f.stream_b()}, 80, 4000.0, 17);
-    ServingReport r1 = cluster.simulate(t1, *sched);
-    ServingReport r2 = cluster.simulate(t2, *sched);
+    ServingReport r1 = cluster.simulate(t1, {.scheduler = kind});
+    ServingReport r2 = cluster.simulate(t2, {.scheduler = kind});
     ASSERT_EQ(r1.requests.size(), r2.requests.size());
     for (std::size_t i = 0; i < r1.requests.size(); ++i) {
       EXPECT_EQ(r1.requests[i].die, r2.requests[i].die);
@@ -218,7 +219,7 @@ TEST(WarmthCluster, EvictionAndChargingAreDeterministicPerSeed) {
 // charged the first service's warmth by mistake.
 TEST(WarmthCluster, MemoizedCostIsColdAndWarmFractionAppliesPerService) {
   WarmthFixture f(tight_warmth_config());
-  const InferenceReport cold = f.compiled.run_cost({f.plan_a, &f.a.features});
+  const InferenceReport cold = f.compiled.run({f.plan_a, &f.a.features}).report;
   const Cycles full_warm = warm_total_cycles(cold, 1.0);
   ASSERT_LT(full_warm, cold.total_cycles) << "the workload must have a warm discount";
 
@@ -228,8 +229,7 @@ TEST(WarmthCluster, MemoizedCostIsColdAndWarmFractionAppliesPerService) {
   // charges must differ between the cold and the warm services — and the
   // third (memo warm after a warm hit) must match the second, not drift.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 3, 1u << 30);
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ASSERT_EQ(rep.requests.size(), 3u);
   EXPECT_EQ(rep.requests[0].service_cycles(), cold.total_cycles);
   EXPECT_EQ(rep.requests[1].service_cycles(), full_warm);
@@ -242,7 +242,8 @@ TEST(WarmthCluster, MemoizedCostIsColdAndWarmFractionAppliesPerService) {
   // swap-penalized cold cost every time after the first.
   RequestTrace alternating =
       RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 6, 1u << 30);
-  ServingReport alt = Cluster(f.compiled, 1).simulate(alternating, *fifo);
+  ServingReport alt = Cluster(f.compiled, 1).simulate(
+      alternating, {.scheduler = SchedulerKind::kFifo});
   const Cycles penalty = f.engine.config().warmth.plan_swap_penalty_cycles;
   EXPECT_EQ(alt.requests[2].service_cycles(), cold.total_cycles + penalty);
   EXPECT_EQ(alt.requests[4].service_cycles(), cold.total_cycles + penalty);
@@ -260,8 +261,7 @@ TEST(WarmthCluster, DisabledWarmthKeepsSingleDieFifoZeroGapBatchEquivalence) {
   for (const auto& r : trace.requests()) requests.push_back(r.request);
   BatchResult batch = f.compiled.run_batch(requests);
 
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
 
   ASSERT_EQ(rep.requests.size(), batch.results.size());
   for (std::size_t i = 0; i < rep.requests.size(); ++i) {
@@ -282,8 +282,7 @@ TEST(WarmthCluster, EnabledWarmthNeverServesSlowerThanTheColdBatch) {
   for (const auto& r : trace.requests()) requests.push_back(r.request);
   BatchResult batch = f.compiled.run_batch(requests);
 
-  auto fifo = Scheduler::make(SchedulerKind::kFifo);
-  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, *fifo);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   // Single-stream zero-gap: one cold start, then warm hits with no swaps —
   // strictly faster than the all-cold batch.
   EXPECT_LT(rep.makespan, batch.report.total_cycles);
@@ -308,11 +307,11 @@ TEST(WarmthCluster, AffinityAndWarmthAwareStrictlyBeatFifoOnSkewedTwoGraphTrace)
   ASSERT_GT(counts[0], counts[1]) << "the trace must actually be skewed";
 
   Cluster cluster(f.compiled, 4);
-  ServingReport fifo = cluster.simulate(trace, *Scheduler::make(SchedulerKind::kFifo));
+  ServingReport fifo = cluster.simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ServingReport affinity =
-      cluster.simulate(trace, *Scheduler::make(SchedulerKind::kGraphAffinity));
+      cluster.simulate(trace, {.scheduler = SchedulerKind::kGraphAffinity});
   ServingReport warmth_aware =
-      cluster.simulate(trace, *Scheduler::make(SchedulerKind::kWarmthAware));
+      cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware});
 
   EXPECT_LT(affinity.p99_latency_cycles(), fifo.p99_latency_cycles());
   EXPECT_LT(warmth_aware.p99_latency_cycles(), fifo.p99_latency_cycles());
