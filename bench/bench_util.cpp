@@ -8,6 +8,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace gnnie::bench {
 
@@ -134,13 +135,29 @@ void parallel_for(std::size_t count, std::size_t workers,
 }
 
 bool json_braces_balanced(const std::string& s) {
-  int depth = 0;
-  for (char c : s) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    if (depth < 0) return false;
+  std::vector<char> closers;  // the closer each open bracket expects
+  bool in_string = false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    char c = s[i];
+    if (in_string) {
+      if (c == '\\' && i + 1 < s.size()) {
+        c = s[++i];  // an escaped character never ends the string
+      } else if (c == '"') {
+        in_string = false;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control character
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      closers.push_back(c == '{' ? '}' : ']');
+    } else if (c == '}' || c == ']') {
+      if (closers.empty() || closers.back() != c) return false;
+      closers.pop_back();
+    }
   }
-  return depth == 0;
+  return !in_string && closers.empty();
 }
 
 }  // namespace gnnie::bench

@@ -40,8 +40,10 @@ std::string scale_note(const DatasetSpec& spec, double scale);
 void print_banner(const std::string& experiment, const std::string& claim);
 
 /// Structural sanity check for emitted JSON (shared by JSON-emitting
-/// benches and the report-IO tests): {}/[] nesting balanced and never
-/// negative. Not a parser — report_io emits no strings with braces.
+/// benches and the report-IO tests): every {/[ is closed by its own kind
+/// of bracket, brackets inside strings do not count, and every string is
+/// terminated and free of raw control characters (a backslash escapes the
+/// next character). Not a parser: values, commas and colons go unchecked.
 bool json_braces_balanced(const std::string& s);
 
 /// A dataset + model + weights bundle ready to run on any engine/baseline.

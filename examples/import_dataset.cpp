@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const std::string report =
       (std::filesystem::temp_directory_path() / "gnnie_demo_report.json").string();
   std::ofstream rout(report);
-  write_report_json(rout, res.report);
+  rout << report_to_json(res.report);
   std::printf("saved inference report to %s\n", report.c_str());
   return 0;
 }

@@ -9,6 +9,7 @@
 // -stream attainment, per-die service quality, and load shedding.
 //
 //   $ ./example_slo_fleet
+#include <algorithm>
 #include <cstdio>
 
 #include "datasets/synthetic.hpp"
@@ -59,8 +60,8 @@ int main() {
                           static_cast<std::int64_t>(10 * cora_cost)};
   serve::RequestTrace trace = serve::RequestTrace::poisson(
       {hot, cold}, /*count=*/200, static_cast<double>(cora_cost) / 2.5, /*seed=*/11);
-  std::printf("\ntrace: %zu requests, SLOs %s\n\n", trace.size(),
-              trace.has_slo() ? "on" : "off");
+  const bool any_slo = std::ranges::any_of(trace.requests(), &serve::TracedRequest::has_slo);
+  std::printf("\ntrace: %zu requests, SLOs %s\n\n", trace.size(), any_slo ? "on" : "off");
 
   // 4. Every scheduler against the same deadline trace; the slack-aware
   //    scheduler routes by predicted deadline slack instead of queue shape.

@@ -139,30 +139,26 @@ struct ServingReport {
   std::vector<std::uint64_t> batch_size_counts;
   Cycles weighting_cycles_saved = 0;
   /// Pipelining (EngineConfig::pipeline) state of the run that produced
-  /// this report. With pipeline_enabled, pipeline_hidden_cycles is the
-  /// summed stream-track time that ran while the die's compute track was
-  /// still busy with the previous slot (the cycles pipelining removed from
-  /// the serial timeline), and die_stream_cycles is each die's total
-  /// stream-track occupancy. Both zero when disabled.
+  /// this report. pipeline_hidden_cycles is the summed stream-track time
+  /// that ran while the die's compute track was still busy with the
+  /// previous slot (the cycles pipelining removed from the serial
+  /// timeline), and die_stream_cycles is each die's total stream-track
+  /// occupancy. Both zero when disabled.
   bool pipeline_enabled = false;
   Cycles pipeline_hidden_cycles = 0;
   std::vector<Cycles> die_stream_cycles;
   /// Plan-variant dispatch histogram: (variant width → slots dispatched
-  /// under it), ascending width order. Empty when no variant family is
-  /// configured (every slot implicitly ran the width-0 default variant).
+  /// under it), in family order. The default family is one width-0
+  /// (unbounded) variant, so it holds a single {0, slots} entry.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> variant_counts;
-  /// SLO state of the run that produced this report: true iff the trace
-  /// carried any deadline. When false every record's deadline is 0, nothing
-  /// is shed, and the JSON keeps the schema-version-1 shape.
-  bool slo_enabled = false;
   /// Stream count of the trace (index bound for stream_slo_attainment).
+  /// A trace without deadlines has slo_request_count() == 0.
   std::size_t streams = 0;
-  /// Heterogeneous-fleet state (serve/fleet.hpp): false for the classic
-  /// N-identical-dies cluster. When true, die_labels names each die's
-  /// design point and fleet_cost is the FleetSpec's summed cost.
-  bool heterogeneous = false;
+  /// Fleet rollup (serve/fleet.hpp): the lineup's summed provisioning cost
+  /// and each die's config label. A homogeneous cluster is a one-config
+  /// fleet, so every report carries both.
   double fleet_cost = 0.0;
-  std::vector<std::string> die_labels;  ///< per-die design label (fleet runs)
+  std::vector<std::string> die_labels;  ///< per-die config label
 
   /// Nearest-rank latency percentile over all requests; pct in (0, 100].
   /// Sorts per call — batch callers should sort once (sorted_latencies)

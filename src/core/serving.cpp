@@ -625,8 +625,7 @@ ServiceCost CompiledModel::cost(const CostQuery& query) const {
   const std::vector<PlanVariant>& family = requests.front().plan->variants();
   auto charged_under = [&](const Member& m, std::size_t position,
                            const PlanVariant& v) -> Cycles {
-    const bool shares_stream = query.coalesce && position > 0 &&
-                               (v.width == 0 || position < v.width);
+    const bool shares_stream = position > 0 && (v.width == 0 || position < v.width);
     return batch_member_charge(m.serial, m.saving, shares_stream);
   };
   auto slot_total_under = [&](const PlanVariant& v) -> Cycles {

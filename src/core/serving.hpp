@@ -205,21 +205,16 @@ struct BatchResult {
 };
 
 /// One service-cost question: how long does this slot of requests run?
-/// The parameter surface of CompiledModel::cost — warmth, coalescing, and
-/// the pipeline/variant knobs in one struct. Designed for designated
+/// The parameter surface of CompiledModel::cost — the slot's members, its
+/// warmth, and its plan variant in one struct. Designed for designated
 /// initializers: `{.requests = reqs, .warm_fraction = 0.5}`.
 struct CostQuery {
-  /// Slot members, head first. All must share one plan fingerprint.
+  /// Slot members, head first. All must share one plan fingerprint;
+  /// requests[1..] are coalesced followers of the head's weight stream.
   std::span<const RunRequest> requests;
   /// Share of the plan's working set resident at slot start, in [0, 1],
   /// applied to every member (apply_warmth_discount).
   double warm_fraction = 0.0;
-  /// Coalesce requests[1..] as followers of the head's weight stream: each
-  /// follower skips the weight-stream share of its weighting stages'
-  /// exposed memory time (batch_follower_saved_cycles, core/report.hpp).
-  /// false prices the members back-to-back serially. Irrelevant for
-  /// single-request queries.
-  bool coalesce = true;
   /// Plan variant to price the slot under: 0 picks the cheapest member of
   /// the plan's family (dispatch's rule); a nonzero width selects that
   /// family member explicitly (it must exist).

@@ -188,17 +188,15 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
 
   // Intra-die pipelining and the per-config plan-variant families. The
   // fleet constructor pins enablement and widths to the reference config,
-  // so both flags are config-independent; setup costs may differ per die.
+  // so pipelining and each family's width order are config-independent;
+  // setup costs may differ per die. The default family is one unbounded
+  // zero-setup variant, so dispatch always picks it.
   const bool pipeline_on = config.pipeline.enabled;
   std::vector<std::vector<PlanVariant>> config_family;
   config_family.reserve(config_count);
   for (std::size_t c = 0; c < config_count; ++c) {
     config_family.push_back(plan_variant_family(config_models_[c].config()));
   }
-  // A family of one unbounded zero-setup variant is today's slot semantics
-  // — dispatch is a no-op and the report keeps its legacy shape.
-  const bool variants_on =
-      config_family.front().size() > 1 || config_family.front().front().width != 0;
 
   ServingReport report;
   report.dies = die_count_;
@@ -211,18 +209,15 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   report.die_plan_swaps.assign(die_count_, 0);
   report.max_coalesce = max_coalesce;
   report.pipeline_enabled = pipeline_on;
-  if (pipeline_on) report.die_stream_cycles.assign(die_count_, 0);
-  if (variants_on) {
-    // One counter per configured width, family order — the reference
-    // family's widths (pinned across the fleet).
-    report.variant_counts.reserve(config_family.front().size());
-    for (const PlanVariant& v : config_family.front()) {
-      report.variant_counts.emplace_back(v.width, 0);
-    }
+  report.die_stream_cycles.assign(die_count_, 0);
+  // One counter per family member, family order: every config's family
+  // lists the same widths in the same order, so a pick's family index
+  // indexes this histogram directly.
+  report.variant_counts.reserve(config_family.front().size());
+  for (const PlanVariant& v : config_family.front()) {
+    report.variant_counts.emplace_back(v.width, 0);
   }
-  report.slo_enabled = trace.has_slo();
   report.streams = trace.stream_count();
-  report.heterogeneous = heterogeneous_;
   report.fleet_cost = spec_.total_cost();
   report.die_labels.reserve(die_count_);
   for (std::size_t d = 0; d < die_count_; ++d) {
@@ -255,13 +250,13 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   // front: the plan fingerprint, a dense fingerprint index (distinct
   // fingerprints ≤ streams — used for the incremental waiting counts), and
   // a raw ServiceCost pointer per (config, stream) so the hot path never
-  // hashes. Costs come from the cluster-lifetime ServiceCostCache: runs are
-  // stateless, so entries are exact and shared across simulate() calls —
-  // a load sweep over one cluster costs each triple once. A config prices
-  // the request's own plan when its compiled model built that plan (config
-  // 0 of the homogeneous constructor); otherwise it re-plans the request's
-  // graph (deterministic, so a structurally identical plan with the same
-  // fingerprint) and costs that.
+  // searches the cache. Costs come from the cluster-lifetime
+  // ServiceCostCache: runs are stateless, so entries are exact and shared
+  // across simulate() calls — a load sweep over one cluster costs each
+  // triple once. A config prices the request's own plan when its compiled
+  // model built that plan (config 0 of the homogeneous constructor);
+  // otherwise it re-plans the request's graph (deterministic, so a
+  // structurally identical plan with the same fingerprint) and costs that.
   const std::size_t stream_count = trace.stream_count();
   std::vector<std::uint64_t> stream_fp(stream_count);
   std::vector<std::uint32_t> stream_fpi(stream_count);
@@ -676,14 +671,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
       }
     }
     const PlanVariant& variant = family[chosen];
-    if (variants_on) {
-      for (auto& [width, slots] : report.variant_counts) {
-        if (width == variant.width) {
-          ++slots;
-          break;
-        }
-      }
-    }
+    ++report.variant_counts[chosen].second;
 
     // ---- Pass 2: timeline assembly ---------------------------------------
     // Charged in the config's own clock domain, scaled into reference
@@ -709,7 +697,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
       ++report.die_requests[d];
       rec.die = d;
       rec.group_size = static_cast<std::uint32_t>(die.group.size());
-      rec.variant_width = variants_on ? variant.width : 0;
+      rec.variant_width = variant.width;
       if (i == 0 && pipeline_on) {
         // Two-track head: lay the slot's weight stream (the head's cold
         // weighting stage plus variant setup) onto the stream track as

@@ -51,8 +51,8 @@
 // request's plan: the observed warm fraction discounts the memoized cold
 // cost (apply_warmth_discount, core/report.hpp), and displacing another
 // plan's resident state adds the plan-swap penalty. The scheduler sees the
-// residency state through DieStatus, and the report gains per-die warm-hit
-// and swap counters plus warm/cold latency breakdowns. With warmth
+// residency state through DieStatus, and the report counts per-die warm
+// hits and swaps, which feed its warm/cold latency breakdowns. With warmth
 // disabled every request is charged the cold cost — bit-exact with the
 // warmth-unaware simulator, including the run_batch degenerate case.
 //
@@ -66,9 +66,9 @@
 // per slot (the head pays any swap; followers see the post-load fraction),
 // per-request latencies run from each member's own arrival, and a slot is
 // never longer than serial service of its members by construction. The
-// report gains the batch-size histogram, coalesce rate, and the
-// weighting-setup cycles saved. With max_coalesce = 1 every slot holds one
-// request — bit-exact with the uncoalesced simulator.
+// report records the batch-size histogram and the weighting-setup cycles
+// saved. With max_coalesce = 1 every slot holds one request — bit-exact
+// with the uncoalesced simulator.
 //
 // Intra-die pipelining (EngineConfig::pipeline, default off): each die's
 // timeline splits into two overlapping resource tracks — a *stream* track
@@ -82,10 +82,10 @@
 // from max(now, stream end). The head's record spans both tracks
 // (start = stream start), follower charges chain off the head's finish
 // exactly as in serial service, and a slot's pipelined finish never
-// exceeds its serial finish by construction. The report gains the total
-// stream cycles the pipeline hid plus per-die stream-track occupancy.
-// With pipelining disabled the serial charging path is untouched —
-// bit-exact with the single-track simulator.
+// exceeds its serial finish by construction. The report records the total
+// stream cycles the pipeline hid plus per-die stream-track occupancy (all
+// zero with pipelining disabled, which leaves the serial charging path
+// untouched — bit-exact with the single-track simulator).
 //
 // Plan variants (EngineConfig::pipeline.variant_widths, default empty):
 // plan() compiles a family of PlanVariants per graph — one per configured
@@ -95,8 +95,9 @@
 // for each slot at assembly time (deterministic: strict improvement,
 // narrowest wins ties) and records the pick in RequestRecord::
 // variant_width plus the report's per-width slot counts. An empty width
-// list compiles the single unbounded variant with zero setup — today's
-// slot semantics, bit-exact.
+// list compiles the single unbounded (width 0) variant with zero setup —
+// the plain slot semantics, bit-exact — so every record carries width 0
+// and the counts hold one {0, slots} entry.
 //
 // Die configs (serve/fleet.hpp): every cluster is a fleet of die configs,
 // each with its own CompiledModel, and the service memo is keyed by config.

@@ -9,22 +9,23 @@
 // a latency-vs-load sweep re-costs nothing after its first point, and
 // parallel sweep replays share one fill.
 //
-// The table is a small open-addressing flat hash map (power-of-two slots,
-// linear probing) over deque-backed entries, so lookups touch one cache
-// line of slot metadata and returned CostEntry pointers stay stable
-// across growth. Fills take a mutex — concurrent simulate() calls on one
-// cluster are safe, and holding the lock across compute() also serializes
-// the per-config re-plan a fleet fill performs. Hits after the table is
-// warm are the common case; simulate() additionally resolves each
-// (config, stream) pair to a raw pointer once per run, so the per-event
-// path never hashes at all.
+// The table is a std::map keyed on (config, plan address, features
+// address) as integers: simulate() resolves each (config, stream) pair to a
+// raw pointer once per call, so a call makes at most configs × streams
+// lookups and the per-event path never touches the map. Map nodes never
+// move, so returned CostEntry references stay valid for the cache's
+// lifetime. The map is only ever looked up, never iterated, so its
+// address-derived key order cannot leak into a result. Fills take a mutex
+// — concurrent simulate() calls on one cluster are safe, and holding the
+// lock across compute() also serializes the per-config re-plan a fleet
+// fill performs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <mutex>
-#include <vector>
+#include <tuple>
 
 #include "common/units.hpp"
 #include "core/report.hpp"
@@ -60,13 +61,9 @@ class ServiceCostCache {
     std::size_t config = 0;
     const void* plan = nullptr;
     const void* features = nullptr;
-
-    bool operator==(const Key& other) const {
-      return config == other.config && plan == other.plan && features == other.features;
-    }
   };
 
-  ServiceCostCache();
+  ServiceCostCache() = default;
   ServiceCostCache(const ServiceCostCache&) = delete;
   ServiceCostCache& operator=(const ServiceCostCache&) = delete;
 
@@ -77,11 +74,12 @@ class ServiceCostCache {
   /// lifetime.
   template <typename Compute>
   const CostEntry& get(const Key& key, Compute&& compute) {
+    const MapKey id{key.config, reinterpret_cast<std::uintptr_t>(key.plan),
+                    reinterpret_cast<std::uintptr_t>(key.features)};
     std::lock_guard<std::mutex> lock(mutex_);
-    if (const CostEntry* hit = find_locked(key)) return *hit;
-    entries_.push_back(compute());
-    insert_locked(key, entries_.size() - 1);
-    return entries_.back();
+    auto it = entries_.find(id);
+    if (it == entries_.end()) it = entries_.emplace(id, compute()).first;
+    return it->second;
   }
 
   /// Distinct triples costed so far (benches assert sweep cells share).
@@ -90,30 +88,10 @@ class ServiceCostCache {
     return entries_.size();
   }
 
-  /// Current slot-table width (power of two). Exposed so the unit tests can
-  /// pin the growth threshold and craft colliding keys; not useful to
-  /// simulation code.
-  std::size_t slot_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return slots_.size();
-  }
-
-  /// The slot hash (splitmix64-mixed). Public and static so tests can
-  /// construct keys that provably collide modulo the table width.
-  static std::size_t hash(const Key& key);
-
  private:
-  struct Slot {
-    Key key;
-    std::uint32_t index_plus_one = 0;  ///< 0 = empty
-  };
+  using MapKey = std::tuple<std::size_t, std::uintptr_t, std::uintptr_t>;
 
-  const CostEntry* find_locked(const Key& key) const;
-  void insert_locked(const Key& key, std::size_t index);
-  void grow_locked();
-
-  std::vector<Slot> slots_;        ///< power-of-two, linear probing
-  std::deque<CostEntry> entries_;  ///< stable addresses across growth
+  std::map<MapKey, CostEntry> entries_;
   mutable std::mutex mutex_;
 };
 

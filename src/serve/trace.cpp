@@ -54,13 +54,6 @@ std::size_t RequestTrace::draw_stream(Rng& rng) const {
   return streams_.size() - 1;  // floating-point residue lands on the last
 }
 
-bool RequestTrace::has_slo() const {
-  for (const TraceStream& s : streams_) {
-    if (s.slo_cycles > 0) return true;
-  }
-  return false;
-}
-
 std::vector<std::size_t> RequestTrace::stream_counts() const {
   std::vector<std::size_t> counts(streams_.size(), 0);
   for (const TracedRequest& r : requests_) ++counts[r.stream];

@@ -89,9 +89,6 @@ class RequestTrace {
   /// Requests per stream, index-aligned with stream(); sums to size().
   /// Handy for validating a skewed traffic mix actually skewed.
   std::vector<std::size_t> stream_counts() const;
-  /// Any stream carries an SLO (slo_cycles > 0) — the cluster's reports
-  /// switch on deadline accounting iff this holds.
-  bool has_slo() const;
 
  private:
   RequestTrace(std::vector<TraceStream> streams);

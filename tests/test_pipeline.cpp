@@ -6,14 +6,12 @@
 // byte-identical), the two-track timeline's invariants (zero
 // overlap under FIFO, cycle conservation, pipelined ≤ serial per slot),
 // the ISSUE acceptance criterion that pipelining strictly improves p99 and
-// makespan on a weight-stream-heavy trace at 4 dies, variant-dispatch
-// determinism, and the version-3 serving JSON blocks.
+// makespan on a weight-stream-heavy trace at 4 dies, and variant-dispatch
+// determinism.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "core/report_io.hpp"
 #include "core/serving.hpp"
 #include "serve/cluster.hpp"
 #include "serve_test_util.hpp"
@@ -269,41 +267,16 @@ TEST(VariantDispatch, IsDeterministicAcrossRunsAndClusterCopies) {
 }
 
 TEST(VariantDispatch, DefaultFamilyLeavesReportsVariantFree) {
+  // No family configured: every slot runs the width-0 default variant, so
+  // every record carries width 0 and the histogram's one entry counts all
+  // six slots.
   ServeFixture f;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 6, 0);
   const ServingReport rep = Cluster(f.compiled, 1).simulate(trace);
-  EXPECT_TRUE(rep.variant_counts.empty());
+  ASSERT_EQ(rep.variant_counts.size(), 1u);
+  EXPECT_EQ(rep.variant_counts[0].first, 0u);
+  EXPECT_EQ(rep.variant_counts[0].second, 6u);
   for (const RequestRecord& r : rep.requests) EXPECT_EQ(r.variant_width, 0u);
-}
-
-// --- The version-3 serving JSON. ---
-
-TEST(ServingJson, PipelineAndVariantBlocksBumpTheSchema) {
-  EngineConfig config = pipeline_config(true, {1, 4});
-  config.batching.max_coalesce = 4;
-  ServeFixture f(config);
-  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
-  RequestTrace trace = RequestTrace::poisson(
-      {f.stream_a()}, 40, static_cast<double>(service) / 4.0, /*seed=*/3);
-  const ServingReport rep = Cluster(f.compiled, 2).simulate(
-      trace, {.scheduler = SchedulerKind::kShortestQueue});
-  const std::string json = serving_report_to_json(rep);
-  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"pipeline_enabled\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"pipeline_hidden_cycles\":"), std::string::npos);
-  EXPECT_NE(json.find("\"die_stream_cycles\":["), std::string::npos);
-  EXPECT_NE(json.find("\"variant_counts\":[{\"width\":1,"), std::string::npos);
-  EXPECT_NE(json.find("\"variant_width\":"), std::string::npos);
-
-  // Feature off: the report keeps the lowest schema that describes it, with
-  // none of the pipeline/variant keys.
-  ServeFixture plain;
-  RequestTrace plain_trace = RequestTrace::fixed_interval({plain.stream_a()}, 4, 0);
-  const std::string v1 =
-      serving_report_to_json(Cluster(plain.compiled, 1).simulate(plain_trace));
-  EXPECT_NE(v1.find("\"schema_version\":1"), std::string::npos);
-  EXPECT_EQ(v1.find("pipeline"), std::string::npos);
-  EXPECT_EQ(v1.find("variant"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
-// Tests for report JSON export: structural validity (balanced braces,
-// required keys), numeric fidelity, and per-layer content.
+// Tests for report JSON export: structural validity (balanced brackets,
+// required keys), numeric fidelity, per-layer content, the one serving
+// shape (schema_version 4) for every report, string escaping, and
+// independence from the global locale.
 #include <gtest/gtest.h>
 
+#include <locale>
 #include <sstream>
 #include <string>
 
@@ -10,9 +13,17 @@
 #include "datasets/synthetic.hpp"
 #include "engine_test_util.hpp"
 #include "nn/model.hpp"
+#include "serve/cluster.hpp"
+#include "serve/fleet.hpp"
+#include "serve_test_util.hpp"
 
 namespace gnnie {
 namespace {
+
+using serve::Cluster;
+using serve::FleetSpec;
+using serve::RequestTrace;
+using test::ServeFixture;
 
 InferenceReport make_report(GnnKind kind) {
   Dataset d = generate_dataset(spec_of(DatasetId::kCora).scaled(0.05), 1);
@@ -26,6 +37,16 @@ InferenceReport make_report(GnnKind kind) {
 }
 
 using bench::json_braces_balanced;
+
+/// Occurrences of `needle` in `json`.
+std::size_t count_of(const std::string& json, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
+}
 
 TEST(ReportIo, JsonIsStructurallyValid) {
   const std::string json = report_to_json(make_report(GnnKind::kGcn));
@@ -84,6 +105,32 @@ ServingReport make_serving_report() {
   return rep;
 }
 
+/// The one serving shape: the version leads, every top-level key appears
+/// in schema order, and each of the `records` records carries all 11 fields.
+void expect_complete_shape(const std::string& json, std::size_t records) {
+  EXPECT_TRUE(json_braces_balanced(json));
+  EXPECT_EQ(json.rfind("{\"schema_version\":4,\"dies\":", 0), 0u) << json.substr(0, 60);
+  std::size_t pos = 0;
+  for (const char* key :
+       {"scheduler", "requests", "clock_hz", "makespan_cycles", "makespan_seconds",
+        "throughput_per_second", "p50_latency_cycles", "p95_latency_cycles",
+        "p99_latency_cycles", "max_latency_cycles", "mean_queue_depth", "die_utilization",
+        "fleet_cost", "die_labels", "warmth_enabled", "warm_hit_rate", "plan_swaps",
+        "warm_p50_latency_cycles", "warm_p99_latency_cycles", "cold_p50_latency_cycles",
+        "cold_p99_latency_cycles", "die_warm_hit_rate", "die_plan_swaps", "max_coalesce",
+        "coalesce_rate", "service_groups", "mean_batch_size", "weighting_cycles_saved",
+        "batch_size_counts", "pipeline_enabled", "pipeline_hidden_cycles",
+        "die_stream_cycles", "variant_counts", "shed_requests", "slo_requests",
+        "slo_attainment", "stream_slo_attainment", "die_slo_attainment", "records"}) {
+    pos = json.find("\"" + std::string(key) + "\":", pos);
+    ASSERT_NE(pos, std::string::npos) << key << " missing or out of order";
+  }
+  for (const char* field : {"stream", "die", "arrival", "start", "finish", "warm_fraction",
+                            "plan_swap", "group_size", "variant_width", "deadline", "shed"}) {
+    EXPECT_EQ(count_of(json, "\"" + std::string(field) + "\":"), records) << field;
+  }
+}
+
 TEST(ReportIo, ServingJsonIsStructurallyValidWithRequiredKeys) {
   const std::string json = serving_report_to_json(make_serving_report());
   EXPECT_TRUE(json_braces_balanced(json));
@@ -108,25 +155,42 @@ TEST(ReportIo, ServingJsonNumbersMatchReport) {
             std::string::npos);
   EXPECT_NE(json.find("\"scheduler\":\"fifo\""), std::string::npos);
   // One record object per request.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"arrival\"", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
-  }
-  EXPECT_EQ(count, rep.requests.size());
+  EXPECT_EQ(count_of(json, "\"arrival\""), rep.requests.size());
 }
 
+// A report from a run with a serving knob off keeps the one shape, the
+// key layout of a knobs-on report; that knob's block holds its off values.
+
 TEST(ReportIo, ServingJsonWarmthDisabledKeepsLegacyShape) {
-  // Backward compatibility: a warmth-disabled report announces the flag
-  // but carries none of the warmth keys — consumers of the PR-2 shape see
-  // only additive change.
-  const std::string json = serving_report_to_json(make_serving_report());
-  EXPECT_NE(json.find("\"warmth_enabled\":false"), std::string::npos);
-  for (const char* key : {"\"warm_hit_rate\"", "\"plan_swaps\"", "\"warm_fraction\"",
-                          "\"plan_swap\"", "\"die_warm_hit_rate\"",
-                          "\"warm_p99_latency_cycles\"", "\"cold_p99_latency_cycles\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
-  }
+  const ServingReport rep = make_serving_report();
+  const std::string json = serving_report_to_json(rep);
+  expect_complete_shape(json, rep.requests.size());
+  EXPECT_NE(json.find("\"warmth_enabled\":false,\"warm_hit_rate\":0,\"plan_swaps\":0"),
+            std::string::npos);
+  EXPECT_EQ(count_of(json, "\"warm_fraction\":0,\"plan_swap\":false,"), rep.requests.size());
+}
+
+TEST(ReportIo, ServingJsonCoalescingDisabledKeepsLegacyShape) {
+  // max_coalesce = 1 (the default) and no pipelining: every group is one
+  // request served at the default width.
+  const ServingReport rep = make_serving_report();
+  const std::string json = serving_report_to_json(rep);
+  expect_complete_shape(json, rep.requests.size());
+  EXPECT_NE(json.find("\"max_coalesce\":1,"), std::string::npos);
+  EXPECT_NE(json.find("\"pipeline_enabled\":false,\"pipeline_hidden_cycles\":0"),
+            std::string::npos);
+  EXPECT_EQ(count_of(json, "\"group_size\":1,\"variant_width\":0,"), rep.requests.size());
+}
+
+TEST(ReportIo, ServingJsonSloDisabledPinsSchemaVersion1) {
+  // Version 1 was the SLO-less shape and is gone: an SLO-less report leads
+  // with the one version, 4, and carries the SLO block at its off values.
+  const ServingReport rep = make_serving_report();
+  const std::string json = serving_report_to_json(rep);
+  expect_complete_shape(json, rep.requests.size());
+  EXPECT_NE(json.find("\"shed_requests\":0,\"slo_requests\":0,\"slo_attainment\":1"),
+            std::string::npos);
+  EXPECT_EQ(count_of(json, "\"deadline\":0,\"shed\":false}"), rep.requests.size());
 }
 
 ServingReport make_warm_serving_report() {
@@ -141,7 +205,8 @@ ServingReport make_warm_serving_report() {
   return rep;
 }
 
-/// Formats a double exactly as the JSON writer's ostream does.
+/// Formats a double as the JSON writer does: %.6g, the classic-locale
+/// ostream default.
 std::string json_number(double v) {
   std::ostringstream os;
   os << v;
@@ -172,26 +237,9 @@ TEST(ReportIo, ServingJsonWarmthFieldsRoundTrip) {
             std::string::npos);
   EXPECT_NE(json.find("\"die_plan_swaps\":[1,1]"), std::string::npos);
   // Every record carries its warmth fields.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"warm_fraction\"", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
-  }
-  EXPECT_EQ(count, rep.requests.size());
+  EXPECT_EQ(count_of(json, "\"warm_fraction\""), rep.requests.size());
   EXPECT_NE(json.find("\"warm_fraction\":1,\"plan_swap\":false"), std::string::npos);
   EXPECT_NE(json.find("\"warm_fraction\":0,\"plan_swap\":true"), std::string::npos);
-}
-
-TEST(ReportIo, ServingJsonCoalescingDisabledKeepsLegacyShape) {
-  // A max_coalesce = 1 report (the default) carries none of the batching
-  // keys — consumers of the PR-3 shape see only additive change.
-  const std::string json = serving_report_to_json(make_serving_report());
-  for (const char* key :
-       {"\"max_coalesce\"", "\"coalesce_rate\"", "\"service_groups\"",
-        "\"mean_batch_size\"", "\"weighting_cycles_saved\"", "\"batch_size_counts\"",
-        "\"group_size\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
-  }
 }
 
 TEST(ReportIo, ServingJsonCoalescingFieldsRoundTrip) {
@@ -212,32 +260,11 @@ TEST(ReportIo, ServingJsonCoalescingFieldsRoundTrip) {
   EXPECT_NE(json.find("\"weighting_cycles_saved\":77"), std::string::npos);
   EXPECT_NE(json.find("\"batch_size_counts\":[1,1]"), std::string::npos);
   // Every record carries its group size.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"group_size\"", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
-  }
-  EXPECT_EQ(count, rep.requests.size());
-}
-
-TEST(ReportIo, ServingJsonSloDisabledPinsSchemaVersion1) {
-  // Regression pin for the version-1 shape: an SLO-less homogeneous report
-  // leads with schema_version 1 and carries none of the fleet/SLO keys, so
-  // consumers of the pre-SLO JSON see only the additive version field.
-  const std::string json = serving_report_to_json(make_serving_report());
-  EXPECT_EQ(json.rfind("{\"schema_version\":1,\"dies\":", 0), 0u)
-      << "schema_version must lead the object: " << json.substr(0, 60);
-  for (const char* key :
-       {"\"fleet_cost\"", "\"die_labels\"", "\"shed_requests\"", "\"slo_requests\"",
-        "\"slo_attainment\"", "\"stream_slo_attainment\"", "\"die_slo_attainment\"",
-        "\"deadline\"", "\"shed\""}) {
-    EXPECT_EQ(json.find(key), std::string::npos) << key;
-  }
+  EXPECT_EQ(count_of(json, "\"group_size\""), rep.requests.size());
 }
 
 ServingReport make_slo_serving_report() {
   ServingReport rep = make_serving_report();
-  rep.slo_enabled = true;
   rep.streams = 2;
   // Request 0: met (finish 100 <= deadline 150). Request 1: missed
   // (finish 160 > deadline 155). Request 2: shed at its arrival.
@@ -254,7 +281,7 @@ TEST(ReportIo, ServingJsonSloFieldsRoundTrip) {
   const ServingReport rep = make_slo_serving_report();
   const std::string json = serving_report_to_json(rep);
   EXPECT_TRUE(json_braces_balanced(json));
-  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema_version\":4,", 0), 0u);
   EXPECT_NE(json.find("\"shed_requests\":1"), std::string::npos);
   EXPECT_NE(json.find("\"slo_requests\":3"), std::string::npos);
   EXPECT_NE(json.find("\"slo_attainment\":" + json_number(rep.slo_attainment())),
@@ -265,29 +292,20 @@ TEST(ReportIo, ServingJsonSloFieldsRoundTrip) {
             std::string::npos);
   EXPECT_NE(json.find("\"die_slo_attainment\":["), std::string::npos);
   // Every record carries its deadline and shed flag.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"deadline\"", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
-  }
-  EXPECT_EQ(count, rep.requests.size());
+  EXPECT_EQ(count_of(json, "\"deadline\""), rep.requests.size());
   EXPECT_NE(json.find("\"deadline\":150,\"shed\":false"), std::string::npos);
   EXPECT_NE(json.find("\"deadline\":120,\"shed\":true"), std::string::npos);
 }
 
 TEST(ReportIo, ServingJsonFleetFieldsRoundTrip) {
   ServingReport rep = make_serving_report();
-  rep.heterogeneous = true;
   rep.fleet_cost = 3.25;
   rep.die_labels = {"E", "A"};
   const std::string json = serving_report_to_json(rep);
   EXPECT_TRUE(json_braces_balanced(json));
-  // A heterogeneous fleet bumps the schema even without SLOs.
-  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema_version\":4,", 0), 0u);
   EXPECT_NE(json.find("\"fleet_cost\":3.25"), std::string::npos);
   EXPECT_NE(json.find("\"die_labels\":[\"E\",\"A\"]"), std::string::npos);
-  // Fleet alone adds no per-record fields.
-  EXPECT_EQ(json.find("\"shed\""), std::string::npos);
 }
 
 TEST(ReportIo, WeightingJsonIncludesStreamByteSplit) {
@@ -303,12 +321,112 @@ TEST(ReportIo, AggregationJsonIncludesInputFetchBytes) {
 
 TEST(ReportIo, LayerCountMatches) {
   const std::string json = report_to_json(make_report(GnnKind::kGcn));
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"weighting\"", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
+  EXPECT_EQ(count_of(json, "\"weighting\""), 2u);  // two layers
+}
+
+TEST(ReportIo, JsonCheckSeesStrings) {
+  // Brackets inside strings do not count; escapes never end a string.
+  EXPECT_TRUE(json_braces_balanced(R"({"a":["}",{"b":"\"]"}],"c":"c:\\"})"));
+  EXPECT_FALSE(json_braces_balanced(R"({"a":[1,2}])"));  // { closed by ]
+  EXPECT_FALSE(json_braces_balanced(R"({"a":"}")"));     // the } is string text
+  EXPECT_FALSE(json_braces_balanced(R"({"a":"c:\"})"));  // \" escapes the close
+  EXPECT_FALSE(json_braces_balanced("{\"a\":\"tab\there\"}"));  // raw control char
+}
+
+TEST(ReportIo, ServingJsonEscapesStrings) {
+  // Fleet labels are caller-supplied: a quote or backslash in one must not
+  // break the JSON.
+  ServeFixture f;
+  FleetSpec spec = FleetSpec::from_designs("EA");
+  spec.configs[0].label = "big \"E\"";
+  spec.configs[1].label = "c:\\d";
+  const ServingReport rep = Cluster(f.compiled, spec).simulate(
+      RequestTrace::fixed_interval({f.stream_a()}, 4, 0));
+  const std::string json = serving_report_to_json(rep);
+  EXPECT_TRUE(json_braces_balanced(json));
+  EXPECT_NE(json.find(R"("die_labels":["big \"E\"","c:\\d"])"), std::string::npos)
+      << json.substr(0, 400);
+
+  // Control characters become \u00XX escapes.
+  ServingReport named = make_serving_report();
+  named.scheduler = "a\tb\x01";
+  EXPECT_NE(serving_report_to_json(named).find(R"("scheduler":"a\u0009b\u0001")"),
+            std::string::npos);
+}
+
+/// A numpunct facet of the kind many European locales carry: ',' as the
+/// decimal point and '.' grouping every three digits.
+struct CommaDecimals : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(ReportIo, WritersIgnoreTheGlobalLocale) {
+  const InferenceReport run = make_report(GnnKind::kGcn);
+  ServingReport serving = make_warm_serving_report();
+  serving.makespan = 1234567;
+  const std::string run_json = report_to_json(run);
+  const std::string serving_json = serving_report_to_json(serving);
+
+  std::string probe;
+  std::string run_json_comma;
+  std::string serving_json_comma;
+  {
+    const std::locale previous =
+        std::locale::global(std::locale(std::locale::classic(), new CommaDecimals));
+    std::ostringstream os;  // proves the facet reaches a default-built stream
+    os << 0.5 << ' ' << 1234567;
+    probe = os.str();
+    run_json_comma = report_to_json(run);
+    serving_json_comma = serving_report_to_json(serving);
+    std::locale::global(previous);  // the classic locale
   }
-  EXPECT_EQ(count, 2u);  // two layers
+  EXPECT_EQ(probe, "0,5 1.234.567");
+  EXPECT_EQ(run_json_comma, run_json);
+  EXPECT_EQ(serving_json_comma, serving_json);
+  EXPECT_NE(serving_json.find("\"makespan_cycles\":1234567,"), std::string::npos);
+}
+
+TEST(ServingJson, KnobsOffAndKnobsOnClusterReportsShareOneShape) {
+  // Every serving knob off: a plain two-die cluster.
+  ServeFixture plain;
+  const ServingReport off = Cluster(plain.compiled, 2).simulate(
+      RequestTrace::fixed_interval({plain.stream_a()}, 4, 0));
+  const std::string off_json = serving_report_to_json(off);
+  expect_complete_shape(off_json, off.requests.size());
+  EXPECT_NE(off_json.find("\"pipeline_enabled\":false,\"pipeline_hidden_cycles\":0,"
+                          "\"die_stream_cycles\":[0,0],"
+                          "\"variant_counts\":[{\"width\":0,\"slots\":4}]"),
+            std::string::npos);
+
+  // Every serving knob on: a deadline trace on an E+A fleet with warmth,
+  // coalescing, pipelining, and a variant family.
+  auto with_knobs = [](EngineConfig config) {
+    config.warmth.enabled = true;
+    config.batching.max_coalesce = 4;
+    config.pipeline.enabled = true;
+    config.pipeline.variant_widths = {1, 4};
+    return config;
+  };
+  ServeFixture f(with_knobs(EngineConfig::paper_default(false)));
+  FleetSpec spec = FleetSpec::from_designs("EA");
+  for (serve::FleetDieConfig& die : spec.configs) die.engine = with_knobs(die.engine);
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
+  serve::TraceStream a = f.stream_a();
+  a.slo_cycles = static_cast<std::int64_t>(2 * service);
+  const ServingReport on = Cluster(f.compiled, spec).simulate(
+      RequestTrace::poisson({a, f.stream_b()}, 40, static_cast<double>(service) / 4.0,
+                            /*seed=*/3),
+      {.scheduler = serve::SchedulerKind::kSloAware,
+       .admission = serve::AdmissionKind::kShedHopeless});
+  const std::string on_json = serving_report_to_json(on);
+  expect_complete_shape(on_json, on.requests.size());
+  EXPECT_NE(on_json.find("\"die_labels\":[\"E\",\"A\"],\"warmth_enabled\":true,"),
+            std::string::npos);
+  EXPECT_NE(on_json.find("\"pipeline_enabled\":true,"), std::string::npos);
+  EXPECT_NE(on_json.find("\"variant_counts\":[{\"width\":1,"), std::string::npos);
+  EXPECT_GT(on.slo_request_count(), 0u);
 }
 
 }  // namespace

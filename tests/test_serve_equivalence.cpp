@@ -127,10 +127,6 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
   const std::uint32_t max_coalesce = config.batching.max_coalesce;
   const bool fleet = !config_models_.empty();
   const std::size_t config_count = fleet ? spec_.configs.size() : 1;
-  bool heterogeneous = false;
-  for (std::size_t c : die_config_) {
-    if (c != die_config_.front()) heterogeneous = true;
-  }
 
   ServingReport report;
   report.dies = die_count_;
@@ -142,9 +138,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
   report.die_warm_hits.assign(die_count_, 0);
   report.die_plan_swaps.assign(die_count_, 0);
   report.max_coalesce = max_coalesce;
-  report.slo_enabled = trace.has_slo();
   report.streams = trace.stream_count();
-  report.heterogeneous = heterogeneous;
   report.fleet_cost = spec_.total_cost();
   for (std::size_t d = 0; d < die_count_; ++d) {
     report.die_labels.push_back(spec_.configs[die_config_[d]].label);
@@ -455,8 +449,8 @@ void expect_reports_identical(const ServingReport& got, const ServingReport& wan
   EXPECT_EQ(got.die_plan_swaps, want.die_plan_swaps);
   EXPECT_EQ(got.batch_size_counts, want.batch_size_counts);
   EXPECT_EQ(got.weighting_cycles_saved, want.weighting_cycles_saved);
-  EXPECT_EQ(got.heterogeneous, want.heterogeneous);
-  EXPECT_EQ(got.slo_enabled, want.slo_enabled);
+  EXPECT_EQ(got.streams, want.streams);
+  EXPECT_EQ(got.die_labels, want.die_labels);
   EXPECT_DOUBLE_EQ(got.fleet_cost, want.fleet_cost);
 }
 
@@ -557,7 +551,10 @@ TEST(ServeEquivalence, PipelineOffAndDefaultFamilyAreBitExact) {
       const ServingReport want = reference.simulate(trace, *scheduler, *admission);
       expect_reports_identical(got, want);
       EXPECT_FALSE(got.pipeline_enabled);
-      EXPECT_TRUE(got.variant_counts.empty());
+      // The default family's one width-0 variant ran every slot.
+      ASSERT_EQ(got.variant_counts.size(), 1u);
+      EXPECT_EQ(got.variant_counts[0].first, 0u);
+      EXPECT_EQ(got.variant_counts[0].second, got.total_groups());
     }
   }
 }
