@@ -18,7 +18,11 @@ itself:
   * bench_fig19_cache_policy_ablation (top-level "workloads" key; baseline
     bench/baseline_cache.json): gates every policy's replayed hit rate per
     workload — an absolute drop beyond --hit-threshold fails — plus the
-    oracle's own hit rate (the denominator must not silently sink).
+    oracle's own hit rate (the denominator must not silently sink). Each
+    (workload, policy) cell's engine `cycles` and `dram_mb` are gated too:
+    a relative rise beyond --threshold fails. A hit rate is a fetch count
+    over a replayed trace; cycles and DRAM bytes are what the cost model
+    charges, so a policy cannot pass on one while regressing the other.
   * bench_serve_throughput (top-level "scenarios" key; baseline
     bench/baseline_throughput.json): gates the simulator's own wall-clock
     events/sec per scenario — a relative drop beyond --threshold fails.
@@ -102,9 +106,10 @@ def check_pipeline_win(report, rho=1.1, min_improvement=0.05):
     return [] if win >= min_improvement else [f"pipeline win @ rho {off['rho']}"]
 
 
-def check_cache(current, baseline, threshold):
+def check_cache(current, baseline, hit_threshold, threshold):
     """Gate the cache-policy ablation: absolute hit-rate drops per
-    (workload, policy) cell and per workload oracle."""
+    (workload, policy) cell and per workload oracle, and relative rises in
+    each cell's engine cycles and DRAM MB."""
     for key in ["scale", "seed", "feature_width", "associativity"]:
         if current.get(key) != baseline.get(key):
             sys.exit(
@@ -121,7 +126,8 @@ def check_cache(current, baseline, threshold):
 
     regressions = []
     improvements = []
-    print(f"gate on replayed hit rates (threshold {threshold:.1%} absolute):")
+    print(f"gate on replayed hit rates (threshold {hit_threshold:.1%} absolute) "
+          f"and engine cycles / DRAM MB (threshold {threshold:.0%} relative):")
     for name in sorted(cur_workloads):
         cur_w, base_w = cur_workloads[name], base_workloads[name]
         cur_rates = {p["policy"]: p["hit_rate"] for p in cur_w["policies"]}
@@ -137,14 +143,30 @@ def check_cache(current, baseline, threshold):
             drop = base - cur
             verdict = "OK"
             tag = f"{name}/{policy}"
-            if drop > threshold:
+            if drop > hit_threshold:
                 verdict = "REGRESSION"
                 regressions.append(tag)
-            elif drop < -threshold:
+            elif drop < -hit_threshold:
                 verdict = "improved"
                 improvements.append(tag)
             print(f"  {name:>4} {policy:>30}: baseline {base:7.4f}, current "
                   f"{cur:7.4f} ({-drop:+.4f} absolute) {verdict}")
+        base_cells = {p["policy"]: p for p in base_w["policies"]}
+        for cell in cur_w["policies"]:
+            policy = cell["policy"]
+            for metric in ["cycles", "dram_mb"]:
+                cur, base = cell[metric], base_cells[policy][metric]
+                delta = (cur - base) / base if base else 0.0
+                verdict = "OK"
+                tag = f"{name}/{policy} {metric}"
+                if delta > threshold:
+                    verdict = "REGRESSION"
+                    regressions.append(tag)
+                elif delta < -threshold:
+                    verdict = "improved"
+                    improvements.append(tag)
+                print(f"  {name:>4} {policy:>22} {metric:>7}: baseline {base:>12}, "
+                      f"current {cur:>12} ({delta:+.1%}) {verdict}")
 
     if improvements:
         print(f"note: {len(improvements)} cell(s) improved past the threshold — "
@@ -214,7 +236,9 @@ def main():
     parser.add_argument("current", help="JSON emitted by this run's bench")
     parser.add_argument("baseline", help="checked-in baseline JSON")
     parser.add_argument("--threshold", type=float, default=0.10,
-                        help="max tolerated relative p99 regression (default 0.10)")
+                        help="max tolerated relative regression of p99 latency, "
+                             "cache-ablation cycles and DRAM MB, and throughput "
+                             "events/sec (default 0.10)")
     parser.add_argument("--slo-threshold", type=float, default=0.02,
                         help="max tolerated absolute SLO-attainment drop for "
                              "fleet reports (default 0.02)")
@@ -230,7 +254,7 @@ def main():
     current = load(args.current)
     baseline = load(args.baseline)
     if "workloads" in current:
-        return check_cache(current, baseline, args.hit_threshold)
+        return check_cache(current, baseline, args.hit_threshold, args.threshold)
     if "scenarios" in current:
         return check_throughput(current, baseline, args.threshold)
     slo_report = "fleets" in current

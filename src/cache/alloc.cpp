@@ -33,7 +33,8 @@ DualSplit best_dual_split(const AccessTrace& trace, std::uint64_t capacity, cons
     const std::uint64_t pinned = max_pinned * static_cast<std::uint64_t>(step) / 8;
     if (have_best && pinned == previous) continue;  // tiny capacities collapse grid points
     previous = pinned;
-    ReplayResult r = replay_pinned_lru(trace, capacity, order_prefix(hubs, pinned));
+    ReplayResult r = replay(trace, ReplacementBuffer::pinned_lru(trace.vertex_count, capacity,
+                                                                 order_prefix(hubs, pinned)));
     // Strict improvement only: ties keep the smaller pinned region.
     if (!have_best || r.fetches < best.result.fetches) {
       best.pinned = pinned;
@@ -48,16 +49,17 @@ ReplayResult replay_policy(const AccessTrace& trace, std::uint64_t capacity,
                            const CachePolicy& policy, const Csr& g) {
   switch (policy.kind()) {
     case CachePolicyKind::kBeladyOracle:
-      return replay_belady(trace, capacity);
+      return replay(trace, ReplacementBuffer::belady(trace, capacity));
     case CachePolicyKind::kOnDemand:
-      return replay_lru(trace, capacity);
+      return replay(trace, ReplacementBuffer::pinned_lru(trace.vertex_count, capacity));
     case CachePolicyKind::kDualCache:
       return best_dual_split(trace, capacity, g).result;
     case CachePolicyKind::kDegreeAware:
     case CachePolicyKind::kIdOrder:
     case CachePolicyKind::kSetAware: {
       const std::vector<VertexId> order = policy.layout_order(g);
-      return replay_pinned_lru(trace, capacity, order_prefix(order, capacity));
+      return replay(trace, ReplacementBuffer::pinned_lru(trace.vertex_count, capacity,
+                                                         order_prefix(order, capacity)));
     }
   }
   GNNIE_REQUIRE(false, "unhandled cache policy kind");
@@ -69,15 +71,14 @@ WorkloadCacheAnalysis analyze_workload(const Csr& g, std::uint64_t capacity) {
   a.capacity = capacity;
   const AccessTrace trace = AccessTrace::from_graph(g);
   a.trace_accesses = trace.accesses.size();
-  a.oracle = replay_belady(trace, capacity);
   for (CachePolicyKind kind : all_cache_policy_kinds()) {
-    WorkloadCacheAnalysis::PolicyEntry entry;
-    entry.kind = kind;
-    entry.replay = replay_policy(trace, capacity, *CachePolicy::make(kind), g);
+    a.policies.push_back({kind, replay_policy(trace, capacity, *CachePolicy::make(kind), g)});
+    if (kind == CachePolicyKind::kBeladyOracle) a.oracle = a.policies.back().replay;
+  }
+  for (WorkloadCacheAnalysis::PolicyEntry& entry : a.policies) {
     entry.fraction_of_oracle = a.oracle.hit_rate() > 0.0
                                    ? entry.replay.hit_rate() / a.oracle.hit_rate()
                                    : 1.0;
-    a.policies.push_back(entry);
   }
   return a;
 }

@@ -3,8 +3,8 @@
 //
 // The subsystem's contract: one AccessTrace per workload (graph), one
 // capacity (the input buffer in vertices, AggregationEngine::
-// cache_capacity_for), and every CachePolicyKind mapped to a trace-replay
-// discipline (cache/replay.hpp):
+// cache_capacity_for), and every CachePolicyKind mapped to a
+// ReplacementBuffer (cache/replay.hpp):
 //
 //   degree-aware / id-order / set-aware → static cache holding the first
 //       `capacity` vertices of the policy's layout_order (the hot prefix
@@ -14,9 +14,14 @@
 //       the split chosen by best_dual_split() over the recorded trace;
 //   belady-oracle                       → offline-optimal replacement.
 //
-// Because every discipline is a paging scheme over the same trace and
-// capacity, the oracle's fetch count lower-bounds all of them — hit rates
-// reported as a fraction of the oracle's are genuine fractions of optimal.
+// The last three rows are the buffers the on-demand engine itself runs
+// (AggregationEngine::run_on_demand builds the same buffer over the same
+// trace), so their replayed fetches are the engine's, by construction. The
+// first three are proxies: the subgraph machinery the engine charges for
+// evicts by α/γ, not by paging. Because every row is a paging scheme over
+// the same trace and capacity, the oracle's fetch count lower-bounds all of
+// them — hit rates reported as a fraction of the oracle's are genuine
+// fractions of optimal fetch counts (not of cycles or DRAM bytes).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +47,7 @@ struct DualSplit {
 /// prefers flexibility).
 DualSplit best_dual_split(const AccessTrace& trace, std::uint64_t capacity, const Csr& g);
 
-/// Replays `policy`'s discipline (header table above) over the trace.
+/// Replays `policy`'s buffer (header table above) over the trace.
 ReplayResult replay_policy(const AccessTrace& trace, std::uint64_t capacity,
                            const CachePolicy& policy, const Csr& g);
 
@@ -51,7 +56,7 @@ ReplayResult replay_policy(const AccessTrace& trace, std::uint64_t capacity,
 struct WorkloadCacheAnalysis {
   std::uint64_t capacity = 0;
   std::uint64_t trace_accesses = 0;
-  ReplayResult oracle;  ///< belady-oracle replay (the denominator)
+  ReplayResult oracle;  ///< the belady-oracle row's replay (the denominator)
   struct PolicyEntry {
     CachePolicyKind kind;
     ReplayResult replay;

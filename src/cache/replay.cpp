@@ -1,149 +1,48 @@
 #include "cache/replay.hpp"
 
 #include <limits>
-#include <set>
-#include <utility>
-#include <vector>
-
-#include "common/require.hpp"
 
 namespace gnnie::cache {
-namespace {
 
-constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+ReplacementBuffer ReplacementBuffer::pinned_lru(VertexId vertex_count, std::uint64_t capacity,
+                                                std::span<const VertexId> pinned) {
+  ReplacementBuffer buffer(vertex_count, capacity);
+  GNNIE_REQUIRE(pinned.size() <= capacity, "pinned region exceeds the capacity");
+  for (VertexId v : pinned) {
+    GNNIE_REQUIRE(v < vertex_count, "pinned vertex out of range");
+    GNNIE_REQUIRE(buffer.slot_[v] != kPinned, "pinned vertices must be distinct");
+    buffer.slot_[v] = kPinned;
+  }
+  buffer.pinned_.assign(pinned.begin(), pinned.end());
+  buffer.capacity_ -= pinned.size();
+  buffer.lru_prev_.assign(static_cast<std::size_t>(vertex_count) + 1, vertex_count);
+  buffer.lru_next_.assign(static_cast<std::size_t>(vertex_count) + 1, vertex_count);
+  return buffer;
+}
 
-/// next_use[i] = position of the next access to accesses[i] after i
-/// (kNever when i is the last). One reverse pass over the trace.
-std::vector<std::uint64_t> next_use_of(const AccessTrace& trace) {
-  std::vector<std::uint64_t> next(trace.accesses.size());
-  std::vector<std::uint64_t> upcoming(trace.vertex_count, kNever);
+ReplacementBuffer ReplacementBuffer::belady(const AccessTrace& trace, std::uint64_t capacity) {
+  ReplacementBuffer buffer(trace.vertex_count, capacity);
+  buffer.belady_ = true;
+  // One reverse pass: next_use_[i] is the position of the next access to
+  // accesses[i] after i, and key_ ends at each vertex's first position
+  // (kNever past a vertex's last access, and for vertices never accessed).
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  buffer.next_use_.resize(trace.accesses.size());
+  buffer.key_.assign(trace.vertex_count, kNever);
   for (std::size_t i = trace.accesses.size(); i-- > 0;) {
     const VertexId v = trace.accesses[i];
-    next[i] = upcoming[v];
-    upcoming[v] = i;
+    buffer.next_use_[i] = buffer.key_[v];
+    buffer.key_[v] = i;
   }
-  return next;
+  return buffer;
 }
 
-}  // namespace
-
-ReplayResult replay_lru(const AccessTrace& trace, std::uint64_t capacity) {
-  GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
+ReplayResult replay(const AccessTrace& trace, ReplacementBuffer buffer) {
   ReplayResult r;
   r.accesses = trace.accesses.size();
-  const VertexId v_count = trace.vertex_count;
-  // Intrusive LRU list over vertex ids, v_count as the sentinel (the same
-  // structure the on-demand engine uses, so the two cannot drift).
-  std::vector<bool> in_cache(v_count, false);
-  std::vector<VertexId> prev(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::vector<VertexId> next(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::uint64_t cached = 0;
-  auto unlink = [&](VertexId v) {
-    next[prev[v]] = next[v];
-    prev[next[v]] = prev[v];
-  };
-  auto push_front = [&](VertexId v) {
-    next[v] = next[v_count];
-    prev[v] = v_count;
-    prev[next[v_count]] = v;
-    next[v_count] = v;
-  };
+  r.fetches = buffer.preloads().size();
   for (VertexId v : trace.accesses) {
-    if (in_cache[v]) {
-      unlink(v);
-      push_front(v);
-      continue;
-    }
-    ++r.fetches;
-    if (cached >= capacity) {
-      const VertexId victim = prev[v_count];
-      unlink(victim);
-      in_cache[victim] = false;
-      --cached;
-    }
-    in_cache[v] = true;
-    push_front(v);
-    ++cached;
-  }
-  return r;
-}
-
-ReplayResult replay_belady(const AccessTrace& trace, std::uint64_t capacity) {
-  GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
-  ReplayResult r;
-  r.accesses = trace.accesses.size();
-  const std::vector<std::uint64_t> next = next_use_of(trace);
-  std::vector<bool> in_cache(trace.vertex_count, false);
-  std::vector<std::uint64_t> key(trace.vertex_count, 0);  // current next-use key
-  // Cached set ordered by next use; rbegin() is the farthest-future vertex
-  // (never-used-again entries sort last and are evicted first).
-  std::set<std::pair<std::uint64_t, VertexId>> by_next_use;
-  for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
-    const VertexId v = trace.accesses[i];
-    if (in_cache[v]) {
-      by_next_use.erase({key[v], v});
-    } else {
-      ++r.fetches;
-      if (by_next_use.size() >= capacity) {
-        const auto farthest = std::prev(by_next_use.end());
-        in_cache[farthest->second] = false;
-        by_next_use.erase(farthest);
-      }
-      in_cache[v] = true;
-    }
-    key[v] = next[i];
-    by_next_use.insert({key[v], v});
-  }
-  return r;
-}
-
-ReplayResult replay_pinned_lru(const AccessTrace& trace, std::uint64_t capacity,
-                               std::span<const VertexId> pinned) {
-  GNNIE_REQUIRE(capacity > 0, "replay needs a positive capacity");
-  GNNIE_REQUIRE(pinned.size() <= capacity, "pinned region exceeds the capacity");
-  ReplayResult r;
-  r.accesses = trace.accesses.size();
-  const VertexId v_count = trace.vertex_count;
-  std::vector<bool> is_pinned(v_count, false);
-  for (VertexId v : pinned) {
-    GNNIE_REQUIRE(v < v_count, "pinned vertex out of range");
-    GNNIE_REQUIRE(!is_pinned[v], "pinned vertices must be distinct");
-    is_pinned[v] = true;
-    ++r.fetches;  // the preload is a real DRAM fetch
-  }
-  const std::uint64_t lru_capacity = capacity - pinned.size();
-  std::vector<bool> in_cache(v_count, false);
-  std::vector<VertexId> prev(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::vector<VertexId> next(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::uint64_t cached = 0;
-  auto unlink = [&](VertexId v) {
-    next[prev[v]] = next[v];
-    prev[next[v]] = prev[v];
-  };
-  auto push_front = [&](VertexId v) {
-    next[v] = next[v_count];
-    prev[v] = v_count;
-    prev[next[v_count]] = v;
-    next[v_count] = v;
-  };
-  for (VertexId v : trace.accesses) {
-    if (is_pinned[v]) continue;  // resident for the whole run
-    if (in_cache[v]) {
-      unlink(v);
-      push_front(v);
-      continue;
-    }
-    ++r.fetches;
-    if (lru_capacity == 0) continue;  // nothing can be retained
-    if (cached >= lru_capacity) {
-      const VertexId victim = prev[v_count];
-      unlink(victim);
-      in_cache[victim] = false;
-      --cached;
-    }
-    in_cache[v] = true;
-    push_front(v);
-    ++cached;
+    if (!buffer.access(v)) ++r.fetches;
   }
   return r;
 }

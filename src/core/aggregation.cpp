@@ -4,11 +4,11 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "cache/access_trace.hpp"
 #include "cache/alloc.hpp"
+#include "cache/replay.hpp"
 #include "common/require.hpp"
 #include "graph/reorder.hpp"
 
@@ -16,6 +16,10 @@ namespace gnnie {
 namespace {
 
 std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
+
+/// Subgraph mode's max replacements per iteration, as a fraction of the
+/// cache capacity (r = n/8).
+constexpr double kReplacementFraction = 0.125;
 
 /// Functional state shared by both execution modes. All modes accumulate
 /// into `out`; GAT additionally tracks the softmax denominator.
@@ -280,7 +284,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
 
   // Cache-block bookkeeping: blocks with no unprocessed edges are skipped
   // during refetch.
-  const std::uint32_t block_v = config_.cache.block_vertices;
+  constexpr std::uint32_t block_v = kCacheBlockVertices;
   const std::size_t block_count = (v_count + block_v - 1) / block_v;
   std::vector<std::uint64_t> block_remaining(block_count, 0);
   for (VertexId v = 0; v < v_count; ++v) {
@@ -295,7 +299,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
 
   const std::uint64_t n = rep.cache_capacity_vertices;
   const auto r_max = static_cast<std::uint64_t>(std::max(
-      1.0, std::floor(static_cast<double>(n) * config_.cache.replacement_fraction)));
+      1.0, std::floor(static_cast<double>(n) * kReplacementFraction)));
 
   // Evicted-but-incomplete partial sums the 1 MB output buffer can retain
   // on-chip (degree-prioritized writes, §VI); cached vertices' partials
@@ -674,11 +678,6 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     });
     if (candidates.empty() && edges_this_iteration == 0) {
       // Deadlock (§VI): no evictable vertex and no progress.
-      if (!config_.cache.dynamic_gamma) {
-        throw std::runtime_error(
-            "aggregation deadlock: no vertex with alpha < gamma and no progress "
-            "(enable cache.dynamic_gamma or raise gamma)");
-      }
       ++rep.gamma_escalations;
       // Jump straight to the smallest γ that admits a full replacement
       // batch (the r-th smallest α among cached vertices) so one relief
@@ -807,6 +806,39 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   return std::move(state.out);
 }
 
+namespace {
+
+/// The on-demand input buffer of `n` vertices under `policy`'s replacement
+/// discipline. Dual cache: the top-p hubs of the exact degree order (the
+/// order best_dual_split searches over) are pinned, p coming from the plan
+/// artifact when bound, else from the split search here. Belady: perfect
+/// knowledge of the canonical trace, which run_on_demand's loop issues
+/// access for access.
+cache::ReplacementBuffer on_demand_buffer(const AggregationTask& task,
+                                          const CachePolicy& policy, std::uint64_t n) {
+  const Csr& g = *task.graph;
+  switch (policy.replacement()) {
+    case ReplacementKind::kLru:
+      return cache::ReplacementBuffer::pinned_lru(g.vertex_count(), n);
+    case ReplacementKind::kBelady:
+      return cache::ReplacementBuffer::belady(cache::AccessTrace::from_graph(g), n);
+    case ReplacementKind::kDualPinnedLru: {
+      std::uint64_t p = task.dual_pinned_hint;
+      if (p == kNoDualPinnedHint) {
+        p = cache::best_dual_split(cache::AccessTrace::from_graph(g), n, g).pinned;
+      }
+      const std::vector<VertexId> hubs = exact_degree_order(g);
+      p = std::min<std::uint64_t>({p, n, hubs.size()});
+      const std::span<const VertexId> pinned(hubs.data(), static_cast<std::size_t>(p));
+      return cache::ReplacementBuffer::pinned_lru(g.vertex_count(), n, pinned);
+    }
+  }
+  GNNIE_REQUIRE(false, "unhandled replacement kind");
+  return cache::ReplacementBuffer::pinned_lru(g.vertex_count(), n);  // unreachable
+}
+
+}  // namespace
+
 Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const CachePolicy& policy,
                                         AggregationReport& rep) {
   const Csr& g = *task.graph;
@@ -826,11 +858,12 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
   };
 
   const std::uint64_t n = rep.cache_capacity_vertices;
-  const ReplacementKind discipline = policy.replacement();
+  cache::ReplacementBuffer buffer = on_demand_buffer(task, policy, n);
+  rep.dual_pinned_vertices = buffer.preloads().size();
 
   // DRAM cost of loading one vertex's working set (properties + adjacency
-  // slice) into the input buffer — shared by every replacement discipline
-  // and by the dual-cache hub preload.
+  // slice) into the input buffer — charged on every miss and for each
+  // pinned-hub preload.
   auto charge_fetch = [&](VertexId v, bool random) {
     if (hbm_ != nullptr) {
       hbm_->access(prop_addr(v), prop_bytes, false, MemClient::kInput);
@@ -844,134 +877,13 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     if (random) ++rep.random_dram_accesses;
   };
 
-  // LRU-managed input buffer: intrusive doubly-linked list over vertex ids
-  // (v_count acts as the head/tail sentinel). LRU keeps hot hub vertices
-  // resident — the fairest non-graph-specific policy to compare CP against.
-  // The dual-cache discipline runs the same list over its fill region.
-  std::vector<bool> in_cache(v_count, false);
-  std::vector<VertexId> lru_prev(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::vector<VertexId> lru_next(static_cast<std::size_t>(v_count) + 1, v_count);
-  std::uint64_t cached_count = 0;
-
-  auto lru_unlink = [&](VertexId v) {
-    lru_next[lru_prev[v]] = lru_next[v];
-    lru_prev[lru_next[v]] = lru_prev[v];
-  };
-  auto lru_push_front = [&](VertexId v) {
-    lru_next[v] = lru_next[v_count];
-    lru_prev[v] = v_count;
-    lru_prev[lru_next[v_count]] = v;
-    lru_next[v_count] = v;
-  };
-
-  // Dual-cache (kDualPinnedLru): the top-p hubs of the exact degree order
-  // (the same order best_dual_split searches over) are preloaded and never
-  // evicted; the remaining n − p slots run LRU. p comes from the plan
-  // artifact when bound, else from the split search here.
-  std::vector<bool> is_pinned;
-  std::uint64_t lru_capacity = n;
-  std::vector<VertexId> pinned_preload;
-  if (discipline == ReplacementKind::kDualPinnedLru) {
-    std::uint64_t p = task.dual_pinned_hint;
-    if (p == kNoDualPinnedHint) {
-      p = cache::best_dual_split(cache::AccessTrace::from_graph(g), n, g).pinned;
-    }
-    const std::vector<VertexId> hubs = exact_degree_order(g);
-    p = std::min<std::uint64_t>({p, n, hubs.size()});
-    rep.dual_pinned_vertices = p;
-    lru_capacity = n - p;
-    is_pinned.assign(v_count, false);
-    pinned_preload.assign(hubs.begin(), hubs.begin() + static_cast<std::size_t>(p));
-    for (VertexId v : pinned_preload) is_pinned[v] = true;
-  }
-
-  // Belady oracle (kBelady): the access sequence of the loop below is
-  // deterministic and equals AccessTrace::from_graph, so the next-use chain
-  // can be precomputed and replayed with perfect future knowledge. acc_idx
-  // advances once per ensure_cached call — the trace and the loop cannot
-  // drift without tripping the bounds assert.
-  constexpr std::uint64_t kNeverUsed = std::numeric_limits<std::uint64_t>::max();
-  std::vector<std::uint64_t> next_use;
-  std::vector<std::uint64_t> belady_key;
-  std::set<std::pair<std::uint64_t, VertexId>> by_next_use;
-  std::size_t acc_idx = 0;
-  if (discipline == ReplacementKind::kBelady) {
-    const cache::AccessTrace trace = cache::AccessTrace::from_graph(g);
-    next_use.assign(trace.accesses.size(), kNeverUsed);
-    std::vector<std::uint64_t> upcoming(v_count, kNeverUsed);
-    for (std::size_t i = trace.accesses.size(); i-- > 0;) {
-      next_use[i] = upcoming[trace.accesses[i]];
-      upcoming[trace.accesses[i]] = i;
-    }
-    belady_key.assign(v_count, 0);
-  }
-
   auto ensure_cached = [&](VertexId v, bool random) {
     ++rep.buffer_accesses;
     if (task.access_log != nullptr) task.access_log->push_back(v);
-    switch (discipline) {
-      case ReplacementKind::kLru:
-        if (in_cache[v]) {
-          ++rep.buffer_hits;
-          lru_unlink(v);
-          lru_push_front(v);
-          return;
-        }
-        if (cached_count >= n) {
-          const VertexId victim = lru_prev[v_count];  // tail = least recently used
-          lru_unlink(victim);
-          in_cache[victim] = false;
-          --cached_count;
-        }
-        in_cache[v] = true;
-        lru_push_front(v);
-        ++cached_count;
-        charge_fetch(v, random);
-        return;
-      case ReplacementKind::kDualPinnedLru:
-        if (is_pinned[v]) {
-          ++rep.buffer_hits;  // hub region: resident for the whole run
-          return;
-        }
-        if (in_cache[v]) {
-          ++rep.buffer_hits;
-          lru_unlink(v);
-          lru_push_front(v);
-          return;
-        }
-        charge_fetch(v, random);
-        if (lru_capacity == 0) return;  // no fill region: nothing retained
-        if (cached_count >= lru_capacity) {
-          const VertexId victim = lru_prev[v_count];
-          lru_unlink(victim);
-          in_cache[victim] = false;
-          --cached_count;
-        }
-        in_cache[v] = true;
-        lru_push_front(v);
-        ++cached_count;
-        return;
-      case ReplacementKind::kBelady: {
-        GNNIE_ASSERT(acc_idx < next_use.size(), "belady trace out of sync with the run");
-        const std::uint64_t nu = next_use[acc_idx++];
-        if (in_cache[v]) {
-          ++rep.buffer_hits;
-          by_next_use.erase({belady_key[v], v});
-        } else {
-          charge_fetch(v, random);
-          if (by_next_use.size() >= n) {
-            // Evict the cached vertex whose next use is farthest away
-            // (never-used-again entries sort last and leave first).
-            const auto farthest = std::prev(by_next_use.end());
-            in_cache[farthest->second] = false;
-            by_next_use.erase(farthest);
-          }
-          in_cache[v] = true;
-        }
-        belady_key[v] = nu;
-        by_next_use.insert({belady_key[v], v});
-        return;
-      }
+    if (buffer.access(v)) {
+      ++rep.buffer_hits;
+    } else {
+      charge_fetch(v, random);
     }
   };
 
@@ -995,7 +907,7 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
   // Dual-cache hub preload: one sequential sweep over the degree-order
   // prefix, charged to the first accounting window. Preloads are fills,
   // not lookups — they do not count as buffer accesses.
-  for (VertexId v : pinned_preload) charge_fetch(v, /*random=*/false);
+  for (VertexId v : buffer.preloads()) charge_fetch(v, /*random=*/false);
 
   auto flush_window = [&] {
     std::uint64_t compute_it = 0;
@@ -1030,7 +942,7 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     auto nb = g.neighbors(v);
     std::uint32_t deg_here = 0;
     for (VertexId w : nb) {
-      ensure_cached(w, /*random=*/!in_cache[w]);
+      ensure_cached(w, /*random=*/true);  // a neighbor miss is a random pull
       state.contribute(task, v, w);
       ++window_accums;
       window_sfu += gat_extra;

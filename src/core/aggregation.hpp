@@ -13,9 +13,12 @@
 // histograms are recorded at Round boundaries). All DRAM fetches walk
 // forward through the layout — sequential by construction.
 //
-// On-demand mode (the kOnDemand policy): vertices are processed in ID order
-// and each vertex pulls its neighbors' ηw on demand; misses in the
-// LRU-managed input buffer become individual random DRAM reads.
+// On-demand mode (on-demand, dual-cache and belady-oracle policies):
+// vertices are processed in ID order and each vertex pulls its neighbors' ηw
+// on demand through a cache::ReplacementBuffer built from the policy's
+// replacement(); each neighbor miss is a random DRAM read. The accesses are
+// exactly cache::AccessTrace::from_graph, so replaying that trace through
+// the same buffer (cache/replay.hpp) reproduces the run's fetch count.
 //
 // The policy comes from AggregationTask::policy (the serving path binds it
 // from the GraphPlan); tasks without one run the degree-aware policy.
@@ -50,7 +53,8 @@ struct ReverseAdjacency {
 };
 
 /// Sentinel for AggregationTask::dual_pinned_hint: no plan-level precompute,
-/// derive the dual-cache split here (cache::best_dual_split over the trace).
+/// so the run searches the dual-cache split itself (cache::best_dual_split
+/// over the trace).
 inline constexpr std::uint64_t kNoDualPinnedHint =
     std::numeric_limits<std::uint64_t>::max();
 
@@ -94,8 +98,10 @@ struct AggregationTask {
   /// (the derived value is never 0). Must equal the derived value.
   std::uint64_t cache_capacity_hint = 0;
   /// Plan-level precompute of the dual-cache pinned-region size for this
-  /// task (GraphPlan::dual_pinned_for_width). kNoDualPinnedHint → searched
-  /// here per run. Only read by the kDualPinnedLru replacement discipline.
+  /// task (GraphPlan::dual_pinned_for_width): the run pins the top-p hubs
+  /// of the exact degree order, p clamped to the capacity. kNoDualPinnedHint
+  /// → searched per run. Only read by the kDualPinnedLru replacement
+  /// discipline.
   std::uint64_t dual_pinned_hint = kNoDualPinnedHint;
   /// When non-null, the engine appends its vertex access sequence here:
   /// on-demand modes log every input-buffer access (the reference string

@@ -86,34 +86,23 @@ class OnDemandPolicy final : public CachePolicy {
 /// is a cheap tail vertex instead of a hub.
 class SetAwarePolicy final : public CachePolicy {
  public:
-  SetAwarePolicy(std::uint32_t associativity, std::uint32_t block_vertices)
-      : associativity_(associativity),
-        block_vertices_(block_vertices == 0 ? 1 : block_vertices) {}
-
   CachePolicyKind kind() const override { return CachePolicyKind::kSetAware; }
   const char* name() const override { return "set-aware"; }
   bool uses_subgraph_machinery() const override { return true; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     const std::vector<VertexId> base = degree_descending_order(g);
-    if (associativity_ == 0) return base;  // fully associative: layout is free
     const std::size_t v_count = base.size();
-    const std::size_t num_blocks =
-        (v_count + block_vertices_ - 1) / block_vertices_;
-    if (num_blocks <= 1) return base;
+    const std::size_t num_blocks = (v_count + kCacheBlockVertices - 1) / kCacheBlockVertices;
     std::vector<VertexId> out;
     out.reserve(v_count);
     for (std::size_t block = 0; block < num_blocks; ++block) {
-      for (std::size_t slot = 0; slot < block_vertices_; ++slot) {
+      for (std::size_t slot = 0; slot < kCacheBlockVertices; ++slot) {
         const std::size_t idx = slot * num_blocks + block;
         if (idx < v_count) out.push_back(base[idx]);
       }
     }
     return out;
   }
-
- private:
-  std::uint32_t associativity_;
-  std::uint32_t block_vertices_;
 };
 
 /// DCI-style dual cache: on-demand pulls with the buffer split between a
@@ -154,19 +143,12 @@ std::unique_ptr<CachePolicy> CachePolicy::make(CachePolicyKind kind) {
     case CachePolicyKind::kDegreeAware: return std::make_unique<DegreeAwarePolicy>();
     case CachePolicyKind::kIdOrder: return std::make_unique<IdOrderPolicy>();
     case CachePolicyKind::kOnDemand: return std::make_unique<OnDemandPolicy>();
-    case CachePolicyKind::kSetAware:
-      // The paper's Fig. 9 geometry: 4-way sets over 8-vertex DRAM blocks.
-      return std::make_unique<SetAwarePolicy>(4, 8);
+    case CachePolicyKind::kSetAware: return std::make_unique<SetAwarePolicy>();
     case CachePolicyKind::kDualCache: return std::make_unique<DualCachePolicy>();
     case CachePolicyKind::kBeladyOracle: return std::make_unique<BeladyOraclePolicy>();
   }
   GNNIE_REQUIRE(false, "unknown cache policy kind");
   return nullptr;  // unreachable
-}
-
-std::unique_ptr<CachePolicy> CachePolicy::make_set_aware(std::uint32_t associativity,
-                                                         std::uint32_t block_vertices) {
-  return std::make_unique<SetAwarePolicy>(associativity, block_vertices);
 }
 
 }  // namespace gnnie

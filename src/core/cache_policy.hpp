@@ -52,6 +52,12 @@ const std::vector<CachePolicyKind>& all_cache_policy_kinds();
 /// Inverse of to_string; nullopt for unknown names.
 std::optional<CachePolicyKind> cache_policy_kind_from_string(std::string_view name);
 
+/// Vertices per DRAM cache block (the paper's Fig. 9 geometry). The
+/// subgraph machinery skips fully-processed blocks on refetch (§VI) and maps
+/// a vertex to cache set (layout block % sets); the set-aware layout deals
+/// the degree order across blocks of this size.
+inline constexpr std::uint32_t kCacheBlockVertices = 8;
+
 /// Replacement discipline of the on-demand pull engine, for policies
 /// without subgraph machinery (ignored otherwise).
 enum class ReplacementKind { kLru, kBelady, kDualPinnedLru };
@@ -69,9 +75,10 @@ class CachePolicy {
   virtual bool uses_subgraph_machinery() const = 0;
 
   /// How the on-demand engine replaces buffer entries when
-  /// uses_subgraph_machinery() is false. LRU is the HyGCN baseline;
-  /// kBelady replays perfect future knowledge; kDualPinnedLru pins a hub
-  /// region and runs LRU over the rest.
+  /// uses_subgraph_machinery() is false: it builds its one
+  /// cache::ReplacementBuffer (cache/replay.hpp) from this. LRU is the
+  /// HyGCN baseline; kBelady replays perfect future knowledge;
+  /// kDualPinnedLru pins a hub region and runs LRU over the rest.
   virtual ReplacementKind replacement() const { return ReplacementKind::kLru; }
 
   /// DRAM layout = processing order: order[i] is the vertex fetched i-th.
@@ -85,12 +92,6 @@ class CachePolicy {
   /// adding a CachePolicyKind without a factory entry is a compile error
   /// (-Werror=switch), not a silent fallthrough.
   static std::unique_ptr<CachePolicy> make(CachePolicyKind kind);
-
-  /// The set-aware policy parameterized by the buffer geometry it lays out
-  /// for (make(kSetAware) uses the paper's 4-way / 8-vertex-block Fig. 9
-  /// configuration). associativity 0 degenerates to the degree-aware order.
-  static std::unique_ptr<CachePolicy> make_set_aware(std::uint32_t associativity,
-                                                     std::uint32_t block_vertices);
 };
 
 }  // namespace gnnie

@@ -47,9 +47,6 @@ void EngineConfig::validate() const {
   GNNIE_REQUIRE(feature_bytes == 4, "feature path is FP32");
   GNNIE_REQUIRE(sfu_lanes > 0, "need at least one SFU lane");
   GNNIE_REQUIRE(cache.gamma >= 1, "γ must be at least 1");
-  GNNIE_REQUIRE(cache.replacement_fraction > 0.0 && cache.replacement_fraction <= 1.0,
-                "replacement fraction in (0,1]");
-  GNNIE_REQUIRE(cache.block_vertices >= 1, "cache blocks must hold at least one vertex");
   GNNIE_REQUIRE(plan_cache_capacity >= 1, "plan cache must hold at least one plan");
   GNNIE_REQUIRE(batching.max_coalesce >= 1,
                 "a service slot holds at least the head request (max_coalesce >= 1)");

@@ -331,28 +331,12 @@ TEST(Aggregation, DynamicGammaRecoversFromDeadlock) {
   HbmModel hbm;
   EngineConfig cfg = small_config();
   cfg.cache.gamma = 1;
-  cfg.cache.dynamic_gamma = true;
   AggregationReport rep;
   Matrix got = AggregationEngine(cfg, &hbm).run(task, &rep);
   EXPECT_GT(rep.gamma_escalations, 0u);
   EXPECT_GT(rep.final_gamma, 1u);
   // Still functionally correct.
   EXPECT_LT(Matrix::max_abs_diff(got, sum_aggregate(d.graph, hw, 1.0f)), 1e-4f);
-}
-
-TEST(Aggregation, StaticGammaDeadlockThrows) {
-  Dataset d = tiny_cora();
-  Matrix hw = random_dense(d.graph.vertex_count(), 64, 5);
-  AggregationTask task;
-  task.graph = &d.graph;
-  task.hw = &hw;
-  task.kind = AggKind::kPlainSum;
-
-  HbmModel hbm;
-  EngineConfig cfg = small_config();
-  cfg.cache.gamma = 1;
-  cfg.cache.dynamic_gamma = false;
-  EXPECT_THROW(AggregationEngine(cfg, &hbm).run(task), std::runtime_error);
 }
 
 TEST(Aggregation, EmptyGraph) {

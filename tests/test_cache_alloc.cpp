@@ -1,14 +1,16 @@
 // Tests for the workload-aware cache-allocation subsystem (src/cache/):
-// the access-trace recorder, the trace-replay simulators, the Belady
-// oracle's optimality bound, the dual-cache split search, the layout
-// invariants every CachePolicy must hold, and the serving-layer wiring
-// (per-plan dual-split artifact, per-die fleet policy knob).
+// the access-trace recorder, the replacement buffer and its trace replays,
+// the Belady oracle's optimality bound, the dual-cache split search, the
+// layout invariants every CachePolicy must hold, and the serving-layer
+// wiring (per-plan dual-split artifact, per-die fleet policy knob).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "cache/access_trace.hpp"
@@ -87,23 +89,10 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, LayoutInvariants,
                            return name;
                          });
 
-TEST(LayoutInvariants, SetAwareDegeneratesToDegreeOrderWhenFullyAssociative) {
-  Dataset d = generate_dataset(spec_of(DatasetId::kCora).scaled(0.15), 1);
-  // Associativity 0 = fully associative: placement is unconstrained, so the
-  // layout is free to stay the plain degree order.
-  const auto free_policy = CachePolicy::make_set_aware(0, 8);
-  const auto degree = CachePolicy::make(CachePolicyKind::kDegreeAware);
-  EXPECT_EQ(free_policy->layout_order(d.graph), degree->layout_order(d.graph));
-  // block_vertices 0 must not divide by zero; it clamps to 1, which makes
-  // the column-major deal the identity reshuffle of the degree order.
-  const auto clamped = CachePolicy::make_set_aware(4, 0);
-  EXPECT_EQ(clamped->layout_order(d.graph), degree->layout_order(d.graph));
-}
-
 TEST(LayoutInvariants, SetAwareDealsHubsAcrossBlocks) {
   Dataset d = generate_dataset(spec_of(DatasetId::kCora).scaled(0.15), 1);
-  const std::uint32_t block_v = 8;
-  const auto policy = CachePolicy::make_set_aware(4, block_v);
+  const std::uint32_t block_v = kCacheBlockVertices;
+  const auto policy = CachePolicy::make(CachePolicyKind::kSetAware);
   const std::vector<VertexId> order = policy->layout_order(d.graph);
   const std::vector<VertexId> degree = degree_descending_order(d.graph);
   const std::size_t num_blocks = (degree.size() + block_v - 1) / block_v;
@@ -311,12 +300,47 @@ TEST(CacheOracle, DualSplitSearchIsDeterministicAndWithinCapacity) {
   const cache::DualSplit again = cache::best_dual_split(trace, capacity, d.graph);
   EXPECT_EQ(split.pinned, again.pinned);
   EXPECT_EQ(split.result.fetches, again.result.fetches);
-  // The chosen split replays to what replay_pinned_lru says it does.
+  // The chosen split replays to what a pinned-LRU buffer over that hub
+  // prefix says it does.
   const std::vector<VertexId> hubs = exact_degree_order(d.graph);
-  const cache::ReplayResult direct = cache::replay_pinned_lru(
-      trace, capacity,
-      std::span<const VertexId>(hubs.data(), static_cast<std::size_t>(split.pinned)));
+  const cache::ReplayResult direct = cache::replay(
+      trace, cache::ReplacementBuffer::pinned_lru(
+                 trace.vertex_count, capacity,
+                 std::span<const VertexId>(hubs.data(), static_cast<std::size_t>(split.pinned))));
   EXPECT_EQ(split.result.fetches, direct.fetches);
+}
+
+// ---- The replacement buffer against hand arithmetic ------------------------
+
+TEST(ReplacementBuffer, HandComputedFetchCounts) {
+  // Engine and replays share one buffer, so comparing them cannot catch a
+  // wrong replacement rule; these counts are worked out by hand.
+  cache::AccessTrace trace;
+  trace.vertex_count = 4;
+  trace.accesses = {0, 1, 2, 0, 1, 3, 0, 1, 2, 3};
+  const std::uint64_t capacity = 2;
+  // LRU: every reuse follows two other distinct vertices, so all 10 miss.
+  EXPECT_EQ(cache::replay(trace, cache::ReplacementBuffer::pinned_lru(4, capacity)).fetches,
+            10u);
+  // Belady: hits only at positions 3, 6 and 9.
+  EXPECT_EQ(cache::replay(trace, cache::ReplacementBuffer::belady(trace, capacity)).fetches,
+            7u);
+  // {0} pinned: 1 preload, then a one-slot LRU region that misses all 7
+  // accesses to 1, 2 and 3.
+  const std::vector<VertexId> pinned = {0, 1};
+  EXPECT_EQ(cache::replay(trace, cache::ReplacementBuffer::pinned_lru(
+                                     4, capacity, std::span(pinned).first(1)))
+                .fetches,
+            8u);
+  // {0, 1} pinned: 2 preloads and no fill slot, so the 4 accesses to 2 and
+  // 3 all miss.
+  EXPECT_EQ(cache::replay(trace, cache::ReplacementBuffer::pinned_lru(4, capacity, pinned))
+                .fetches,
+            6u);
+  // The Belady buffer must be fed the trace itself, in order.
+  cache::ReplacementBuffer belady = cache::ReplacementBuffer::belady(trace, capacity);
+  EXPECT_FALSE(belady.access(0));
+  EXPECT_THROW(belady.access(2), std::logic_error);
 }
 
 // ---- Engine ↔ replay consistency -------------------------------------------
@@ -348,8 +372,9 @@ TEST(EngineReplayConsistency, LruEngineMissesMatchReplay) {
   Matrix hw = random_dense(d.graph.vertex_count(), 32, 5);
   const EngineRun run = run_policy(d, hw, CachePolicyKind::kOnDemand);
   const cache::AccessTrace trace = cache::AccessTrace::from_graph(d.graph);
-  const cache::ReplayResult replay =
-      cache::replay_lru(trace, run.rep.cache_capacity_vertices);
+  const cache::ReplayResult replay = cache::replay(
+      trace, cache::ReplacementBuffer::pinned_lru(trace.vertex_count,
+                                                  run.rep.cache_capacity_vertices));
   EXPECT_EQ(run.rep.buffer_accesses, replay.accesses);
   EXPECT_EQ(run.rep.buffer_accesses - run.rep.buffer_hits, replay.fetches);
 }
@@ -359,8 +384,8 @@ TEST(EngineReplayConsistency, BeladyEngineMissesMatchReplay) {
   Matrix hw = random_dense(d.graph.vertex_count(), 32, 5);
   const EngineRun run = run_policy(d, hw, CachePolicyKind::kBeladyOracle);
   const cache::AccessTrace trace = cache::AccessTrace::from_graph(d.graph);
-  const cache::ReplayResult replay =
-      cache::replay_belady(trace, run.rep.cache_capacity_vertices);
+  const cache::ReplayResult replay = cache::replay(
+      trace, cache::ReplacementBuffer::belady(trace, run.rep.cache_capacity_vertices));
   EXPECT_EQ(run.rep.buffer_accesses, replay.accesses);
   EXPECT_EQ(run.rep.buffer_accesses - run.rep.buffer_hits, replay.fetches);
   // The engine under the oracle can only hit more often than under LRU.
