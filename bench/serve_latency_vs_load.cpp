@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     setup.plan = pipe_compiled.plan(heavy.data.graph);
     const ServiceCost pipe_cost = pipe_compiled.cost({setup.plan, &heavy.data.features});
     setup.service = pipe_cost.total_cycles;
-    pipe_weighting = pipe_cost.weighting_cycles;
+    pipe_weighting = pipe_cost.head.weighting_cycles;
     setup.cluster = std::make_unique<serve::Cluster>(pipe_compiled, pipe_dies);
     pipe_setups.push_back(std::move(setup));
   }

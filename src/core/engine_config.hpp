@@ -50,23 +50,26 @@ struct CacheConfig {
   std::uint32_t associativity = 0;
 };
 
+/// Flat cycles the serving cluster charges when servicing a plan whose
+/// working set is not resident displaces another plan's resident state (a
+/// plan swap, EngineConfig::warmth). Never charged on warm hits or on a die
+/// with spare residency budget.
+inline constexpr Cycles kPlanSwapPenaltyCycles = 1000;
+
 /// Scheduler-visible cache warmth for the serving cluster (serve::Cluster).
 /// Models what stays resident on a die between requests: each die retains
 /// the cached feature working sets of recently serviced plans (LRU within a
 /// byte budget), and a request whose plan is resident skips that share of
 /// the aggregation stages' exposed DRAM-fetch time (see
-/// apply_warmth_discount in core/report.hpp). Default-off: with
-/// enabled=false every request is charged the cold cost and the simulator
-/// is bit-exact with the warmth-unaware one.
+/// warm_total_cycles in core/report.hpp); a plan swap costs
+/// kPlanSwapPenaltyCycles. Default-off: with enabled=false every request is
+/// charged the cold cost and the simulator is bit-exact with the
+/// warmth-unaware one.
 struct WarmthConfig {
   bool enabled = false;
   /// Modeled per-die residency budget for warm working sets. 0 → the input
   /// buffer capacity (the hardware that actually holds the cached subgraph).
   Bytes die_budget_bytes = 0;
-  /// Flat cycles charged when servicing a plan whose working set is not
-  /// resident displaces another plan's resident state (a plan swap). Never
-  /// charged on warm hits or on a die with spare residency budget.
-  Cycles plan_swap_penalty_cycles = 1000;
 };
 
 /// Die-level same-plan coalescing for the serving cluster (serve::Cluster).
@@ -96,12 +99,12 @@ struct BatchingConfig {
 /// construction. Default-off: every slot is charged serially, bit-exact
 /// with the pipeline-unaware simulator.
 ///
-/// `variant_widths` compiles a family of per-graph plan variants
-/// (GraphPlan::variants, the AR-1/AR-8-style geometry family): a variant
-/// of width w fuses at most w slot members over one weight stream —
-/// followers beyond position w re-stream weights and lose the coalescing
-/// saving — and costs `(w − 1) · variant_setup_cycles` of one-time slot
-/// setup on the stream track. Dispatch picks the cheapest variant per slot
+/// `variant_widths` names a family of plan variants (plan_variant_family in
+/// core/serving.hpp, the AR-1/AR-8-style geometry family): a variant of
+/// width w fuses at most w slot members over one weight stream — followers
+/// beyond position w re-stream weights and lose the coalescing saving — and
+/// costs `(w − 1) · kVariantSetupCycles` of one-time slot setup on the
+/// stream track. The cluster's dispatch picks the cheapest variant per slot
 /// at assembly time (smallest width on ties; deterministic), recorded in
 /// RequestRecord::variant_width. Empty (the default) means a single
 /// unbounded variant of width 0 and zero setup — exactly the pre-variant
@@ -111,9 +114,11 @@ struct PipelineConfig {
   /// Ascending, strictly increasing coalesce widths (each ≥ 1); empty =
   /// the single unbounded default variant (family size 1).
   std::vector<std::uint32_t> variant_widths;
-  /// Per-extra-width slot setup charge of a wide variant (see above).
-  Cycles variant_setup_cycles = 64;
 };
+
+/// Per-extra-width slot setup charge of a wide plan variant (see
+/// PipelineConfig::variant_widths).
+inline constexpr Cycles kVariantSetupCycles = 64;
 
 struct EngineConfig {
   ArrayConfig array = ArrayConfig::design_e();

@@ -189,18 +189,16 @@ double ServingReport::die_slo_attainment(std::size_t die) const {
 // ---------------------------------------------------------------------------
 // Warm-run cycle model
 
-Cycles warmth_discount_cycles(const AggregationReport& agg, double warm_fraction) {
-  GNNIE_REQUIRE(warm_fraction >= 0.0 && warm_fraction <= 1.0,
-                "warm fraction must be in [0, 1]");
-  if (warm_fraction <= 0.0 || agg.dram_bytes == 0) return 0;
+WarmthStage warmth_stage_of(const AggregationReport& agg) {
+  WarmthStage stage;
+  if (agg.dram_bytes == 0) return stage;  // nothing to skip: discounts 0
   // Exposed memory time: total = Σ_iters max(compute, memory) ≥ Σ compute,
   // and ≤ compute + memory, so this is in [0, memory_cycles].
-  const Cycles exposed =
+  stage.exposed_cycles =
       agg.total_cycles > agg.compute_cycles ? agg.total_cycles - agg.compute_cycles : 0;
-  const double fetch_share =
-      std::min(1.0, static_cast<double>(agg.input_fetch_bytes) /
-                        static_cast<double>(agg.dram_bytes));
-  return static_cast<Cycles>(warm_fraction * static_cast<double>(exposed) * fetch_share);
+  stage.fetch_share = std::min(1.0, static_cast<double>(agg.input_fetch_bytes) /
+                                        static_cast<double>(agg.dram_bytes));
+  return stage;
 }
 
 Cycles warmth_stage_discount(const WarmthStage& stage, double warm_fraction) {
@@ -215,14 +213,8 @@ std::vector<WarmthStage> warmth_stages_of(const InferenceReport& rep) {
   std::vector<WarmthStage> stages;
   stages.reserve(rep.layers.size());
   for (const LayerReport& lr : rep.layers) {
-    const AggregationReport& agg = lr.aggregation;
-    if (agg.dram_bytes == 0) continue;  // discount is identically 0
-    WarmthStage stage;
-    stage.exposed_cycles =
-        agg.total_cycles > agg.compute_cycles ? agg.total_cycles - agg.compute_cycles : 0;
-    stage.fetch_share = std::min(1.0, static_cast<double>(agg.input_fetch_bytes) /
-                                          static_cast<double>(agg.dram_bytes));
-    stages.push_back(stage);
+    if (lr.aggregation.dram_bytes == 0) continue;  // discount is identically 0
+    stages.push_back(warmth_stage_of(lr.aggregation));
   }
   return stages;
 }
@@ -239,7 +231,7 @@ Cycles weighting_stage_cycles(const InferenceReport& rep) {
 Cycles warm_total_cycles(const InferenceReport& rep, double warm_fraction) {
   Cycles total = rep.total_cycles;
   for (const LayerReport& lr : rep.layers) {
-    total -= warmth_discount_cycles(lr.aggregation, warm_fraction);
+    total -= warmth_stage_discount(warmth_stage_of(lr.aggregation), warm_fraction);
   }
   return total;
 }
@@ -266,19 +258,6 @@ Cycles batch_follower_saved_cycles(const InferenceReport& rep) {
     if (lr.mlp2) saved += batching_discount_cycles(*lr.mlp2);
   }
   return saved;
-}
-
-void apply_warmth_discount(InferenceReport& rep, double warm_fraction) {
-  for (LayerReport& lr : rep.layers) {
-    const Cycles d = warmth_discount_cycles(lr.aggregation, warm_fraction);
-    GNNIE_ASSERT(d <= lr.aggregation.memory_cycles && d <= lr.aggregation.total_cycles &&
-                     d <= lr.total_cycles && d <= rep.total_cycles,
-                 "warmth discount exceeds the cycles it discounts");
-    lr.aggregation.total_cycles -= d;
-    lr.aggregation.memory_cycles -= d;
-    lr.total_cycles -= d;
-    rep.total_cycles -= d;
-  }
 }
 
 }  // namespace gnnie

@@ -244,23 +244,23 @@ Cycles percentile_of_sorted(const std::vector<Cycles>& sorted, double pct);
 // warmth-unaware model), monotone in warm_fraction, and can never push a
 // stage below its compute time — warm cost ≤ cold cost always.
 
-/// Cycles one aggregation stage saves at the given warm fraction.
-Cycles warmth_discount_cycles(const AggregationReport& agg, double warm_fraction);
-
-/// One aggregation stage's warmth surface, extracted from a cold report so
-/// warm costs can be re-priced without holding the full InferenceReport:
-/// the stage's exposed DRAM-fetch time and the read share of its traffic.
-/// warmth_stage_discount(stage, f) reproduces warmth_discount_cycles on the
-/// stage it was extracted from bit-exactly (same operands, same arithmetic
-/// order) — serve::ServiceCostCache memo entries store these instead of the
-/// cold report.
+/// One aggregation stage's warmth surface: the stage's exposed DRAM-fetch
+/// time and the read share of its traffic — all the discount needs, so
+/// warm costs can be re-priced without holding the full InferenceReport
+/// (serve::ServiceCostCache memo entries store these instead of the cold
+/// report).
 struct WarmthStage {
   Cycles exposed_cycles = 0;
   double fetch_share = 0.0;
 };
 
-/// Cycles one extracted stage saves at the given warm fraction (bit-exact
-/// with warmth_discount_cycles on the stage's source report).
+/// The warmth surface of one aggregation stage; a stage without DRAM
+/// traffic yields the zero surface (it discounts 0 at every fraction).
+WarmthStage warmth_stage_of(const AggregationReport& agg);
+
+/// Cycles one stage saves at the given warm fraction — the one encoding of
+/// the warmth formula (warm_total_cycles and ServiceCost::warm_total both
+/// subtract exactly this per stage).
 Cycles warmth_stage_discount(const WarmthStage& stage, double warm_fraction);
 
 /// The run's aggregation-stage warmth surfaces, cold-report layer order.
@@ -279,14 +279,8 @@ std::vector<WarmthStage> warmth_stages_of(const InferenceReport& rep);
 Cycles weighting_stage_cycles(const InferenceReport& rep);
 
 /// Total cycles of the run described by `rep` at the given warm fraction
-/// (rep itself stays cold/unmodified).
+/// (rep itself stays cold/unmodified); warm_fraction must be in [0, 1].
 Cycles warm_total_cycles(const InferenceReport& rep, double warm_fraction);
-
-/// Applies the warm discount in place, keeping the report self-consistent:
-/// each layer's aggregation total/memory cycles, the layer total, and the
-/// run total all shrink by that layer's discount. warm_fraction must be in
-/// [0, 1]; 0 leaves the report bit-identical.
-void apply_warmth_discount(InferenceReport& rep, double warm_fraction);
 
 // ---------------------------------------------------------------------------
 // Coalesced-batch cycle model (EngineConfig::batching).
@@ -316,8 +310,8 @@ Cycles batch_follower_saved_cycles(const InferenceReport& rep);
 /// Charge of one slot member given its (already warmth-discounted) serial
 /// cost and its follower saving: the head pays serial, followers subtract
 /// the saving, clamped so a slot is never longer than serial service. The
-/// single encoding of the member-charge rule — CompiledModel::cost and the
-/// cluster both price slots through this.
+/// single encoding of the member-charge rule the serving cluster prices
+/// slots with.
 inline Cycles batch_member_charge(Cycles serial_cycles, Cycles follower_saving,
                                   bool follower) {
   if (!follower) return serial_cycles;

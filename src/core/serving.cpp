@@ -1,7 +1,6 @@
 #include "core/serving.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "cache/access_trace.hpp"
 #include "cache/alloc.hpp"
@@ -22,7 +21,7 @@ std::vector<PlanVariant> plan_variant_family(const EngineConfig& config) {
   for (std::uint32_t width : config.pipeline.variant_widths) {
     PlanVariant v;
     v.width = width;
-    v.setup_cycles = static_cast<Cycles>(width - 1) * config.pipeline.variant_setup_cycles;
+    v.setup_cycles = static_cast<Cycles>(width - 1) * kVariantSetupCycles;
     family.push_back(v);
   }
   return family;
@@ -266,7 +265,6 @@ GraphPlanPtr CompiledModel::plan(const Csr& g, std::vector<Csr> sampled_per_laye
   plan->planned_vertices_ = g.vertex_count();
   plan->planned_edges_ = g.edge_count();
   plan->policy_ = s.policy;
-  plan->variants_ = plan_variant_family(s.config);
   if (s.model.kind == GnnKind::kGraphSage) {
     plan->sampled_.reserve(sampled_per_layer.size());
     for (std::uint32_t l = 0; l < sampled_per_layer.size(); ++l) {
@@ -576,122 +574,19 @@ InferenceResult CompiledModel::run(const RunRequest& request) const {
   return result;
 }
 
-ServiceCost CompiledModel::cost(const CostQuery& query) const {
-  const std::span<const RunRequest> requests = query.requests;
-  GNNIE_REQUIRE(!requests.empty(), "a cost query needs at least one request");
-  GNNIE_REQUIRE(query.warm_fraction >= 0.0 && query.warm_fraction <= 1.0,
-                "warm fraction must be in [0, 1]");
-  for (const RunRequest& r : requests) {
-    GNNIE_REQUIRE(r.plan != nullptr, "every costed request needs a GraphPlan");
-  }
-  const std::uint64_t fp = requests.front().plan->fingerprint();
-  for (const RunRequest& r : requests) {
-    GNNIE_REQUIRE(r.plan->fingerprint() == fp,
-                  "slot members must share one plan fingerprint");
-  }
-
-  // Distinct (plan, features) pairs simulate once; runs are stateless, so
-  // the memoized cold report is exact for every repeat in the slot. The
-  // warmth discount touches only aggregation stages, so each member's
-  // follower saving (weighting stages only) computed on its cold report
-  // applies unchanged to its warm cost.
-  std::map<std::pair<const void*, const void*>, InferenceReport> memo;
-  struct Member {
-    const InferenceReport* cold = nullptr;
-    Cycles serial = 0;      ///< warmth-discounted lone service
-    Cycles saving = 0;      ///< follower weight-stream saving (cold surface)
-    Cycles weighting = 0;   ///< cold weighting-stage share
-  };
-  std::vector<Member> members;
-  members.reserve(requests.size());
-  for (const RunRequest& r : requests) {
-    const auto key = std::make_pair(static_cast<const void*>(r.plan.get()),
-                                    static_cast<const void*>(r.features));
-    auto it = memo.find(key);
-    if (it == memo.end()) it = memo.emplace(key, run(r).report).first;
-    Member m;
-    m.cold = &it->second;
-    m.serial = warm_total_cycles(it->second, query.warm_fraction);
-    m.saving = batch_follower_saved_cycles(it->second);
-    m.weighting = weighting_stage_cycles(it->second);
-    members.push_back(m);
-  }
-
-  // Variant dispatch: price the slot under each family member and keep the
-  // cheapest (earliest on ties — the family is ascending-width, so narrow
-  // wins). A follower shares the slot's weight stream only while the
-  // variant's fused width covers its position; beyond it the weights
-  // re-stream and the saving is lost.
-  const std::vector<PlanVariant>& family = requests.front().plan->variants();
-  auto charged_under = [&](const Member& m, std::size_t position,
-                           const PlanVariant& v) -> Cycles {
-    const bool shares_stream = position > 0 && (v.width == 0 || position < v.width);
-    return batch_member_charge(m.serial, m.saving, shares_stream);
-  };
-  auto slot_total_under = [&](const PlanVariant& v) -> Cycles {
-    Cycles total = v.setup_cycles;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      total += charged_under(members[i], i, v);
-    }
-    return total;
-  };
-  const PlanVariant* variant = nullptr;
-  if (query.variant_width != 0) {
-    for (const PlanVariant& v : family) {
-      if (v.width == query.variant_width) variant = &v;
-    }
-    GNNIE_REQUIRE(variant != nullptr,
-                  "the queried variant width is not in the plan's family");
-  } else {
-    Cycles best = 0;
-    for (const PlanVariant& v : family) {
-      const Cycles total = slot_total_under(v);
-      if (variant == nullptr || total < best) {
-        variant = &v;
-        best = total;
-      }
-    }
-  }
-
-  ServiceCost cost;
-  cost.variant_width = variant->width;
-  cost.request_cycles.reserve(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const Member& m = members[i];
-    const Cycles charged = charged_under(m, i, *variant);
-    const Cycles saved = m.serial - charged;
-    cost.request_cycles.push_back(charged);
-    cost.total_cycles += charged;
-    cost.serial_cycles += m.serial;
-    cost.weighting_cycles += m.weighting - saved;
-    cost.warmth_discount_cycles += m.cold->total_cycles - m.serial;
-    cost.weighting_saved_cycles += saved;
-  }
-  // The one-time variant setup is stream-track work charged to the slot
-  // head (so Σ request_cycles still equals the slot total).
-  cost.request_cycles.front() += variant->setup_cycles;
-  cost.total_cycles += variant->setup_cycles;
-  cost.weighting_cycles += variant->setup_cycles;
-  cost.aggregation_cycles = cost.total_cycles - cost.weighting_cycles;
-  cost.stream_cycles = members.front().weighting + variant->setup_cycles;
-
-  const InferenceReport& head_cold = *members.front().cold;
-  cost.head.cold_cycles = head_cold.total_cycles;
-  cost.head.warm_cycles = warm_total_cycles(head_cold, 1.0);
-  cost.head.swap_penalty_cycles =
-      state_->config.warmth.enabled ? state_->config.warmth.plan_swap_penalty_cycles : 0;
-  cost.head.batch_saving_cycles = members.front().saving;
-  cost.head.weighting_cycles = members.front().weighting;
-  cost.head.aggregation_cycles = head_cold.total_cycles - members.front().weighting;
-  cost.warm_stages = warmth_stages_of(head_cold);
-  return cost;
-}
-
 ServiceCost CompiledModel::cost(const RunRequest& request, double warm_fraction) const {
-  CostQuery query;
-  query.requests = std::span<const RunRequest>(&request, 1);
-  query.warm_fraction = warm_fraction;
-  return cost(query);
+  GNNIE_REQUIRE(warm_fraction >= 0.0 && warm_fraction <= 1.0,
+                "warm fraction must be in [0, 1]");
+  const InferenceReport cold = run(request).report;
+  ServiceCost cost;
+  cost.total_cycles = warm_total_cycles(cold, warm_fraction);
+  cost.head.cold_cycles = cold.total_cycles;
+  cost.head.warm_cycles = warm_total_cycles(cold, 1.0);
+  cost.head.batch_saving_cycles = batch_follower_saved_cycles(cold);
+  cost.head.weighting_cycles = weighting_stage_cycles(cold);
+  cost.head.aggregation_cycles = cold.total_cycles - cost.head.weighting_cycles;
+  cost.warm_stages = warmth_stages_of(cold);
+  return cost;
 }
 
 BatchResult CompiledModel::run_batch(std::span<const RunRequest> requests) const {

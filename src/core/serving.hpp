@@ -18,9 +18,11 @@
 //   * CompiledModel::run / run_batch execute requests against a plan.
 //     Every run builds its accelerator state (HbmModel) fresh, so runs are
 //     stateless by construction: back-to-back runs report identical stats.
-//   * CompiledModel::cost prices a service slot (CostQuery → ServiceCost)
-//     for the serving cluster: warmth, coalescing, and plan variants in one
-//     query, answered with the weighting/aggregation stage split.
+//   * CompiledModel::cost runs one request and returns its cold service
+//     surface (ServiceCost): the cold and fully-warm totals, the follower
+//     saving, the §IV weighting / §V aggregation split, and the per-stage
+//     warmth surface. The serving cluster memoizes one per (config, plan,
+//     features) and prices every service slot from it (serve/cluster.hpp).
 //
 // The cache behavior is selected by a CachePolicy instance handed to the
 // Engine (core/cache_policy.hpp); a null policy means degree-aware.
@@ -49,7 +51,7 @@ namespace gnnie {
 
 class CompiledModel;
 
-/// One member of a plan's compiled variant family (GraphPlan::variants):
+/// One member of a config's plan-variant family (plan_variant_family):
 /// geometry specialized for a slot shape. A variant of width w fuses at
 /// most w coalesced slot members over one weight stream — members beyond
 /// position w re-stream weights serially (no follower saving) — and adds
@@ -63,9 +65,8 @@ struct PlanVariant {
 
 /// The variant family `config.pipeline` prescribes, ascending width order,
 /// never empty (no widths configured → the single unbounded default
-/// variant). plan() compiles exactly this family into every GraphPlan;
-/// exposed so the serving cluster derives the identical family without a
-/// plan in hand.
+/// variant); a width-w member's setup is (w − 1) · kVariantSetupCycles.
+/// The serving cluster dispatches each slot onto the cheapest member.
 std::vector<PlanVariant> plan_variant_family(const EngineConfig& config);
 
 /// Per-graph planning output: the cache policy's DRAM layout and the
@@ -123,14 +124,6 @@ class GraphPlan {
   /// in this unit (serve/warmth.hpp).
   Bytes warm_working_set_bytes() const { return warm_working_set_bytes_; }
 
-  /// The plan's compiled variant family (EngineConfig::pipeline — the
-  /// AR-1/AR-8-style geometry variants; see PipelineConfig), ascending
-  /// width order, never empty. With no family configured this is the
-  /// single unbounded default variant {width 0, setup 0} — the pre-variant
-  /// slot model. CompiledModel::cost and the serving cluster dispatch the
-  /// cheapest member per slot.
-  const std::vector<PlanVariant>& variants() const { return variants_; }
-
  private:
   struct SampledBinding {
     Csr graph;
@@ -186,8 +179,6 @@ class GraphPlan {
   /// (feature width → dual-cache pinned size); filled only for kDualCache.
   std::vector<std::pair<std::size_t, std::uint64_t>> dual_pinned_;
   Bytes warm_working_set_bytes_ = 0;
-  /// Compiled variant family (plan_variant_family(config)); never empty.
-  std::vector<PlanVariant> variants_;
 };
 
 using GraphPlanPtr = std::shared_ptr<const GraphPlan>;
@@ -204,23 +195,6 @@ struct BatchResult {
   BatchReport report;
 };
 
-/// One service-cost question: how long does this slot of requests run?
-/// The parameter surface of CompiledModel::cost — the slot's members, its
-/// warmth, and its plan variant in one struct. Designed for designated
-/// initializers: `{.requests = reqs, .warm_fraction = 0.5}`.
-struct CostQuery {
-  /// Slot members, head first. All must share one plan fingerprint;
-  /// requests[1..] are coalesced followers of the head's weight stream.
-  std::span<const RunRequest> requests;
-  /// Share of the plan's working set resident at slot start, in [0, 1],
-  /// applied to every member (apply_warmth_discount).
-  double warm_fraction = 0.0;
-  /// Plan variant to price the slot under: 0 picks the cheapest member of
-  /// the plan's family (dispatch's rule); a nonzero width selects that
-  /// family member explicitly (it must exist).
-  std::uint32_t variant_width = 0;
-};
-
 /// Scalar summary of one request's staged service cost on one engine
 /// config — the POD slice of ServiceCost that routing code copies around
 /// (serve::RequestEstimate embeds one per (die, request)). All cycles are
@@ -228,37 +202,27 @@ struct CostQuery {
 struct ServiceCostSummary {
   Cycles cold_cycles = 0;           ///< lone cold service (run total)
   Cycles warm_cycles = 0;           ///< lone fully-warm service (fraction 1)
-  Cycles swap_penalty_cycles = 0;   ///< plan-swap penalty of the priced config
+  Cycles swap_penalty_cycles = 0;   ///< plan-swap penalty (cluster estimates only)
   Cycles batch_saving_cycles = 0;   ///< saving as a coalesced follower
   Cycles weighting_cycles = 0;      ///< cold weighting-stage share (streamable)
   Cycles aggregation_cycles = 0;    ///< cold remainder (cannot overlap a stream)
 };
 
-/// Answer to one CostQuery: the slot's charged timing, split into the
-/// weighting (weight-stream) and aggregation (compute) stages, plus the
-/// head request's parametric surface so serving memos can re-price the same
-/// slot at any warmth without re-running the engine. Callers needing
-/// per-layer detail use run().
+/// One request's service cost (CompiledModel::cost): its lone service time
+/// at the queried warm fraction, plus the parametric surface the serving
+/// cluster prices slots from — so a memo entry re-prices the request at any
+/// warmth, as a head or a follower, without re-running the engine. Callers
+/// needing per-layer detail use run().
 struct ServiceCost {
-  // -- The queried slot, charged at the query's warmth/coalesce/variant --
-  std::vector<Cycles> request_cycles;  ///< charged cycles per member, slot order
-  Cycles total_cycles = 0;             ///< slot service time (Σ members + setup)
-  Cycles serial_cycles = 0;            ///< same members serviced serially, no variant
-  Cycles weighting_cycles = 0;   ///< charged weighting-stage share (incl. setup)
-  Cycles aggregation_cycles = 0; ///< charged aggregation-stage share
-  /// The slot's stream-track work: the head's cold weighting-stage share
-  /// plus the dispatched variant's setup — what an intra-die pipeline may
-  /// overlap with the previous slot's compute (PipelineConfig).
-  Cycles stream_cycles = 0;
-  Cycles warmth_discount_cycles = 0;   ///< Σ members' (cold − warm serial)
-  Cycles weighting_saved_cycles = 0;   ///< Σ follower stream savings collected
-  std::uint32_t variant_width = 0;     ///< dispatched variant (0 = default)
-
-  // -- Head-request parametric surface (warmth-independent) --
+  /// Lone service time at the queried warm fraction:
+  /// warm_total_cycles(run(request).report, warm_fraction).
+  Cycles total_cycles = 0;
+  /// The request's cold surface (warmth- and policy-independent; the
+  /// cluster sets swap_penalty_cycles on its estimates, not here).
   ServiceCostSummary head;
-  /// The head's per-stage warmth surface (warmth_stages_of its cold run):
-  /// warm_total(f) re-prices the head's lone service at any fraction,
-  /// bit-exact with warm_total_cycles on the cold report.
+  /// The per-stage warmth surface (warmth_stages_of the cold run):
+  /// warm_total(f) re-prices the lone service at any fraction, bit-exact
+  /// with warm_total_cycles on the cold report.
   std::vector<WarmthStage> warm_stages;
 
   /// head.cold_cycles discounted to warm fraction `f` (exact arithmetic
@@ -302,19 +266,11 @@ class CompiledModel {
   /// call, so identical requests produce bit-identical outputs and reports.
   InferenceResult run(const RunRequest& request) const;
 
-  /// Prices one service slot (see CostQuery): every distinct (plan,
-  /// features) member is simulated once (runs are stateless, the in-call
-  /// memo is exact), warmth discounts each member's aggregation stages
-  /// (apply_warmth_discount, core/report.hpp), followers of a coalesced
-  /// slot skip their weight-stream share, and the slot is dispatched onto
-  /// the cheapest plan variant (or the one the query names). The single
-  /// cost entry point: a one-request query at warm_fraction f charges
-  /// exactly warm_total_cycles(run(request).report, f). All members must
-  /// share one plan fingerprint (distinct plan objects of the same graph —
-  /// e.g. across a plan-cache eviction — are fine).
-  ServiceCost cost(const CostQuery& query) const;
-
-  /// Convenience single-request query: cost({{&request, 1}, warm_fraction}).
+  /// Runs `request` once and returns its service cost: total_cycles is
+  /// exactly warm_total_cycles(run(request).report, warm_fraction) (warm
+  /// fraction in [0, 1]), and `head` / `warm_stages` are its cold surface.
+  /// Coalesced slots, plan variants, and swap penalties are priced by the
+  /// serving cluster (serve/cluster.hpp), not here.
   ServiceCost cost(const RunRequest& request, double warm_fraction = 0.0) const;
 
   /// Services requests sequentially on the modeled accelerator and returns

@@ -186,17 +186,13 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   const std::uint32_t max_coalesce = config.batching.max_coalesce;
   const std::size_t config_count = config_models_.size();
 
-  // Intra-die pipelining and the per-config plan-variant families. The
-  // fleet constructor pins enablement and widths to the reference config,
-  // so pipelining and each family's width order are config-independent;
-  // setup costs may differ per die. The default family is one unbounded
-  // zero-setup variant, so dispatch always picks it.
+  // Intra-die pipelining and the plan-variant family. The fleet
+  // constructor pins enablement and widths to the reference config, and
+  // setup costs are the fixed kVariantSetupCycles, so one family serves
+  // every die. The default family is one unbounded zero-setup variant, so
+  // dispatch always picks it.
   const bool pipeline_on = config.pipeline.enabled;
-  std::vector<std::vector<PlanVariant>> config_family;
-  config_family.reserve(config_count);
-  for (std::size_t c = 0; c < config_count; ++c) {
-    config_family.push_back(plan_variant_family(config_models_[c].config()));
-  }
+  const std::vector<PlanVariant> family = plan_variant_family(config);
 
   ServingReport report;
   report.dies = die_count_;
@@ -210,11 +206,10 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   report.max_coalesce = max_coalesce;
   report.pipeline_enabled = pipeline_on;
   report.die_stream_cycles.assign(die_count_, 0);
-  // One counter per family member, family order: every config's family
-  // lists the same widths in the same order, so a pick's family index
+  // One counter per family member, family order, so a pick's family index
   // indexes this histogram directly.
-  report.variant_counts.reserve(config_family.front().size());
-  for (const PlanVariant& v : config_family.front()) {
+  report.variant_counts.reserve(family.size());
+  for (const PlanVariant& v : family) {
     report.variant_counts.emplace_back(v.width, 0);
   }
   report.streams = trace.stream_count();
@@ -239,9 +234,6 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
     const double s = config_scale_[cfg];
     if (s == 1.0) return cycles;
     return static_cast<Cycles>(std::llround(static_cast<double>(cycles) * s));
-  };
-  auto config_engine = [&](std::size_t cfg) -> const EngineConfig& {
-    return config_models_[cfg].config();
   };
 
   // ---- Per-stream resolution --------------------------------------------
@@ -294,12 +286,13 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
         }
         entry.plan = routed.plan;
         entry.working_set = routed.plan->warm_working_set_bytes();
-        // One staged cold cost query per triple: entry.cost.head carries
-        // the cold/warm/stage-split scalars, entry.cost.warm_stages the
-        // exact per-stage warmth surface (warm_total(f) reproduces
-        // warm_total_cycles on the cold report bit-for-bit). Policy gating (warmth
-        // off, coalescing off) happens at charge/estimate time, not here —
-        // the entry is policy-independent by design.
+        // One cold run per triple: entry.cost.head carries the
+        // cold/warm/stage-split scalars, entry.cost.warm_stages the exact
+        // per-stage warmth surface (warm_total(f) reproduces
+        // warm_total_cycles on the cold report bit-for-bit). Policy gating
+        // (warmth off, coalescing off) and slot pricing happen at
+        // charge/estimate time, not here — the entry is policy-independent
+        // by design.
         entry.cost = priced_on.cost(routed);
         return entry;
       });
@@ -479,9 +472,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
         est.cost.warm_cycles =
             wcfg.enabled ? scale_cycles(head.warm_cycles, cfg) : est.cost.cold_cycles;
         est.cost.swap_penalty_cycles =
-            wcfg.enabled
-                ? scale_cycles(config_engine(cfg).warmth.plan_swap_penalty_cycles, cfg)
-                : 0;
+            wcfg.enabled ? scale_cycles(kPlanSwapPenaltyCycles, cfg) : 0;
         est.cost.batch_saving_cycles =
             max_coalesce > 1 ? scale_cycles(head.batch_saving_cycles, cfg) : 0;
         est.cost.weighting_cycles = scale_cycles(head.weighting_cycles, cfg);
@@ -509,7 +500,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   if (wcfg.enabled) {
     warmth.reserve(die_count_);
     for (std::size_t d = 0; d < die_count_; ++d) {
-      warmth.emplace_back(config_engine(die_config_[d]).warmth_die_budget());
+      warmth.emplace_back(config_models_[die_config_[d]].config().warmth_die_budget());
     }
     for (std::size_t d = 0; d < die_count_; ++d) status[d].warmth = &warmth[d];
   }
@@ -554,10 +545,12 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
   // head's plan fingerprint, drained first from this die's own queue, then
   // from the global arrival-order queue. The slot is atomic: the die stays
   // busy until every member drains, warmth residency is touched once, and
-  // followers are charged with their weighting setup amortized away.
+  // followers are charged with their weighting setup amortized away. This
+  // is the only code that prices a service slot: warmth, swap penalty,
+  // coalescing, and variant dispatch all apply here, to the memoized
+  // one-request costs.
   auto start_service = [&](std::size_t d, std::size_t head, Cycles now) {
     const std::size_t cfg = die_config_[d];
-    const WarmthConfig& die_wcfg = config_engine(cfg).warmth;
     const std::uint64_t fp = fingerprint_of(head);
     DieState& die = dies[d];
     die.group.clear();
@@ -637,7 +630,7 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
         RequestRecord& rec = report.requests[idx];
         const double fraction = i == 0 ? head_fraction : follower_fraction;
         service = entry.cost.warm_total(fraction);
-        if (i == 0 && swapped) service += die_wcfg.plan_swap_penalty_cycles;
+        if (i == 0 && swapped) service += kPlanSwapPenaltyCycles;
         rec.warm_fraction = fraction;
         rec.plan_swap = i == 0 && swapped;
         report.die_warm_hits[d] += fraction > 0.0 ? 1 : 0;
@@ -654,7 +647,6 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
     // wins ties — deterministic in the assembled slot alone, so the same
     // trace dispatches identically across simulate() calls and cluster
     // copies.
-    const std::vector<PlanVariant>& family = config_family[cfg];
     std::size_t chosen = 0;
     if (family.size() > 1) {
       Cycles best_total = kNever;
@@ -685,10 +677,10 @@ ServingReport Cluster::simulate_impl(const RequestTrace& trace,
       if (i > 0) {
         // Follower within the variant's stream-share width: the slot's
         // weights are already streaming; its own weighting setup share is
-        // saved (batch_member_charge — the same rule the staged cost query
-        // prices with). The saving touches weighting stages, the warmth
-        // discount aggregation stages — disjoint. Beyond the width the
-        // follower still runs in the slot but pays its own weighting.
+        // saved (batch_member_charge). The saving touches weighting stages,
+        // the warmth discount aggregation stages — disjoint. Beyond the
+        // width the follower still runs in the slot but pays its own
+        // weighting.
         const bool rides = variant.width == 0 || i < variant.width;
         const Cycles charged = batch_member_charge(service, member_saving[i], rides);
         if (rides) report.weighting_cycles_saved += scale_cycles(service - charged, cfg);

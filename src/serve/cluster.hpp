@@ -49,8 +49,8 @@
 // DieWarmthModel — a bounded LRU residency set of plan working sets
 // (serve/warmth.hpp). At service start the die's model is touched with the
 // request's plan: the observed warm fraction discounts the memoized cold
-// cost (apply_warmth_discount, core/report.hpp), and displacing another
-// plan's resident state adds the plan-swap penalty. The scheduler sees the
+// cost (ServiceCost::warm_total, core/serving.hpp), and displacing another
+// plan's resident state adds kPlanSwapPenaltyCycles. The scheduler sees the
 // residency state through DieStatus, and the report counts per-die warm
 // hits and swaps, which feed its warm/cold latency breakdowns. With warmth
 // disabled every request is charged the cold cost — bit-exact with the
@@ -60,9 +60,11 @@
 // service it drains up to max_coalesce waiting requests sharing the head
 // request's plan fingerprint — first from its own queue, then from the
 // global queue — into one atomic slot, modeled as a single weighting/setup
-// pass plus per-request aggregation (the slot model CompiledModel::cost
-// prices, core/serving.hpp): followers skip the weight-stream share of their
-// weighting stages' exposed memory time. Warmth residency is touched once
+// pass plus per-request aggregation: followers skip the weight-stream share
+// of their weighting stages' exposed memory time (batch_member_charge,
+// core/report.hpp). The cluster is the only slot pricer — it applies warmth,
+// coalescing, and variant dispatch to the memoized one-request costs
+// (CompiledModel::cost prices one request). Warmth residency is touched once
 // per slot (the head pays any swap; followers see the post-load fraction),
 // per-request latencies run from each member's own arrival, and a slot is
 // never longer than serial service of its members by construction. The
@@ -88,16 +90,16 @@
 // untouched — bit-exact with the single-track simulator).
 //
 // Plan variants (EngineConfig::pipeline.variant_widths, default empty):
-// plan() compiles a family of PlanVariants per graph — one per configured
-// width, wider variants paying more one-time setup but letting more
-// coalesced followers share the slot's weight stream (a follower at slot
-// position i rides only if i < width). Dispatch picks the cheapest variant
-// for each slot at assembly time (deterministic: strict improvement,
-// narrowest wins ties) and records the pick in RequestRecord::
-// variant_width plus the report's per-width slot counts. An empty width
-// list compiles the single unbounded (width 0) variant with zero setup —
-// the plain slot semantics, bit-exact — so every record carries width 0
-// and the counts hold one {0, slots} entry.
+// plan_variant_family derives one PlanVariant per configured width, wider
+// variants paying more one-time setup (kVariantSetupCycles per extra width)
+// but letting more coalesced followers share the slot's weight stream (a
+// follower at slot position i rides only if i < width). Dispatch picks the
+// cheapest variant for each slot at assembly time (deterministic: strict
+// improvement, narrowest wins ties) and records the pick in
+// RequestRecord::variant_width plus the report's per-width slot counts. An
+// empty width list yields the single unbounded (width 0) variant with zero
+// setup — the plain slot semantics, bit-exact — so every record carries
+// width 0 and the counts hold one {0, slots} entry.
 //
 // Die configs (serve/fleet.hpp): every cluster is a fleet of die configs,
 // each with its own CompiledModel, and the service memo is keyed by config.
@@ -115,9 +117,11 @@
 // domain, keeping the simulation in one virtual time base. Warmth
 // enablement, max_coalesce, pipeline enablement, and the plan-variant
 // widths must match the reference config across the fleet (they are
-// serving-protocol knobs, not die properties); budgets, penalties, and
-// variant setup costs may differ per die. A homogeneous FleetSpec over the
-// reference config is bit-exact with the Cluster(model, dies) constructor.
+// serving-protocol knobs, not die properties), so one variant family serves
+// every die; residency budgets may differ per die, and the plan-swap
+// penalty and variant setup are fixed constants. A homogeneous FleetSpec
+// over the reference config is bit-exact with the Cluster(model, dies)
+// constructor.
 //
 // SLOs and admission (serve/slo.hpp): deadline-carrying traces
 // (TraceStream::slo_cycles) stamp each record's deadline, and every offer

@@ -1,6 +1,7 @@
 #include "serve/trace.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -13,16 +14,32 @@ void validate_streams(const std::vector<TraceStream>& streams) {
   for (const TraceStream& s : streams) {
     GNNIE_REQUIRE(s.plan != nullptr, "every stream needs a GraphPlan");
     GNNIE_REQUIRE(s.features != nullptr, "every stream needs features");
-    GNNIE_REQUIRE(s.weight > 0.0, "stream weights must be positive");
+    GNNIE_REQUIRE(std::isfinite(s.weight) && s.weight > 0.0,
+                  "stream weights must be positive and finite");
     GNNIE_REQUIRE(s.slo_cycles >= 0, "a stream SLO cannot be negative (0 = no SLO)");
   }
 }
 
-/// Exponential gap with the given mean, rounded to whole cycles.
+constexpr Cycles kMaxCycles = std::numeric_limits<Cycles>::max();
+
+void require_mean_gap(double mean_gap) {
+  GNNIE_REQUIRE(std::isfinite(mean_gap) && mean_gap >= 0.0,
+                "mean gap must be finite and non-negative");
+}
+
+/// Exponential gap with the given mean, rounded to whole cycles. A gap
+/// llround cannot represent (≥ 2^63 cycles) is rejected rather than wrapped.
 Cycles exponential_gap(double mean, Rng& rng) {
   const double u = rng.next_double();  // [0, 1)
   const double gap = -mean * std::log1p(-u);
+  GNNIE_REQUIRE(gap < 0x1p63, "an inter-arrival gap does not fit the cycle clock");
   return static_cast<Cycles>(std::llround(gap));
+}
+
+/// `now + gap`, rejecting an arrival that would wrap the cycle clock.
+Cycles advance(Cycles now, Cycles gap) {
+  GNNIE_REQUIRE(gap <= kMaxCycles - now, "trace arrivals wrap the cycle clock");
+  return now + gap;
 }
 
 }  // namespace
@@ -39,6 +56,7 @@ RequestTrace::RequestTrace(std::vector<TraceStream> streams)
     total += s.weight;
     cumulative_weight_.push_back(total);
   }
+  GNNIE_REQUIRE(std::isfinite(total), "stream weights must sum to a finite total");
 }
 
 std::size_t RequestTrace::draw_stream(Rng& rng) const {
@@ -65,6 +83,8 @@ void RequestTrace::emit(Cycles arrival, std::size_t stream) {
   r.arrival = arrival;
   r.stream = stream;
   const std::int64_t slo = streams_[stream].slo_cycles;
+  GNNIE_REQUIRE(slo <= 0 || static_cast<Cycles>(slo) <= kMaxCycles - arrival,
+                "a request deadline wraps the cycle clock");
   r.deadline = slo > 0 ? arrival + static_cast<Cycles>(slo) : 0;
   r.request.plan = streams_[stream].plan;
   r.request.features = streams_[stream].features;
@@ -74,6 +94,8 @@ void RequestTrace::emit(Cycles arrival, std::size_t stream) {
 RequestTrace RequestTrace::fixed_interval(std::vector<TraceStream> streams,
                                           std::size_t count, Cycles gap) {
   RequestTrace trace(std::move(streams));
+  GNNIE_REQUIRE(count < 2 || gap <= kMaxCycles / (count - 1),
+                "trace arrivals wrap the cycle clock");
   trace.requests_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     trace.emit(static_cast<Cycles>(i) * gap, i % trace.streams_.size());
@@ -83,13 +105,13 @@ RequestTrace RequestTrace::fixed_interval(std::vector<TraceStream> streams,
 
 RequestTrace RequestTrace::poisson(std::vector<TraceStream> streams, std::size_t count,
                                    double mean_gap_cycles, std::uint64_t seed) {
-  GNNIE_REQUIRE(mean_gap_cycles >= 0.0, "mean gap must be non-negative");
+  require_mean_gap(mean_gap_cycles);
   RequestTrace trace(std::move(streams));
   trace.requests_.reserve(count);
   Rng rng(seed);
   Cycles now = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0) now += exponential_gap(mean_gap_cycles, rng);
+    if (i > 0) now = advance(now, exponential_gap(mean_gap_cycles, rng));
     trace.emit(now, trace.draw_stream(rng));
   }
   return trace;
@@ -99,8 +121,8 @@ RequestTrace RequestTrace::bursty(std::vector<TraceStream> streams, std::size_t 
                                   double calm_gap_cycles, double burst_gap_cycles,
                                   double mean_calm_run, double mean_burst_run,
                                   std::uint64_t seed) {
-  GNNIE_REQUIRE(calm_gap_cycles >= 0.0 && burst_gap_cycles >= 0.0,
-                "mean gaps must be non-negative");
+  require_mean_gap(calm_gap_cycles);
+  require_mean_gap(burst_gap_cycles);
   GNNIE_REQUIRE(mean_calm_run >= 1.0 && mean_burst_run >= 1.0,
                 "mean run lengths are in requests (>= 1)");
   RequestTrace trace(std::move(streams));
@@ -109,7 +131,7 @@ RequestTrace RequestTrace::bursty(std::vector<TraceStream> streams, std::size_t 
   Cycles now = 0;
   bool burst = false;
   for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0) now += exponential_gap(burst ? burst_gap_cycles : calm_gap_cycles, rng);
+    if (i > 0) now = advance(now, exponential_gap(burst ? burst_gap_cycles : calm_gap_cycles, rng));
     trace.emit(now, trace.draw_stream(rng));
     // Geometric run lengths: flip with probability 1/mean after each arrival.
     if (rng.next_bool(1.0 / (burst ? mean_burst_run : mean_calm_run))) burst = !burst;

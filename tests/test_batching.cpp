@@ -1,11 +1,12 @@
-// Tests for die-level same-plan coalescing (EngineConfig::batching): the
-// coalesced-slot cost model of CompiledModel::cost (batched ≤ serial by
-// construction, singleton degeneracy, validation), the coalescing cluster
-// (group atomicity, the acceptance criterion that max_coalesce = 8 strictly
-// improves p99 and makespan over serial service on a single-graph Poisson
-// trace at 4 dies), interaction with cache warmth (one residency touch per
-// slot), coalescing across a plan-cache eviction, and the warmth-aware
-// scheduler's head-of-line plan preference.
+// Tests for die-level same-plan coalescing (EngineConfig::batching):
+// CompiledModel::cost's argument validation, the coalescing cluster (group
+// atomicity, slot charges pinned against hand arithmetic on the one-request
+// cost surface, slots keyed by plan rather than features, the acceptance
+// criterion that max_coalesce = 8 strictly improves p99 and makespan over
+// serial service on a single-graph Poisson trace at 4 dies), interaction
+// with cache warmth (one residency touch per slot), coalescing across a
+// plan-cache eviction, and the warmth-aware scheduler's head-of-line plan
+// preference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,80 +37,11 @@ EngineConfig coalescing_config(std::uint32_t max_coalesce) {
   return config;
 }
 
-// --- The coalesced-slot cost model. ---
-
-TEST(RunCostBatch, SingletonDegeneratesToRunCostExactly) {
-  ServeFixture f;
-  const RunRequest request{f.plan_a, &f.a.features};
-  const InferenceReport cold = f.compiled.run(request).report;
-  for (double fraction : {0.0, 0.5, 1.0}) {
-    const ServiceCost batch =
-        f.compiled.cost({.requests = {&request, 1}, .warm_fraction = fraction});
-    const Cycles solo = warm_total_cycles(cold, fraction);
-    ASSERT_EQ(batch.request_cycles.size(), 1u);
-    EXPECT_EQ(batch.request_cycles[0], solo);
-    EXPECT_EQ(batch.total_cycles, solo);
-    EXPECT_EQ(batch.serial_cycles, solo);
-    EXPECT_EQ(batch.weighting_saved_cycles, 0u);
-  }
-}
-
-TEST(RunCostBatch, BatchedNeverExceedsSerialSumAndFollowersSave) {
-  ServeFixture f;
-  const RunRequest request{f.plan_a, &f.a.features};
-  for (double fraction : {0.0, 0.5, 1.0}) {
-    const Cycles solo = f.compiled.cost(request, fraction).total_cycles;
-    Cycles prev_total = 0;
-    for (std::size_t k = 1; k <= 5; ++k) {
-      const std::vector<RunRequest> group(k, request);
-      const ServiceCost batch = f.compiled.cost({.requests = group, .warm_fraction = fraction});
-      ASSERT_EQ(batch.request_cycles.size(), k);
-      // The head runs in full; every follower is charged no more than the
-      // head and the slot total never exceeds the serial sum.
-      EXPECT_EQ(batch.request_cycles[0], solo);
-      for (std::size_t i = 1; i < k; ++i) {
-        EXPECT_LE(batch.request_cycles[i], batch.request_cycles[0]);
-        EXPECT_EQ(batch.request_cycles[i], batch.request_cycles[1]);  // same work
-      }
-      EXPECT_EQ(batch.serial_cycles, solo * k);
-      EXPECT_LE(batch.total_cycles, batch.serial_cycles);
-      EXPECT_EQ(batch.weighting_saved_cycles, batch.serial_cycles - batch.total_cycles);
-      // This GCN workload has exposed weighting memory time, so followers
-      // actually save (the model is not vacuously zero) and savings grow
-      // with group size.
-      if (k >= 2) {
-        EXPECT_LT(batch.total_cycles, batch.serial_cycles) << "k=" << k;
-        EXPECT_GT(batch.total_cycles, prev_total);
-      }
-      prev_total = batch.total_cycles;
-    }
-  }
-}
-
-TEST(RunCostBatch, MixedFeaturesOfOnePlanShareTheSlot) {
-  ServeFixture f;
-  // Same plan, two distinct feature matrices: coalescing keys on the plan
-  // fingerprint, not the feature pointer.
-  DatasetSpec spec = f.a.spec;
-  SparseMatrix other_features = generate_features(spec, 99);
-  const std::vector<RunRequest> group = {{f.plan_a, &f.a.features},
-                                         {f.plan_a, &other_features},
-                                         {f.plan_a, &f.a.features}};
-  const ServiceCost batch = f.compiled.cost({.requests = group});
-  const Cycles cost_0 = f.compiled.cost(group[0]).total_cycles;
-  const Cycles cost_1 = f.compiled.cost(group[1]).total_cycles;
-  EXPECT_EQ(batch.serial_cycles, 2 * cost_0 + cost_1);
-  EXPECT_LT(batch.total_cycles, batch.serial_cycles);
-  EXPECT_EQ(batch.request_cycles[0], cost_0);
-}
+// --- The one-request cost query. ---
 
 TEST(RunCostBatch, ValidatesItsArguments) {
   ServeFixture f;
   const RunRequest a{f.plan_a, &f.a.features};
-  const RunRequest b{f.plan_b, &f.b_features};
-  EXPECT_THROW(f.compiled.cost(CostQuery{}), std::invalid_argument);
-  const std::vector<RunRequest> mixed = {a, b};
-  EXPECT_THROW(f.compiled.cost({.requests = mixed}), std::invalid_argument);
   EXPECT_THROW(f.compiled.cost(a, -0.1), std::invalid_argument);
   EXPECT_THROW(f.compiled.cost(a, 1.1), std::invalid_argument);
   const RunRequest no_plan{nullptr, &f.a.features};
@@ -221,17 +153,49 @@ TEST(BatchingCluster, FifoCoalescesFromTheGlobalQueue) {
   ASSERT_EQ(rep.batch_size_counts.size(), 4u);
   EXPECT_EQ(rep.batch_size_counts[0], 2u);
   EXPECT_EQ(rep.batch_size_counts[3], 1u);
-  // Followers ride the slot back-to-back, and the cluster's charges are
-  // exactly the cost query's slot model for the 4-group.
+  // Followers ride the slot back-to-back. By hand: the head is charged its
+  // cold cost c once, each follower c − s (s = its weight-stream saving),
+  // so the 4-slot spans c + 3(c − s).
   for (std::size_t i = 2; i <= 4; ++i) {
     EXPECT_EQ(rep.requests[i].start, rep.requests[i - 1].finish);
   }
-  const std::vector<RunRequest> slot(4, RunRequest{f.plan_a, &f.a.features});
-  const ServiceCost model = f.compiled.cost({.requests = slot});
-  for (std::size_t i = 1; i <= 4; ++i) {
-    EXPECT_EQ(rep.requests[i].service_cycles(), model.request_cycles[i - 1]);
-  }
-  EXPECT_EQ(rep.requests[4].finish - rep.requests[1].start, model.total_cycles);
+  const ServiceCost cost = f.compiled.cost({f.plan_a, &f.a.features});
+  const Cycles c = cost.head.cold_cycles;
+  const Cycles s = cost.head.batch_saving_cycles;
+  ASSERT_GT(s, 0u);  // followers actually save on this fixture
+  ASSERT_LT(s, c);
+  EXPECT_EQ(rep.requests[0].service_cycles(), c);
+  EXPECT_EQ(rep.requests[1].service_cycles(), c);
+  for (std::size_t i = 2; i <= 4; ++i) EXPECT_EQ(rep.requests[i].service_cycles(), c - s);
+  EXPECT_EQ(rep.requests[5].service_cycles(), c);
+  EXPECT_EQ(rep.requests[4].finish - rep.requests[1].start, c + 3 * (c - s));
+  EXPECT_EQ(rep.weighting_cycles_saved, 3 * s);
+}
+
+TEST(BatchingCluster, SlotsCoalesceByPlanNotByFeatures) {
+  ServeFixture f(coalescing_config(4));
+  // Same plan, two distinct feature matrices: coalescing keys on the plan
+  // fingerprint, not the feature pointer, and each member is charged from
+  // its own (plan, features) cost — the head c, each follower its own c − s.
+  SparseMatrix other_features = generate_features(f.a.spec, 99);
+  RequestTrace trace = RequestTrace::fixed_interval(
+      {f.stream_a(), {f.plan_a, &other_features, 1.0}}, 4, 0);
+  ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
+  ASSERT_EQ(rep.requests.size(), 4u);
+  // Request 0 seats alone; requests 1 (other), 2 (a), 3 (other) share a slot.
+  EXPECT_EQ(rep.requests[0].group_size, 1u);
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(rep.requests[i].group_size, 3u);
+
+  const ServiceCost own = f.compiled.cost({f.plan_a, &f.a.features});
+  const ServiceCost other = f.compiled.cost({f.plan_a, &other_features});
+  ASSERT_NE(own.head.cold_cycles, other.head.cold_cycles);  // the test discriminates
+  EXPECT_EQ(rep.requests[1].service_cycles(), other.head.cold_cycles);
+  EXPECT_EQ(rep.requests[2].service_cycles(),
+            own.head.cold_cycles - own.head.batch_saving_cycles);
+  EXPECT_EQ(rep.requests[3].service_cycles(),
+            other.head.cold_cycles - other.head.batch_saving_cycles);
+  EXPECT_EQ(rep.weighting_cycles_saved,
+            own.head.batch_saving_cycles + other.head.batch_saving_cycles);
 }
 
 TEST(BatchingCluster, CapLargerThanQueueDepthDrainsWhatIsThere) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/serving.hpp"
@@ -97,12 +99,15 @@ TEST(ServeTrace, ZeroWeightStreamsAreRejectedEverywhere) {
   // Weights are draw probabilities: a zero- (or negative-) weight stream is
   // a contradiction, not "never drawn", and every constructor must reject
   // it — including fixed_interval, which ignores weights when emitting, and
-  // including a zero-weight stream hiding among valid ones.
+  // including a zero-weight stream hiding among valid ones. An infinite
+  // weight is no probability either: it would take every draw.
   ServeFixture f;
   TraceStream zero = f.stream_a();
   zero.weight = 0.0;
   TraceStream negative = f.stream_b();
   negative.weight = -1.0;
+  TraceStream infinite = f.stream_b();
+  infinite.weight = std::numeric_limits<double>::infinity();
   EXPECT_THROW(RequestTrace::fixed_interval({f.stream_a(), zero}, 4, 10),
                std::invalid_argument);
   EXPECT_THROW(RequestTrace::poisson({f.stream_a(), zero}, 4, 10.0, 1),
@@ -111,6 +116,42 @@ TEST(ServeTrace, ZeroWeightStreamsAreRejectedEverywhere) {
   EXPECT_THROW(
       RequestTrace::bursty({f.stream_a(), zero}, 4, 100.0, 10.0, 5.0, 5.0, 1),
       std::invalid_argument);
+  EXPECT_THROW(RequestTrace::poisson({f.stream_a(), infinite}, 1000, 10.0, 1),
+               std::invalid_argument);
+  // Finite weights whose sum overflows are no distribution either.
+  TraceStream huge = f.stream_a();
+  huge.weight = 1e308;
+  EXPECT_THROW(RequestTrace::poisson({huge, huge}, 4, 10.0, 1), std::invalid_argument);
+}
+
+TEST(ServeTrace, RejectsArrivalsThatWrapTheCycleClock) {
+  // Arrival times are unsigned cycles: a trace whose gaps or arrivals do not
+  // fit must be rejected, not wrapped back to small times (which would
+  // report ~2^63-cycle latencies for requests "arriving" before earlier
+  // ones).
+  ServeFixture f;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RequestTrace::poisson({f.stream_a()}, 4, inf, 1), std::invalid_argument);
+  EXPECT_THROW(RequestTrace::poisson({f.stream_a()}, 4, std::nan(""), 1),
+               std::invalid_argument);
+  EXPECT_THROW(RequestTrace::poisson({f.stream_a()}, 4, 1e300, 1), std::invalid_argument);
+  EXPECT_THROW(RequestTrace::bursty({f.stream_a()}, 4, inf, 10.0, 5.0, 5.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(RequestTrace::bursty({f.stream_a()}, 4, 1e300, 1e300, 5.0, 5.0, 1),
+               std::invalid_argument);
+  // Every gap fits, but the running sum passes 2^64 − 1 (~4e19 cycles).
+  EXPECT_THROW(RequestTrace::poisson({f.stream_a()}, 400, 1e17, 1), std::invalid_argument);
+  EXPECT_THROW(RequestTrace::fixed_interval({f.stream_a()}, 3, Cycles{1} << 63),
+               std::invalid_argument);
+  // A deadline past the end of the clock wraps the same way.
+  TraceStream late = f.stream_a();
+  late.slo_cycles = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(RequestTrace::fixed_interval({late}, 2, (Cycles{1} << 63) + 1),
+               std::invalid_argument);
+
+  // Large arrivals that do fit are still accepted.
+  const RequestTrace large = RequestTrace::fixed_interval({f.stream_a()}, 3, Cycles{1} << 62);
+  EXPECT_EQ(large.horizon(), Cycles{1} << 63);
 }
 
 // --- The ISSUE acceptance criterion: the degenerate cluster IS run_batch. ---

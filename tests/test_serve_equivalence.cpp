@@ -217,9 +217,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
         est.cost.warm_cycles =
             wcfg.enabled ? scale_cycles(cost.warm_full, cfg) : est.cost.cold_cycles;
         est.cost.swap_penalty_cycles =
-            wcfg.enabled
-                ? scale_cycles(config_engine(cfg).warmth.plan_swap_penalty_cycles, cfg)
-                : 0;
+            wcfg.enabled ? scale_cycles(kPlanSwapPenaltyCycles, cfg) : 0;
         est.cost.batch_saving_cycles =
             max_coalesce > 1 ? scale_cycles(cost.follower_saving, cfg) : 0;
         config_estimates[cfg] = est;
@@ -260,7 +258,6 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
 
   auto start_service = [&](std::size_t d, std::size_t head, Cycles now) {
     const std::size_t cfg = die_config_[d];
-    const WarmthConfig& die_wcfg = config_engine(cfg).warmth;
     const std::uint64_t fp = fingerprint_of(head);
     std::vector<std::size_t> group = {head};
     if (max_coalesce > 1) {
@@ -308,7 +305,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
       if (wcfg.enabled) {
         const double fraction = i == 0 ? head_fraction : follower_fraction;
         service = warm_total_cycles(cost.cold_report, fraction);
-        if (i == 0 && swapped) service += die_wcfg.plan_swap_penalty_cycles;
+        if (i == 0 && swapped) service += kPlanSwapPenaltyCycles;
         rec.warm_fraction = fraction;
         rec.plan_swap = i == 0 && swapped;
         report.die_warm_hits[d] += fraction > 0.0 ? 1 : 0;
@@ -527,7 +524,6 @@ TEST(ServeEquivalence, PipelineOffAndDefaultFamilyAreBitExact) {
   EngineConfig config = matrix_config(true, 8);
   config.pipeline.enabled = false;
   config.pipeline.variant_widths = {};
-  config.pipeline.variant_setup_cycles = 999;  // irrelevant with the default family
   ServeFixture f(config);
   const Cycles cost_a =
       f.compiled.cost(RunRequest{f.plan_a, &f.a.features}).total_cycles;

@@ -34,7 +34,6 @@ EngineConfig tight_warmth_config() {
   EngineConfig config = EngineConfig::paper_default(false);
   config.warmth.enabled = true;
   config.warmth.die_budget_bytes = 48 << 10;
-  config.warmth.plan_swap_penalty_cycles = 1000;
   return config;
 }
 
@@ -73,22 +72,17 @@ TEST(WarmthCost, ZeroWarmFractionReproducesRunCostBitExactly) {
   for (const RunRequest request :
        {RunRequest{f.plan_a, &f.a.features}, RunRequest{f.plan_b, &f.b_features}}) {
     const InferenceReport cold = f.compiled.run(request).report;
-    InferenceReport zero = cold;
-    apply_warmth_discount(zero, 0.0);
-    EXPECT_EQ(zero.total_cycles, cold.total_cycles);
-    EXPECT_EQ(zero.total_macs, cold.total_macs);
-    EXPECT_EQ(zero.dram.bytes_read, cold.dram.bytes_read);
-    EXPECT_EQ(zero.dram.bytes_written, cold.dram.bytes_written);
-    ASSERT_EQ(zero.layers.size(), cold.layers.size());
-    for (std::size_t l = 0; l < cold.layers.size(); ++l) {
-      EXPECT_EQ(zero.layers[l].total_cycles, cold.layers[l].total_cycles);
-      EXPECT_EQ(zero.layers[l].aggregation.total_cycles,
-                cold.layers[l].aggregation.total_cycles);
-      EXPECT_EQ(zero.layers[l].aggregation.memory_cycles,
-                cold.layers[l].aggregation.memory_cycles);
+    // Every stage discounts exactly 0 at fraction 0, and even a fully warm
+    // stage never discounts more than its memory time.
+    for (const LayerReport& lr : cold.layers) {
+      const WarmthStage stage = warmth_stage_of(lr.aggregation);
+      EXPECT_EQ(warmth_stage_discount(stage, 0.0), 0u);
+      EXPECT_LE(warmth_stage_discount(stage, 1.0), lr.aggregation.memory_cycles);
     }
     EXPECT_EQ(warm_total_cycles(cold, 0.0), cold.total_cycles);
-    EXPECT_EQ(f.compiled.cost(request, 0.0).total_cycles, cold.total_cycles);
+    const ServiceCost cost = f.compiled.cost(request, 0.0);
+    EXPECT_EQ(cost.total_cycles, cold.total_cycles);
+    EXPECT_EQ(cost.warm_total(0.0), cold.total_cycles);
   }
 }
 
@@ -150,7 +144,7 @@ TEST(WarmthCluster, ServiceChargesMatchTheWarmCostModelExactly) {
   WarmthFixture f(tight_warmth_config());
   const InferenceReport cold_a = f.compiled.run({f.plan_a, &f.a.features}).report;
   const InferenceReport cold_b = f.compiled.run({f.plan_b, &f.b_features}).report;
-  const Cycles penalty = f.engine.config().warmth.plan_swap_penalty_cycles;
+  const Cycles penalty = kPlanSwapPenaltyCycles;
 
   // One die, alternating graphs, gaps wide enough that nothing queues:
   // every service alternates plans under a one-plan budget, so after the
@@ -244,7 +238,7 @@ TEST(WarmthCluster, MemoizedCostIsColdAndWarmFractionAppliesPerService) {
       RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 6, 1u << 30);
   ServingReport alt = Cluster(f.compiled, 1).simulate(
       alternating, {.scheduler = SchedulerKind::kFifo});
-  const Cycles penalty = f.engine.config().warmth.plan_swap_penalty_cycles;
+  const Cycles penalty = kPlanSwapPenaltyCycles;
   EXPECT_EQ(alt.requests[2].service_cycles(), cold.total_cycles + penalty);
   EXPECT_EQ(alt.requests[4].service_cycles(), cold.total_cycles + penalty);
 }
