@@ -42,6 +42,7 @@ double EngineConfig::peak_tops() const {
 
 void EngineConfig::validate() const {
   array.validate();
+  hbm.validate();
   GNNIE_REQUIRE(clock_hz > 0.0, "clock must be positive");
   GNNIE_REQUIRE(weight_bytes >= 1 && weight_bytes <= 4, "weight precision 1–4 bytes");
   GNNIE_REQUIRE(feature_bytes == 4, "feature path is FP32");

@@ -1,8 +1,8 @@
 #include "datasets/synthetic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/alias_table.hpp"
 #include "common/require.hpp"
@@ -21,6 +21,40 @@ std::uint64_t pair_key(VertexId u, VertexId v) {
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
+/// Exact set of distinct pair keys: an open-addressed table (linear
+/// probing, load at most 1/2) that only answers membership, plus the keys
+/// in draw order. 0 marks an empty slot; pair_key never returns 0 because
+/// u != v.
+class PairSet {
+ public:
+  explicit PairSet(std::uint64_t capacity)
+      : slots_(std::bit_ceil(2 * capacity), 0),
+        shift_(64 - static_cast<unsigned>(std::countr_zero(slots_.size()))) {
+    keys_.reserve(capacity);
+  }
+
+  void insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of key · 2^64/φ.
+    for (std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return;
+      if (slots_[i] == 0) {
+        slots_[i] = key;
+        keys_.push_back(key);
+        return;
+      }
+    }
+  }
+
+  std::size_t size() const { return keys_.size(); }
+  const std::vector<std::uint64_t>& keys() const { return keys_; }
+
+ private:
+  std::vector<std::uint64_t> slots_;
+  unsigned shift_;
+  std::vector<std::uint64_t> keys_;
+};
+
 }  // namespace
 
 Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
@@ -29,6 +63,7 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
       static_cast<std::uint64_t>(spec.vertices) * (spec.vertices - 1) / 2;
   std::uint64_t target_pairs = std::min<std::uint64_t>(spec.edges / 2, max_pairs);
   GNNIE_REQUIRE(target_pairs > 0, "edge target too small");
+  GNNIE_REQUIRE(target_pairs <= (1ull << 62), "edge target too large");  // PairSet sizing
 
   Rng rng(mix_seed(seed, 0xA11CE));
 
@@ -42,8 +77,7 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
   }
   const AliasTable endpoints(weights);
 
-  std::unordered_set<std::uint64_t> pairs;
-  pairs.reserve(static_cast<std::size_t>(target_pairs) * 2);
+  PairSet pairs(target_pairs);
   const std::uint64_t max_attempts = 64 * target_pairs + 1024;
   std::uint64_t attempts = 0;
   while (pairs.size() < target_pairs && attempts < max_attempts) {
@@ -63,7 +97,7 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
   }
 
   GraphBuilder b(spec.vertices);
-  for (std::uint64_t key : pairs) {
+  for (std::uint64_t key : pairs.keys()) {
     b.add_edge(static_cast<VertexId>(key >> 32), static_cast<VertexId>(key & 0xffffffffu));
   }
   b.symmetrize();

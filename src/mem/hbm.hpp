@@ -9,6 +9,27 @@
 // Cycle accounting: every access adds busy time to its channel; an epoch's
 // memory time is the maximum channel busy time since begin_epoch() —
 // channels work in parallel, requests on one channel serialize.
+//
+// Geometry: channels, banks per channel, burst bytes and bursts per row must
+// be powers of two (HBM2's 8 / 16 / 64 B / 2 KiB rows qualify), so the model
+// maps a burst to its channel, row and bank with shifts and masks, never a
+// division. Busy time still accumulates one burst at a time, in each
+// channel's address order: floating-point addition is not associative, so
+// summing a row's bursts in closed form (n × service) would move
+// epoch_cycles() — 32 sequential additions of the default 2.6-cycle burst
+// give 83.19999999999997, the product 83.19999999999999.
+//
+// Settling: access() only counts bytes and bursts and queues the access.
+// The queue is charged to the channels (row hits and misses, busy time)
+// when it fills and before begin_epoch(), epoch_cycles() and stats() answer,
+// one channel at a time, so a channel's busy time stays in a register while
+// it walks the queued accesses. Channels share no state, so the result is
+// the same as charging every burst in address order at access time. The
+// reason is steadiness, not peak speed: a loop over the bursts in address
+// order reads and writes the open-row, stream and busy tables for every
+// burst, and its time swung 1.6× (p90/p10) with other load on a shared
+// 4-vCPU VM while replaying a recorded on-demand access stream; this walk
+// swung 1.2× on the same stream and host.
 #pragma once
 
 #include <array>
@@ -38,6 +59,12 @@ struct HbmConfig {
 
   /// Transfer time of one burst on one channel, in accelerator cycles.
   double burst_cycles() const;
+
+  /// Throws std::invalid_argument unless the geometry is power-of-two (see
+  /// the file comment), bandwidth and clock are finite and positive, the
+  /// penalties and energy are finite and non-negative, and one burst's
+  /// transfer time is finite. HbmModel and EngineConfig::validate call it.
+  void validate() const;
 };
 
 /// Which on-chip buffer a DRAM transaction serves — the paper's energy
@@ -63,6 +90,8 @@ struct HbmStats {
   HbmStats& operator+=(const HbmStats& other);
 };
 
+/// One engine run's DRAM. Not safe to share between threads, even through
+/// its const accessors: they settle queued accesses (see the file comment).
 class HbmModel {
  public:
   explicit HbmModel(HbmConfig config = {});
@@ -80,8 +109,12 @@ class HbmModel {
   /// Busy cycles of the most-loaded channel since begin_epoch().
   Cycles epoch_cycles() const;
 
-  /// Lifetime totals (not reset by begin_epoch).
-  const HbmStats& stats() const { return stats_; }
+  /// Lifetime totals (not reset by begin_epoch). Row hits and misses in the
+  /// returned reference are current until the next access().
+  const HbmStats& stats() const {
+    settle();
+    return stats_;
+  }
 
   /// DRAM transfer energy: pJ/bit over all bytes moved (burst-granular).
   Joules energy() const;
@@ -90,18 +123,43 @@ class HbmModel {
   struct Bank {
     std::uint64_t open_row = ~0ull;
   };
+  /// A queued access: its burst range and its stream (see kStreamSlots).
+  struct PendingAccess {
+    std::uint64_t first_burst = 0;
+    std::uint64_t last_burst = 0;
+    std::uint32_t stream = 0;  // region × 2 + write
+  };
+  static constexpr std::size_t kMaxPending = 256;  // 6 KiB: the queue stays in L1
+
+  /// Charges the queued accesses to their channels (see the file comment).
+  void settle() const;
 
   HbmConfig config_;
-  std::vector<Bank> banks_;           // channels × banks_per_channel
-  std::vector<double> channel_busy_;  // cycles within current epoch
+  // Geometry as shifts and masks, and the three per-burst service times
+  // (row hit, streaming miss, jump miss), fixed at construction.
+  unsigned burst_shift_ = 0;        // log2(burst_bytes)
+  unsigned channel_shift_ = 0;      // log2(channels)
+  unsigned row_shift_ = 0;          // log2(bursts per row)
+  unsigned bank_shift_ = 0;         // log2(banks_per_channel)
+  std::uint32_t channel_mask_ = 0;  // channels - 1
+  std::uint32_t bank_mask_ = 0;     // banks_per_channel - 1
+  double hit_cycles_ = 0.0;
+  double streaming_miss_cycles_ = 0.0;
+  double jump_miss_cycles_ = 0.0;
+  // Everything settle() updates is mutable: the const accessors settle the
+  // queue before they answer.
+  mutable std::vector<PendingAccess> pending_;
+  mutable std::uint64_t pending_bursts_ = 0;
+  mutable std::vector<Bank> banks_;           // channels × banks_per_channel
+  mutable std::vector<double> channel_busy_;  // cycles within current epoch
   /// Streaming detection per (channel, address region): the memory-access
   /// scheduler (§III) batches requests per stream, so interleaved traffic
   /// from different regions (properties, adjacency, outputs …) does not
   /// break each stream's row locality. Regions follow DramLayout's 2^36
   /// spacing.
   static constexpr std::size_t kStreamSlots = 16;  // 8 regions × {read, write}
-  std::vector<std::uint64_t> last_channel_burst_;
-  HbmStats stats_;
+  mutable std::vector<std::uint64_t> last_channel_burst_;
+  mutable HbmStats stats_;
 };
 
 }  // namespace gnnie

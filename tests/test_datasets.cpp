@@ -128,6 +128,35 @@ TEST(Generate, PpiIsFlatterThanPubmed) {
   EXPECT_GT(edge_coverage(pb, 0.10), edge_coverage(ppi, 0.10));
 }
 
+// Pins the generator's output across commits: a change to the edge draw,
+// the dedup set or GraphBuilder that alters any dataset fails here, where
+// GraphDeterministicInSeed (two calls in one build) cannot notice.
+TEST(Generate, GraphsMatchRecordedFingerprints) {
+  struct Case {
+    DatasetId id;
+    double scale;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {DatasetId::kCora, 0.01, 0xe268bd265aa66f2aull},
+      {DatasetId::kCiteseer, 0.01, 0x0e823713c47aa300ull},
+      {DatasetId::kPubmed, 0.01, 0xd025a6205d949f55ull},
+      {DatasetId::kPpi, 0.01, 0x3be6e2019cc642bdull},
+      {DatasetId::kReddit, 0.01, 0x569c4257cd9c7d0aull},
+      // Reddit at 0.001 asks for more pairs than random draws find: the
+      // complete-graph fill path builds it.
+      {DatasetId::kReddit, 0.001, 0x34359acc0b215814ull},
+  };
+  for (const Case& c : cases) {
+    const DatasetSpec spec = spec_of(c.id).scaled(c.scale);
+    const Csr g = generate_graph(spec, 1);
+    EXPECT_EQ(g.structure_fingerprint(), c.fingerprint) << spec.short_name << "@" << c.scale;
+  }
+  const Csr complete = generate_graph(spec_of(DatasetId::kReddit).scaled(0.001), 1);
+  EXPECT_EQ(complete.vertex_count(), 233u);
+  EXPECT_EQ(complete.edge_count(), 233u * 232u);
+}
+
 TEST(Generate, TinyScaledSpecStillBuilds) {
   DatasetSpec s = spec_of(DatasetId::kCora).scaled(0.005);
   Csr g = generate_graph(s, 1);
