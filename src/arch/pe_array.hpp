@@ -11,20 +11,19 @@
 #include <string>
 #include <vector>
 
-#include "common/units.hpp"
-
 namespace gnnie {
 
 struct ArrayConfig {
   std::uint32_t rows = 16;
   std::uint32_t cols = 16;
   /// MACs per CPE for each row; size == rows, nondecreasing for FM designs.
+  /// Rows with equal MAC count form one flexible-MAC binning group
+  /// (row_groups(); uniform designs have one group).
   std::vector<std::uint32_t> macs_per_row;
-  /// Number of row groups for flexible-MAC binning (rows with equal MAC
-  /// count form a group; uniform designs have one group).
-  std::uint32_t psum_slots_per_mpe = 16;  ///< in-flight vertices an MPE can track
-  Cycles mpe_accumulate_latency = 1;
-  double clock_hz = 1.3e9;
+  /// Partial-sum slots per MPE: the in-flight vertices an MPE can track.
+  /// Fast rows running further ahead stall the array and spill psums
+  /// (§IV-C, core/weighting.cpp).
+  std::uint32_t psum_slots_per_mpe = 16;
 
   std::uint32_t total_macs() const;
   std::uint32_t total_cpes() const { return rows * cols; }

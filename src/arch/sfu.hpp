@@ -1,10 +1,11 @@
 // Special Function Unit models (§III): exponentiation via a lookup-table /
-// Taylor hybrid (the paper cites the Nilsson et al. hardware exp [25]),
-// LeakyReLU, and division latency for the softmax normalize.
+// Taylor hybrid (the paper cites the Nilsson et al. hardware exp [25]) and
+// LeakyReLU.
 //
 // The functional path matters for GATs: exp() feeds the attention softmax.
-// The LUT keeps relative error well under 1e-3, which tests verify, and the
-// cycle model charges a fixed pipelined latency per operation.
+// The LUT keeps relative error well under 1e-3, which tests verify. The
+// cycle model charges SFU work by lane throughput (EngineConfig::sfu_lanes)
+// plus the exp pipeline fill (exp_latency).
 #pragma once
 
 #include <cstdint>
@@ -17,9 +18,7 @@ namespace gnnie {
 struct SfuConfig {
   /// log2 of the 2^frac LUT size (256 entries reproduces a small ROM).
   std::uint32_t lut_log2_entries = 8;
-  Cycles exp_latency = 3;        ///< pipelined: one result/cycle after fill
-  Cycles leaky_relu_latency = 1;
-  Cycles divide_latency = 8;
+  Cycles exp_latency = 3;  ///< pipelined: one result/cycle after fill
 };
 
 class SfuExpLut {

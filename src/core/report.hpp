@@ -122,7 +122,11 @@ struct ServingReport {
   std::string scheduler;                ///< name() of the scheduler that ran
   double clock_hz = 0.0;
   Cycles makespan = 0;                  ///< last finish time (0: empty trace)
-  std::vector<Cycles> die_busy_cycles;  ///< summed service time, per die
+  /// Per die: the summed span of its service slots, each from service
+  /// start to slot end. Equals the members' summed service with pipelining
+  /// off; with it on, stream time hidden under the previous slot is counted
+  /// in pipeline_hidden_cycles instead, so utilization never exceeds 1.
+  std::vector<Cycles> die_busy_cycles;
   /// Warmth model (EngineConfig::warmth) state of the run that produced
   /// this report. When disabled the per-die warmth counters are all zero
   /// and every request is cold.

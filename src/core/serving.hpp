@@ -198,7 +198,7 @@ struct BatchResult {
 /// Scalar summary of one request's staged service cost on one engine
 /// config — the POD slice of ServiceCost that routing code copies around
 /// (serve::RequestEstimate embeds one per (die, request)). All cycles are
-/// in the priced config's clock domain until a caller scales them.
+/// at the priced config's clock_hz; a serving fleet shares one clock.
 struct ServiceCostSummary {
   Cycles cold_cycles = 0;           ///< lone cold service (run total)
   Cycles warm_cycles = 0;           ///< lone fully-warm service (fraction 1)

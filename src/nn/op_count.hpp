@@ -1,6 +1,11 @@
-// Analytic operation counts per model × dataset. These drive the software
-// baseline models (PyG-CPU / PyG-GPU, Fig. 12) and the throughput
-// calculation (Table IV): TOPS = ops / runtime.
+// Analytic operation counts of one GNN forward pass on a graph: weighting
+// MACs (layer 0 skips zero input features), aggregation MACs over edges
+// plus self loops, GraphSAGE max-pool comparisons and special-function
+// ops, with total_ops() under the 1 MAC = 2 ops TOPS convention. A
+// standalone workload-size calculator, pinned by tests/test_nn.cpp; the
+// Fig. 12 software baselines (baselines/sw_platform.hpp) and Table IV's
+// effective TOPS (InferenceReport::effective_tops) count their own
+// operations.
 #pragma once
 
 #include <cstdint>

@@ -1,20 +1,20 @@
 // Heterogeneous serving fleets: per-die engine configurations.
 //
 // A FleetSpec gives every die in a serving cluster its own EngineConfig —
-// mixed PE-array design points, buffer sizes, clocks — so the simulator can
-// answer provisioning questions: is a fleet of two big dies and two cheap
-// ones enough to hold an SLO, or does the trace need four big ones? Each
-// distinct config carries a relative *cost* (provisioning spend, normalized
-// so the paper's design A = 1.0 when built via from_designs) and a label for
-// reports; `assignment` maps each die to its config, so N dies can share a
-// handful of configs without duplicating them.
+// mixed PE-array design points, buffer sizes, cache policies — so the
+// simulator can answer provisioning questions: is a fleet of two big dies
+// and two cheap ones enough to hold an SLO, or does the trace need four big
+// ones? Each distinct config carries a relative *cost* (provisioning spend,
+// normalized so the paper's design A = 1.0 when built via from_designs) and
+// a label for reports; `assignment` maps each die to its config, so N dies
+// can share a handful of configs without duplicating them.
 //
 // The cluster compiles the model once per distinct config and keys its
 // service memo by (config, plan fingerprint, features): the same request
 // costs differently per die design, which is exactly what the schedulers'
-// per-(die, request) RequestEstimate vector carries. All per-die costs are
-// normalized to the *reference* model's clock so the simulation stays in one
-// virtual-cycle domain.
+// per-(die, request) RequestEstimate vector carries. Every config runs at
+// the reference model's clock_hz (the cluster rejects any other), so the
+// simulation stays in one virtual-cycle domain.
 //
 // The homogeneous Cluster(model, dies) constructor is itself a one-config
 // fleet (FleetSpec::homogeneous); a homogeneous FleetSpec over the

@@ -102,9 +102,9 @@ struct DieStatus {
 /// coalescing off cost.batch_saving_cycles is 0.
 struct RequestEstimate {
   /// Staged per-request cost on this die's config (gnnie::ServiceCostSummary
-  /// — cold/warm/swap/stage split/follower saving), scaled into the
-  /// reference clock domain. Schedulers read costs from here instead of
-  /// recomputing discounts.
+  /// — cold/warm/swap/stage split/follower saving), in the cluster's one
+  /// clock domain. Schedulers read costs from here instead of recomputing
+  /// discounts.
   ServiceCostSummary cost;
   std::uint64_t fingerprint = 0;
   Bytes working_set_bytes = 0;
@@ -118,8 +118,8 @@ struct RequestEstimate {
   /// gate paired with DieStatus::queue_head_fingerprint. Always 1 with
   /// coalescing off.
   std::uint32_t coalesce_count = 1;
-  /// Stream-track cycles of a slot headed by this request (scaled), filled
-  /// only when intra-die pipelining is enabled (EngineConfig::pipeline):
+  /// Stream-track cycles of a slot headed by this request, filled only
+  /// when intra-die pipelining is enabled (EngineConfig::pipeline):
   /// the share of its service a busy die would overlap with its current
   /// slot's compute. 0 keeps estimates bit-exact with the pipeline-unaware
   /// scheduler.
@@ -130,9 +130,11 @@ struct RequestEstimate {
 /// the die's residency (or its last routed plan — it will be resident by
 /// the time the queue drains) matches, else the cold cost plus the swap
 /// penalty when the die holds some other plan's state; minus the
-/// coalescing ride discount (RequestEstimate::batch_saving_cycles) when
-/// the die's head-of-line slot is joinable for this plan. The cluster uses
-/// the same estimate to maintain DieStatus::queued_cycles_estimate, so the
+/// coalescing ride discount (RequestEstimate::cost.batch_saving_cycles)
+/// when the die's head-of-line slot is joinable for this plan; minus the
+/// pipelined stream share (RequestEstimate::pipeline_stream_cycles) when
+/// the request would start behind other work. The cluster uses the same
+/// estimate to maintain DieStatus::queued_cycles_estimate, so the
 /// warmth-aware scheduler's predicted completions are self-consistent —
 /// including the ride discount.
 Cycles estimate_die_service(const DieStatus& die, const RequestEstimate& estimate);

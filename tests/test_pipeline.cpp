@@ -4,7 +4,8 @@
 // against the warmth-discounted run report, the SimulateOptions entry point
 // (policy kinds, caller-owned policy objects, and defaults byte-identical),
 // the two-track timeline's invariants (zero overlap under FIFO, cycle
-// conservation, pipelined ≤ serial per slot), the acceptance criterion that
+// conservation, pipelined ≤ serial per slot, each slot's busy span charged
+// once so utilization stays at most 1), the acceptance criterion that
 // pipelining strictly improves p99 and makespan on a weight-stream-heavy
 // trace at 4 dies, and variant dispatch (the cheapest width wins, its setup
 // charged to the head; determinism).
@@ -174,6 +175,24 @@ TEST(Pipelining, ConservesSlotCyclesAndNeverExceedsSerialPerSlot) {
     EXPECT_GE(r.start, r.arrival - std::min(r.arrival, service));
     EXPECT_GE(r.finish, r.start);
   }
+}
+
+TEST(Pipelining, DieBusyCyclesChargeEachSlotOnceSoUtilizationStaysAtMostOne) {
+  // One die, back-to-back slots: the die is busy over exactly [0, makespan],
+  // and every head's stream overlaps the previous slot's compute. Busy time
+  // counts each slot's span from service start to slot end once; the
+  // stream time hidden under the previous slot is reported as hidden, and
+  // the two together account for every record's service.
+  ServeFixture f(pipeline_config(true));
+  const ServingReport rep = Cluster(f.compiled, 1).simulate(
+      RequestTrace::fixed_interval({f.stream_a()}, 50, 0),
+      {.scheduler = SchedulerKind::kShortestQueue});
+  ASSERT_GT(rep.pipeline_hidden_cycles, 0u);
+  EXPECT_EQ(rep.die_busy_cycles[0], rep.makespan);
+  EXPECT_DOUBLE_EQ(rep.die_utilization(0), 1.0);
+  Cycles service_total = 0;
+  for (const RequestRecord& r : rep.requests) service_total += r.service_cycles();
+  EXPECT_EQ(rep.die_busy_cycles[0] + rep.pipeline_hidden_cycles, service_total);
 }
 
 // The ISSUE acceptance criterion: on a weight-stream-heavy trace at 4 dies,
