@@ -4,26 +4,21 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "cache/access_trace.hpp"
 #include "cache/alloc.hpp"
 #include "cache/replay.hpp"
+#include "common/audit.hpp"
 #include "common/require.hpp"
 #include "graph/reorder.hpp"
 
 namespace gnnie {
-namespace {
-
-std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
-
-/// Subgraph mode's max replacements per iteration, as a fraction of the
-/// cache capacity (r = n/8).
-constexpr double kReplacementFraction = 0.125;
 
 /// Functional state shared by both execution modes. All modes accumulate
 /// into `out`; GAT additionally tracks the softmax denominator.
-struct FunctionalState {
+struct AggregationEngine::FunctionalState {
   Matrix out;
   std::vector<float> denom;          // GAT softmax denominators, [v·heads + h]
   std::vector<float> inv_sqrt_deg;   // GCN normalization 1/√(deg+1)
@@ -122,10 +117,172 @@ struct FunctionalState {
   }
 };
 
-/// Per-accumulation CPE cycle cost: an F-wide add/MAC pass on a CPE with
-/// `macs` lanes.
-std::uint64_t accum_cycles(std::size_t f, std::uint32_t macs) {
-  return div_ceil(f, macs);
+namespace {
+
+std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
+
+/// Subgraph mode's max replacements per iteration, as a fraction of the
+/// cache capacity (r = n/8).
+constexpr double kReplacementFraction = 0.125;
+
+/// The one place an aggregation run charges cycles and DRAM traffic: every
+/// HbmModel access and every cycle, traffic and operation counter of the
+/// report goes through here. Work is charged in epochs (the subgraph fill
+/// and each iteration, each on-demand window of n targets, the livelock
+/// sweep) whose DRAM time overlaps their compute, so an epoch costs
+/// max(compute, memory).
+class Ledger {
+ public:
+  Ledger(const EngineConfig& config, HbmModel& hbm, const DramLayout& layout,
+         const AggregationTask& task, AggregationReport& rep)
+      : partial_bytes(static_cast<Bytes>(task.hw->cols()) * config.feature_bytes),
+        prop_bytes(partial_bytes + 4 + (task.kind == AggKind::kGatSoftmax ? 8 : 0)),
+        config_(config),
+        hbm_(hbm),
+        layout_(layout),
+        rep_(rep),
+        f_(task.hw->cols()),
+        sfu_per_accumulation_(task.kind == AggKind::kGatSoftmax ? task.gat_heads : 0),
+        sfu_per_finish_(task.kind == AggKind::kGatSoftmax ? f_ : 0),
+        load_balanced_(config.opts.aggregation_load_balance),
+        fan_in_stamp_(task.graph->vertex_count(), 0),
+        fan_in_(task.graph->vertex_count(), 0),
+        cpe_load_(config.array.total_cpes(), 0) {
+    hbm_.begin_epoch();
+  }
+
+  /// A vertex's partial or result row and its DRAM record (ηw, α, e1/e2
+  /// for GAT), by layout slot.
+  const Bytes partial_bytes;
+  const Bytes prop_bytes;
+  std::uint64_t prop_addr(std::uint64_t slot) const {
+    return layout_.property_base + slot * prop_bytes;
+  }
+  std::uint64_t out_addr(std::uint64_t slot) const {
+    return layout_.output_base + slot * partial_bytes;
+  }
+
+  /// A DRAM read. Every read fills the input working set (properties,
+  /// adjacency slices, spilled partials); `random` counts an on-demand pull.
+  void read(std::uint64_t addr, Bytes bytes, MemClient client, bool random = false) {
+    hbm_.access(addr, bytes, false, client);
+    ++rep_.dram_accesses;
+    rep_.dram_bytes += bytes;
+    rep_.input_fetch_bytes += bytes;
+    if (random) ++rep_.random_dram_accesses;
+  }
+
+  void write(std::uint64_t addr, Bytes bytes, MemClient client) {
+    hbm_.access(addr, bytes, true, client);
+    ++rep_.dram_accesses;
+    rep_.dram_bytes += bytes;
+  }
+
+  /// `count` F-wide accumulations into `dst` (plus one exp per GAT head
+  /// each): spread over every MAC under load balancing, else on dst's home
+  /// CPE. The adder tree's depth follows the largest per-vertex fan-in.
+  void accumulate(VertexId dst, std::uint32_t count = 1) {
+    accumulations_ += count;
+    sfu_ops_ += sfu_per_accumulation_ * count;
+    if (fan_in_stamp_[dst] != stamp_) {
+      fan_in_stamp_[dst] = stamp_;
+      fan_in_[dst] = 0;
+    }
+    fan_in_[dst] += count;
+    max_fan_in_ = std::max(max_fan_in_, fan_in_[dst]);
+    if (!load_balanced_) {
+      const std::uint32_t home = dst % config_.array.total_cpes();
+      cpe_load_[home] +=
+          count * div_ceil(f_, config_.array.macs_in_row(home / config_.array.cols));
+    }
+  }
+
+  /// The vertex's last contribution arrived: GAT's softmax divide, then the
+  /// result's write-back to its output slot.
+  void finish_vertex(std::uint64_t slot) {
+    sfu_ops_ += sfu_per_finish_;
+    write(out_addr(slot), partial_bytes, MemClient::kOutput);
+  }
+
+  std::uint64_t epoch_accumulations() const { return accumulations_; }
+
+  /// The livelock sweep's compute rule: always load-balanced, no adder-tree
+  /// term.
+  void use_sweep_rule() {
+    load_balanced_ = true;
+    adder_tree_ = false;
+  }
+
+  /// Charges the epoch — max(compute, memory) — and opens the next one.
+  void close_epoch() {
+    Cycles compute = 0;
+    if (load_balanced_) {
+      // Unit pairwise summations spread across every MAC; the adder tree
+      // re-combining a vertex's partials adds ⌈log₂(fan-in + 1)⌉ levels.
+      compute = div_ceil(accumulations_ * f_, config_.array.total_macs());
+      if (adder_tree_ && max_fan_in_ > 1) {
+        compute += static_cast<std::uint64_t>(
+            std::ceil(std::log2(static_cast<double>(max_fan_in_) + 1.0)));
+      }
+    } else {
+      compute = *std::max_element(cpe_load_.begin(), cpe_load_.end());
+      std::fill(cpe_load_.begin(), cpe_load_.end(), 0);
+    }
+    if (sfu_ops_ > 0) {
+      compute = std::max<Cycles>(
+          compute, div_ceil(sfu_ops_, config_.sfu_lanes) + config_.sfu.exp_latency);
+    }
+    const Cycles memory = hbm_.epoch_cycles();
+    rep_.compute_cycles += compute;
+    rep_.memory_cycles += memory;
+    rep_.total_cycles += std::max(compute, memory);
+    rep_.accum_ops += accumulations_;
+    rep_.sfu_ops += sfu_ops_;
+    accumulations_ = 0;
+    sfu_ops_ = 0;
+    max_fan_in_ = 0;
+    ++stamp_;
+    hbm_.begin_epoch();
+  }
+
+ private:
+  const EngineConfig& config_;
+  HbmModel& hbm_;
+  const DramLayout& layout_;
+  AggregationReport& rep_;
+  const std::size_t f_;
+  const std::uint64_t sfu_per_accumulation_;
+  const std::uint64_t sfu_per_finish_;
+  bool load_balanced_;
+  bool adder_tree_ = true;
+  // The open epoch's work. Per-vertex fan-in is epoch-stamped to avoid
+  // O(V) clears.
+  std::uint64_t accumulations_ = 0;
+  std::uint64_t sfu_ops_ = 0;
+  std::uint32_t max_fan_in_ = 0;
+  std::uint32_t stamp_ = 1;
+  std::vector<std::uint32_t> fan_in_stamp_;
+  std::vector<std::uint32_t> fan_in_;
+  std::vector<std::uint64_t> cpe_load_;
+};
+
+/// Audit-only (GNNIE_AUDIT): the subgraph bookkeeping matches a recount —
+/// Σα and Σ block_remaining equal the remaining edge work, set occupancy
+/// matches the cached vertices, and neither buffer's slots overflow.
+[[maybe_unused]] bool subgraph_bookkeeping_holds(
+    const std::vector<std::uint32_t>& alpha, const std::vector<std::uint64_t>& block_remaining,
+    std::uint64_t remaining_edge_work, const std::vector<VertexId>& cached,
+    const std::vector<std::uint32_t>& set_count, const std::vector<VertexId>& position,
+    bool set_associative, std::uint64_t capacity, std::uint64_t partials_on_chip,
+    std::uint64_t partial_slots) {
+  std::vector<std::uint32_t> recount(set_count.size(), 0);
+  if (set_associative) {
+    for (VertexId v : cached) ++recount[(position[v] / kCacheBlockVertices) % recount.size()];
+  }
+  return std::accumulate(alpha.begin(), alpha.end(), std::uint64_t{0}) == remaining_edge_work &&
+         std::accumulate(block_remaining.begin(), block_remaining.end(), std::uint64_t{0}) ==
+             remaining_edge_work &&
+         recount == set_count && cached.size() <= capacity && partials_on_chip <= partial_slots;
 }
 
 }  // namespace
@@ -151,6 +308,7 @@ ReverseAdjacency::ReverseAdjacency(const Csr& g) {
 AggregationEngine::AggregationEngine(const EngineConfig& config, HbmModel* hbm,
                                      const DramLayout& layout)
     : config_(config), hbm_(hbm), layout_(layout) {
+  GNNIE_REQUIRE(hbm != nullptr, "aggregation needs an HbmModel to time its DRAM traffic");
   config_.validate();
 }
 
@@ -227,22 +385,22 @@ Matrix AggregationEngine::run(const AggregationTask& task, AggregationReport* re
       CachePolicy::make(CachePolicyKind::kDegreeAware);
   const CachePolicy& policy = task.policy != nullptr ? *task.policy : *degree_aware;
   rep.policy = policy.kind();
-  if (!policy.uses_subgraph_machinery()) {
-    return run_on_demand(task, policy, rep);
+  FunctionalState state(task);
+  if (task.graph->vertex_count() > 0) {
+    if (policy.uses_subgraph_machinery()) {
+      run_subgraph(task, policy, state, rep);
+    } else {
+      run_on_demand(task, policy, state, rep);
+    }
   }
-  return run_subgraph(task, policy, rep);
+  state.finalize(task);
+  return std::move(state.out);
 }
 
-Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CachePolicy& policy,
-                                       AggregationReport& rep) {
+void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePolicy& policy,
+                                     FunctionalState& state, AggregationReport& rep) {
   const Csr& g = *task.graph;
-  const std::size_t f = task.hw->cols();
   const VertexId v_count = g.vertex_count();
-  FunctionalState state(task);
-  if (v_count == 0) {
-    state.finalize(task);
-    return std::move(state.out);
-  }
 
   // Preprocessing (§VI): the DRAM layout order comes from the cache policy
   // — descending-degree-bin order for CP, plain ID order for the §VIII-E
@@ -261,14 +419,12 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
                 "layout order must cover every vertex");
 
   const ReverseAdjacency* rev = task.reverse;
-  std::unique_ptr<ReverseAdjacency> owned_rev;
-  if (task.directed && rev == nullptr) {
-    owned_rev = std::make_unique<ReverseAdjacency>(g);
-    rev = owned_rev.get();
-  }
+  std::optional<ReverseAdjacency> owned_rev;
+  if (task.directed && rev == nullptr) rev = &owned_rev.emplace(g);
 
-  // α_i = unprocessed edge endpoints at vertex i. A GraphPlan hands the
-  // initial values in precomputed; one-shot callers derive them here.
+  // α_i = unprocessed edge endpoints at vertex i (Σ α is the edge work
+  // left). A GraphPlan hands the initial values in precomputed; one-shot
+  // callers derive them here.
   std::vector<std::uint32_t> alpha;
   if (task.initial_alpha != nullptr) {
     GNNIE_REQUIRE(task.initial_alpha->size() == v_count,
@@ -277,19 +433,15 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   } else {
     alpha = initial_alpha_for(g, task.directed ? rev : nullptr);
   }
-  std::uint64_t remaining_edge_work = 0;  // Σ α
-  for (VertexId v = 0; v < v_count; ++v) remaining_edge_work += alpha[v];
-  const std::uint32_t max_alpha0 =
-      *std::max_element(alpha.begin(), alpha.end());
+  std::uint64_t remaining_edge_work = std::accumulate(alpha.begin(), alpha.end(), std::uint64_t{0});
+  const std::uint32_t max_alpha0 = *std::max_element(alpha.begin(), alpha.end());
 
   // Cache-block bookkeeping: blocks with no unprocessed edges are skipped
   // during refetch.
   constexpr std::uint32_t block_v = kCacheBlockVertices;
   const std::size_t block_count = (v_count + block_v - 1) / block_v;
   std::vector<std::uint64_t> block_remaining(block_count, 0);
-  for (VertexId v = 0; v < v_count; ++v) {
-    block_remaining[position[v] / block_v] += alpha[v];
-  }
+  for (VertexId v = 0; v < v_count; ++v) block_remaining[position[v] / block_v] += alpha[v];
 
   std::vector<bool> edge_processed(g.edge_count(), false);
   std::vector<bool> in_cache(v_count, false);
@@ -301,21 +453,8 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   const auto r_max = static_cast<std::uint64_t>(std::max(
       1.0, std::floor(static_cast<double>(n) * kReplacementFraction)));
 
-  // Evicted-but-incomplete partial sums the 1 MB output buffer can retain
-  // on-chip (degree-prioritized writes, §VI); cached vertices' partials
-  // always stay on chip.
-  const Bytes partial_bytes = static_cast<Bytes>(f) * config_.feature_bytes;
-  const std::uint64_t partial_slots =
-      config_.buffers.output > n * partial_bytes
-          ? (config_.buffers.output - n * partial_bytes) / partial_bytes
-          : 0;
-  std::uint64_t partials_on_chip = 0;
-
-  const Bytes prop_bytes = static_cast<Bytes>(f) * config_.feature_bytes + 4 +
-                           (task.kind == AggKind::kGatSoftmax ? 8 : 0);
-  auto prop_addr = [&](VertexId v) {
-    return layout_.property_base + static_cast<std::uint64_t>(position[v]) * prop_bytes;
-  };
+  Ledger ledger(config_, *hbm_, layout_, task, rep);
+  auto prop_addr = [&](VertexId v) { return ledger.prop_addr(position[v]); };
   auto adj_addr = [&](VertexId v) {
     // Adjacency is also laid out in processing order; the per-vertex slice
     // address uses the position-ordered prefix (approximated by position ×
@@ -324,22 +463,17 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     return layout_.adjacency_base +
            static_cast<std::uint64_t>(static_cast<double>(position[v]) * (avg_deg * 4.0 + 8.0));
   };
-  auto out_addr = [&](VertexId v) {
-    return layout_.output_base + static_cast<std::uint64_t>(position[v]) * partial_bytes;
-  };
+  auto out_addr = [&](VertexId v) { return ledger.out_addr(position[v]); };
 
-  const std::uint32_t total_cpes = config_.array.total_cpes();
-  const std::uint32_t total_macs = config_.array.total_macs();
-  auto cpe_macs = [&](std::uint32_t cpe) {
-    return config_.array.macs_in_row(cpe / config_.array.cols);
-  };
-  std::vector<std::uint64_t> cpe_load(total_cpes, 0);
-
-  // Per-iteration per-vertex accumulation counts (for the adder-tree depth
-  // term), epoch-stamped to avoid O(V) clears.
-  std::vector<std::uint32_t> accum_stamp(v_count, 0);
-  std::vector<std::uint32_t> accum_count(v_count, 0);
-  std::uint32_t stamp = 0;
+  // Evicted-but-incomplete partial sums the 1 MB output buffer can retain
+  // on-chip (degree-prioritized writes, §VI); cached vertices' partials
+  // always stay on chip.
+  const Bytes partial_bytes = ledger.partial_bytes;
+  const std::uint64_t partial_slots =
+      config_.buffers.output > n * partial_bytes
+          ? (config_.buffers.output - n * partial_bytes) / partial_bytes
+          : 0;
+  std::uint64_t partials_on_chip = 0;
 
   // γ escalation is a *relief pulse*: doubled on deadlock, restored to the
   // configured value as soon as the pipeline makes progress again (§VI's
@@ -369,9 +503,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   const std::size_t num_sets =
       assoc > 0 ? std::max<std::size_t>(1, static_cast<std::size_t>(n / assoc)) : 1;
   std::vector<std::uint32_t> set_count(num_sets, 0);
-  auto set_of = [&](VertexId v) -> std::size_t {
-    return (position[v] / block_v) % num_sets;
-  };
+  auto set_of = [&](VertexId v) -> std::size_t { return (position[v] / block_v) % num_sets; };
 
   // Shared eviction bookkeeping: α write-back + partial retention/spill.
   // Does NOT remove v from `cached` — callers own that.
@@ -381,11 +513,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     ++rep.evictions;
     if (assoc > 0) --set_count[set_of(v)];
     // α write-back (one word, §VI).
-    if (hbm_ != nullptr) {
-      hbm_->access(prop_addr(v) + prop_bytes - 4, 4, true, MemClient::kInput);
-    }
-    rep.dram_bytes += 4;
-    ++rep.dram_accesses;
+    ledger.write(prop_addr(v) + ledger.prop_bytes - 4, 4, MemClient::kInput);
     if (alpha[v] > 0) {
       // Incomplete: partial either stays in the output buffer
       // (degree-prioritized) or spills to DRAM.
@@ -395,9 +523,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       } else {
         spilled[v] = true;
         ++rep.partial_spills;
-        if (hbm_ != nullptr) hbm_->access(out_addr(v), partial_bytes, true, MemClient::kOutput);
-        rep.dram_bytes += partial_bytes;
-        ++rep.dram_accesses;
+        ledger.write(out_addr(v), partial_bytes, MemClient::kOutput);
       }
     }
   };
@@ -430,14 +556,8 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     cached.push_back(v);
     newly_added.push_back(v);
     if (task.access_log != nullptr) task.access_log->push_back(v);
-    if (hbm_ != nullptr) {
-      hbm_->access(prop_addr(v), prop_bytes, false, MemClient::kInput);
-      hbm_->access(adj_addr(v), 8 + static_cast<Bytes>(g.degree(v)) * 4, false,
-                   MemClient::kInput);
-    }
-    rep.dram_accesses += 2;
-    rep.dram_bytes += prop_bytes + 8 + static_cast<Bytes>(g.degree(v)) * 4;
-    rep.input_fetch_bytes += prop_bytes + 8 + static_cast<Bytes>(g.degree(v)) * 4;
+    ledger.read(prop_addr(v), ledger.prop_bytes, MemClient::kInput);
+    ledger.read(adj_addr(v), 8 + static_cast<Bytes>(g.degree(v)) * 4, MemClient::kInput);
     if (partial_held_on_chip[v]) {
       // Its partial was retained in the output buffer; the slot frees now
       // that the vertex is cached again (cached partials live in the n
@@ -446,10 +566,7 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
       GNNIE_ASSERT(partials_on_chip > 0, "partial slot accounting underflow");
       --partials_on_chip;
     } else if (spilled[v]) {
-      if (hbm_ != nullptr) hbm_->access(out_addr(v), partial_bytes, false, MemClient::kOutput);
-      rep.dram_accesses += 1;
-      rep.dram_bytes += partial_bytes;
-      rep.input_fetch_bytes += partial_bytes;
+      ledger.read(out_addr(v), partial_bytes, MemClient::kOutput);
       spilled[v] = false;
     }
     if (ever_evicted[v]) ++rep.refetches;
@@ -483,6 +600,11 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
         if (wraps > 0) {
           rep.rounds += wraps;
           record_round_histogram();
+          GNNIE_AUDIT_ASSERT(
+              subgraph_bookkeeping_holds(alpha, block_remaining, remaining_edge_work, cached,
+                                         set_count, position, assoc > 0, n, partials_on_chip,
+                                         partial_slots),
+              "subgraph bookkeeping diverged from a recount at a Round boundary");
         }
         return v;
       }
@@ -490,18 +612,65 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     return v_count;  // nothing fetchable
   };
 
-  // Initial fill.
-  if (hbm_ != nullptr) hbm_->begin_epoch();
+  // One processed edge endpoint; the vertex's last edge finishes it.
+  auto decrement_alpha = [&](VertexId v) {
+    GNNIE_ASSERT(alpha[v] > 0, "alpha underflow");
+    --alpha[v];
+    --block_remaining[position[v] / block_v];
+    --remaining_edge_work;
+    if (alpha[v] == 0) ledger.finish_vertex(position[v]);
+  };
+
+  // Processes every unprocessed edge at u whose other endpoint `admit`
+  // accepts: the main loop admits cached endpoints, the livelock sweep
+  // pulls each one on demand.
+  auto walk_edges = [&](VertexId u, auto&& admit) {
+    const EdgeId base = g.offsets()[u];
+    auto nb = g.neighbors(u);
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      const VertexId w = nb[i];
+      const EdgeId eid = base + static_cast<EdgeId>(i);
+      if (edge_processed[eid] || !admit(w)) continue;
+      edge_processed[eid] = true;
+      // u→w in CSR means w feeds u; undirected, it feeds both ways.
+      state.contribute(task, u, w);
+      ledger.accumulate(u);
+      if (!task.directed) {
+        // Mark the mirrored entry so the pair is processed once.
+        auto wn = g.neighbors(w);
+        const auto rit = std::lower_bound(wn.begin(), wn.end(), u);
+        GNNIE_ASSERT(rit != wn.end() && *rit == u, "undirected graph must be symmetric");
+        edge_processed[g.offsets()[w] + static_cast<EdgeId>(rit - wn.begin())] = true;
+        state.contribute(task, w, u);
+        ledger.accumulate(w);
+      }
+      ++rep.edges_processed;
+      decrement_alpha(u);
+      decrement_alpha(w);
+    }
+    if (task.directed) {
+      // Edges x→u discovered from u's side via the reverse adjacency.
+      for (EdgeId ri = rev->offsets[u]; ri < rev->offsets[u + 1]; ++ri) {
+        const VertexId x = rev->sources[ri];
+        const EdgeId eid = rev->forward_index[ri];
+        if (edge_processed[eid] || !admit(x)) continue;
+        edge_processed[eid] = true;
+        state.contribute(task, x, u);
+        ledger.accumulate(x);
+        ++rep.edges_processed;
+        decrement_alpha(x);
+        decrement_alpha(u);
+      }
+    }
+  };
+
+  // Initial fill: DRAM time only, nothing to compute yet.
   for (std::uint64_t i = 0; i < n; ++i) {
     const VertexId v = next_fetchable();
     if (v == v_count) break;
     fetch_vertex(v);
   }
-  if (hbm_ != nullptr) {
-    const Cycles fill = hbm_->epoch_cycles();
-    rep.memory_cycles += fill;
-    rep.total_cycles += fill;
-  }
+  ledger.close_epoch();
   record_round_histogram();  // initial distribution (power-law snapshot)
 
   // Generous convergence guard: deadlock-relief pulses can double the
@@ -510,112 +679,24 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
   const std::uint64_t max_iterations =
       10000 + 200 * (static_cast<std::uint64_t>(v_count) / r_max + 1) + 4ull * v_count;
 
-  const bool lb = config_.opts.aggregation_load_balance;
-  const std::size_t gat_extra =
-      task.kind == AggKind::kGatSoftmax ? task.gat_heads : 0;  // exp per head per direction
-
   // Livelock detection: a full Round with zero processed edges means the
-  // remaining edge endpoints never co-reside under the rotation (possible
-  // only at pathological γ where everything is always evictable). The
-  // fallback sweep below finishes the residue with on-demand fetches.
+  // remaining edge endpoints never co-reside under the rotation. That
+  // happens at pathological γ, where everything is always evictable, and
+  // at 2- and 4-way associativity, where a layout block's 8 vertices share
+  // one set and a sequential refill evicts its own block. The fallback
+  // sweep below finishes the residue with on-demand fetches.
   std::uint64_t prev_rounds = rep.rounds;
   std::uint64_t round_progress = 0;
   bool livelocked = false;
 
-  while (remaining_edge_work > 0) {
+  while (remaining_edge_work > 0 && !livelocked) {
     GNNIE_ASSERT(rep.iterations < max_iterations, "aggregation failed to converge");
     ++rep.iterations;
-    ++stamp;
-    if (hbm_ != nullptr) hbm_->begin_epoch();
-    if (!lb) std::fill(cpe_load.begin(), cpe_load.end(), 0);
 
     // --- Process every unprocessed edge inside the cached subgraph. ---
-    std::uint64_t it_accums = 0;
-    std::uint64_t it_sfu = 0;
-    std::uint32_t it_max_vertex_accums = 0;
-    std::uint64_t it_completions = 0;
-
-    auto touch = [&](VertexId v) {
-      if (accum_stamp[v] != stamp) {
-        accum_stamp[v] = stamp;
-        accum_count[v] = 0;
-      }
-      ++accum_count[v];
-      it_max_vertex_accums = std::max(it_max_vertex_accums, accum_count[v]);
-    };
-    auto charge_accum = [&](VertexId dst) {
-      ++it_accums;
-      it_sfu += gat_extra;  // LeakyReLU+exp per GAT edge direction
-      touch(dst);
-      if (!lb) {
-        const std::uint32_t home = dst % total_cpes;
-        cpe_load[home] += accum_cycles(f, cpe_macs(home));
-      }
-    };
-    auto complete_vertex = [&](VertexId v) {
-      ++it_completions;
-      if (task.kind == AggKind::kGatSoftmax) it_sfu += f;  // softmax divide
-      // Final result written back to DRAM.
-      if (hbm_ != nullptr) hbm_->access(out_addr(v), partial_bytes, true, MemClient::kOutput);
-      rep.dram_bytes += partial_bytes;
-      ++rep.dram_accesses;
-    };
-    auto decrement_alpha = [&](VertexId v) {
-      GNNIE_ASSERT(alpha[v] > 0, "alpha underflow");
-      --alpha[v];
-      --block_remaining[position[v] / block_v];
-      --remaining_edge_work;
-      if (alpha[v] == 0) complete_vertex(v);
-    };
-
-    for (std::size_t qi = 0; qi < newly_added.size(); ++qi) {
-      const VertexId u = newly_added[qi];
-      const EdgeId base = g.offsets()[u];
-      auto nb = g.neighbors(u);
-      for (std::size_t i = 0; i < nb.size(); ++i) {
-        const VertexId w = nb[i];
-        const EdgeId eid = base + static_cast<EdgeId>(i);
-        if (edge_processed[eid] || !in_cache[w]) continue;
-        edge_processed[eid] = true;
-        if (task.directed) {
-          // u→w in CSR means w feeds u.
-          state.contribute(task, u, w);
-          charge_accum(u);
-          ++rep.edges_processed;
-          decrement_alpha(u);
-          decrement_alpha(w);
-        } else {
-          // Mark the mirrored entry so the pair is processed once.
-          auto wn = g.neighbors(w);
-          const auto rit = std::lower_bound(wn.begin(), wn.end(), u);
-          GNNIE_ASSERT(rit != wn.end() && *rit == u, "undirected graph must be symmetric");
-          edge_processed[g.offsets()[w] + static_cast<EdgeId>(rit - wn.begin())] = true;
-          state.contribute(task, u, w);
-          state.contribute(task, w, u);
-          charge_accum(u);
-          charge_accum(w);
-          ++rep.edges_processed;
-          decrement_alpha(u);
-          decrement_alpha(w);
-        }
-      }
-      if (task.directed) {
-        // Edges x→u discovered from u's side via the reverse adjacency.
-        for (EdgeId ri = rev->offsets[u]; ri < rev->offsets[u + 1]; ++ri) {
-          const VertexId x = rev->sources[ri];
-          const EdgeId eid = rev->forward_index[ri];
-          if (edge_processed[eid] || !in_cache[x]) continue;
-          edge_processed[eid] = true;
-          state.contribute(task, x, u);
-          charge_accum(x);
-          ++rep.edges_processed;
-          decrement_alpha(x);
-          decrement_alpha(u);
-        }
-      }
-    }
-    const std::uint64_t edges_this_iteration = it_accums;
+    for (VertexId u : newly_added) walk_edges(u, [&](VertexId w) { return in_cache[w]; });
     newly_added.clear();
+    const std::uint64_t edges_this_iteration = ledger.epoch_accumulations();
 
     round_progress += edges_this_iteration;
     if (rep.rounds > prev_rounds) {
@@ -631,179 +712,79 @@ Matrix AggregationEngine::run_subgraph(const AggregationTask& task, const CacheP
     }
     if (edges_this_iteration > 0 && gamma != base_gamma) gamma = base_gamma;
 
-    // --- Iteration cycle accounting. ---
-    std::uint64_t compute_it = 0;
-    if (lb) {
-      // Unit pairwise summations spread across every MAC; the adder tree
-      // re-combining a vertex's partials adds ⌈log₂(deg_it+1)⌉ levels.
-      const std::uint64_t element_ops = it_accums * f;
-      compute_it = div_ceil(element_ops, total_macs);
-      if (it_max_vertex_accums > 1) {
-        compute_it += static_cast<std::uint64_t>(
-            std::ceil(std::log2(static_cast<double>(it_max_vertex_accums) + 1.0)));
+    if (remaining_edge_work > 0 && !livelocked) {
+      // --- Eviction (α < γ, r per iteration, §VI). Fully-processed
+      // vertices (α = 0) are dead weight and leave first; in-progress
+      // candidates (0 < α < γ) follow, each tier in dictionary order.
+      // Livelock at pathological γ is handled by the relief pulses and the
+      // fallback sweep. ---
+      std::vector<VertexId> candidates;
+      for (VertexId v : cached) {
+        if (alpha[v] < gamma) candidates.push_back(v);
       }
-    } else {
-      compute_it = *std::max_element(cpe_load.begin(), cpe_load.end());
-    }
-    if (it_sfu > 0) {
-      const std::uint64_t sfu_cycles =
-          div_ceil(it_sfu, config_.sfu_lanes) + config_.sfu.exp_latency;
-      compute_it = std::max(compute_it, sfu_cycles);
-    }
-    rep.accum_ops += it_accums;
-    rep.sfu_ops += it_sfu;
-    (void)it_completions;
-
-    if (remaining_edge_work == 0 || livelocked) {
-      const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-      rep.compute_cycles += compute_it;
-      rep.memory_cycles += mem_it;
-      rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
-      break;
-    }
-
-    // --- Eviction (α < γ, r per iteration, §VI). Fully-processed vertices
-    // (α = 0) are dead weight and leave first; in-progress candidates
-    // (0 < α < γ) follow, each tier in dictionary order. Livelock at
-    // pathological γ is handled by the relief pulses and the fallback
-    // sweep. ---
-    std::vector<VertexId> candidates;
-    for (VertexId v : cached) {
-      if (alpha[v] < gamma) candidates.push_back(v);
-    }
-    std::sort(candidates.begin(), candidates.end(), [&](VertexId a, VertexId b) {
-      const bool a_done = alpha[a] == 0;
-      const bool b_done = alpha[b] == 0;
-      return a_done != b_done ? a_done : a < b;
-    });
-    if (candidates.empty() && edges_this_iteration == 0) {
-      // Deadlock (§VI): no evictable vertex and no progress.
-      ++rep.gamma_escalations;
-      // Jump straight to the smallest γ that admits a full replacement
-      // batch (the r-th smallest α among cached vertices) so one relief
-      // pulse restores full turnover; doubling one step per iteration
-      // would crawl on dense graphs.
-      std::vector<std::uint32_t> cached_alpha;
-      cached_alpha.reserve(cached.size());
-      for (VertexId v : cached) cached_alpha.push_back(alpha[v]);
-      if (!cached_alpha.empty()) {
-        const std::size_t kth = std::min<std::size_t>(r_max, cached_alpha.size()) - 1;
-        std::nth_element(cached_alpha.begin(), cached_alpha.begin() + kth, cached_alpha.end());
-        gamma = std::max(std::max<std::uint32_t>(gamma + 1, gamma * 2), cached_alpha[kth] + 1);
+      std::sort(candidates.begin(), candidates.end(), [&](VertexId a, VertexId b) {
+        const bool a_done = alpha[a] == 0;
+        const bool b_done = alpha[b] == 0;
+        return a_done != b_done ? a_done : a < b;
+      });
+      if (candidates.empty() && edges_this_iteration == 0) {
+        // Deadlock (§VI): no evictable vertex and no progress.
+        ++rep.gamma_escalations;
+        // Jump straight to the smallest γ that admits a full replacement
+        // batch (the r-th smallest α among cached vertices) so one relief
+        // pulse restores full turnover; doubling one step per iteration
+        // would crawl on dense graphs.
+        std::vector<std::uint32_t> cached_alpha;
+        cached_alpha.reserve(cached.size());
+        for (VertexId v : cached) cached_alpha.push_back(alpha[v]);
+        if (!cached_alpha.empty()) {
+          const std::size_t kth = std::min<std::size_t>(r_max, cached_alpha.size()) - 1;
+          std::nth_element(cached_alpha.begin(), cached_alpha.begin() + kth,
+                           cached_alpha.end());
+          gamma =
+              std::max(std::max<std::uint32_t>(gamma + 1, gamma * 2), cached_alpha[kth] + 1);
+        } else {
+          gamma = std::max<std::uint32_t>(gamma + 1, gamma * 2);
+        }
+        rep.final_gamma = std::max(rep.final_gamma, gamma);
       } else {
-        gamma = std::max<std::uint32_t>(gamma + 1, gamma * 2);
+        if (candidates.size() > r_max) candidates.resize(r_max);
+        for (VertexId v : candidates) evict_vertex(v);
+        std::erase_if(cached, [&](VertexId v) { return !in_cache[v]; });
+
+        // --- Refill from the sequential layout. ---
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          const VertexId v = next_fetchable();
+          if (v == v_count) break;
+          fetch_vertex(v);
+        }
       }
-      rep.final_gamma = std::max(rep.final_gamma, gamma);
-      const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-      rep.compute_cycles += compute_it;
-      rep.memory_cycles += mem_it;
-      rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
-      continue;
     }
-    if (candidates.size() > r_max) candidates.resize(r_max);
-
-    for (VertexId v : candidates) evict_vertex(v);
-    std::erase_if(cached, [&](VertexId v) { return !in_cache[v]; });
-
-    // --- Refill from the sequential layout. ---
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const VertexId v = next_fetchable();
-      if (v == v_count) break;
-      fetch_vertex(v);
-    }
-
-    const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-    rep.compute_cycles += compute_it;
-    rep.memory_cycles += mem_it;
-    rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
+    ledger.close_epoch();
   }
+  GNNIE_AUDIT_ASSERT(subgraph_bookkeeping_holds(alpha, block_remaining, remaining_edge_work,
+                                                cached, set_count, position, assoc > 0, n,
+                                                partials_on_chip, partial_slots),
+                     "subgraph bookkeeping diverged from a recount at loop exit");
 
   if (remaining_edge_work > 0) {
-    // Livelock fallback: finish the residue edge by edge with on-demand
-    // neighbor fetches (random DRAM accesses, honestly charged — this is
-    // what a pathological γ costs).
-    GNNIE_ASSERT(livelocked, "left main loop with work remaining but no livelock");
-    if (hbm_ != nullptr) hbm_->begin_epoch();
-    std::uint64_t sweep_accums = 0;
-    std::uint64_t sweep_sfu = 0;
+    // Livelock fallback: finish the residue vertex by vertex, pulling each
+    // endpoint on demand (random DRAM accesses, honestly charged — this is
+    // what a livelocked rotation costs).
     rep.livelock_sweep = true;
-    auto sweep_contribute = [&](VertexId dst, VertexId src) {
-      state.contribute(task, dst, src);
-      ++sweep_accums;
-      sweep_sfu += gat_extra;
-    };
-    auto sweep_fetch = [&](VertexId v) {
-      if (hbm_ != nullptr) hbm_->access(prop_addr(v), prop_bytes, false, MemClient::kInput);
-      rep.dram_bytes += prop_bytes;
-      rep.input_fetch_bytes += prop_bytes;
-      ++rep.dram_accesses;
-      ++rep.random_dram_accesses;
-    };
-    auto sweep_decrement = [&](VertexId v) {
-      GNNIE_ASSERT(alpha[v] > 0, "alpha underflow in sweep");
-      --alpha[v];
-      --remaining_edge_work;
-      if (alpha[v] == 0) {
-        if (task.kind == AggKind::kGatSoftmax) sweep_sfu += f;
-        if (hbm_ != nullptr) hbm_->access(out_addr(v), partial_bytes, true, MemClient::kOutput);
-        rep.dram_bytes += partial_bytes;
-        ++rep.dram_accesses;
-      }
+    ledger.use_sweep_rule();
+    auto pull = [&](VertexId v) {
+      ledger.read(prop_addr(v), ledger.prop_bytes, MemClient::kInput, /*random=*/true);
+      return true;
     };
     for (VertexId u = 0; u < v_count && remaining_edge_work > 0; ++u) {
       if (alpha[u] == 0) continue;
-      sweep_fetch(u);
-      const EdgeId base = g.offsets()[u];
-      auto nb = g.neighbors(u);
-      for (std::size_t i = 0; i < nb.size(); ++i) {
-        const EdgeId eid = base + static_cast<EdgeId>(i);
-        if (edge_processed[eid]) continue;
-        const VertexId w = nb[i];
-        edge_processed[eid] = true;
-        sweep_fetch(w);
-        if (task.directed) {
-          sweep_contribute(u, w);
-        } else {
-          auto wn = g.neighbors(w);
-          const auto rit = std::lower_bound(wn.begin(), wn.end(), u);
-          edge_processed[g.offsets()[w] + static_cast<EdgeId>(rit - wn.begin())] = true;
-          sweep_contribute(u, w);
-          sweep_contribute(w, u);
-        }
-        ++rep.edges_processed;  // one undirected pair (or directed edge)
-        sweep_decrement(u);
-        sweep_decrement(w);
-      }
-      if (task.directed) {
-        for (EdgeId ri = rev->offsets[u]; ri < rev->offsets[u + 1]; ++ri) {
-          const EdgeId eid = rev->forward_index[ri];
-          if (edge_processed[eid]) continue;
-          const VertexId x = rev->sources[ri];
-          edge_processed[eid] = true;
-          sweep_fetch(x);
-          sweep_contribute(x, u);
-          ++rep.edges_processed;
-          sweep_decrement(x);
-          sweep_decrement(u);
-        }
-      }
+      pull(u);
+      walk_edges(u, pull);
     }
-    rep.accum_ops += sweep_accums;
-    rep.sfu_ops += sweep_sfu;
-    Cycles sweep_compute = div_ceil(sweep_accums * f, total_macs);
-    if (sweep_sfu > 0) {
-      sweep_compute = std::max<Cycles>(
-          sweep_compute, div_ceil(sweep_sfu, config_.sfu_lanes) + config_.sfu.exp_latency);
-    }
-    const Cycles sweep_mem = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-    rep.compute_cycles += sweep_compute;
-    rep.memory_cycles += sweep_mem;
-    rep.total_cycles += std::max(sweep_compute, sweep_mem);
+    ledger.close_epoch();
     ++rep.iterations;
   }
-
-  state.finalize(task);
-  return std::move(state.out);
 }
 
 namespace {
@@ -839,42 +820,23 @@ cache::ReplacementBuffer on_demand_buffer(const AggregationTask& task,
 
 }  // namespace
 
-Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const CachePolicy& policy,
-                                        AggregationReport& rep) {
+void AggregationEngine::run_on_demand(const AggregationTask& task, const CachePolicy& policy,
+                                      FunctionalState& state, AggregationReport& rep) {
   const Csr& g = *task.graph;
-  const std::size_t f = task.hw->cols();
   const VertexId v_count = g.vertex_count();
-  FunctionalState state(task);
-  if (v_count == 0) {
-    state.finalize(task);
-    return std::move(state.out);
-  }
-
-  const Bytes prop_bytes = static_cast<Bytes>(f) * config_.feature_bytes + 4 +
-                           (task.kind == AggKind::kGatSoftmax ? 8 : 0);
-  auto prop_addr = [&](VertexId v) {
-    // ID-order layout: no degree-aware placement.
-    return layout_.property_base + static_cast<std::uint64_t>(v) * prop_bytes;
-  };
 
   const std::uint64_t n = rep.cache_capacity_vertices;
   cache::ReplacementBuffer buffer = on_demand_buffer(task, policy, n);
   rep.dual_pinned_vertices = buffer.preloads().size();
+  Ledger ledger(config_, *hbm_, layout_, task, rep);
 
   // DRAM cost of loading one vertex's working set (properties + adjacency
-  // slice) into the input buffer — charged on every miss and for each
-  // pinned-hub preload.
-  auto charge_fetch = [&](VertexId v, bool random) {
-    if (hbm_ != nullptr) {
-      hbm_->access(prop_addr(v), prop_bytes, false, MemClient::kInput);
-      hbm_->access(layout_.adjacency_base + static_cast<std::uint64_t>(v) * 16, 8 +
-                       static_cast<Bytes>(g.degree(v)) * 4,
-                   false, MemClient::kInput);
-    }
-    rep.dram_accesses += 2;
-    rep.dram_bytes += prop_bytes + 8 + static_cast<Bytes>(g.degree(v)) * 4;
-    rep.input_fetch_bytes += prop_bytes + 8 + static_cast<Bytes>(g.degree(v)) * 4;
-    if (random) ++rep.random_dram_accesses;
+  // slice, both in the ID-order layout) into the input buffer — charged on
+  // every miss and for each pinned-hub preload.
+  auto fetch = [&](VertexId v, bool random) {
+    ledger.read(ledger.prop_addr(v), ledger.prop_bytes, MemClient::kInput, random);
+    ledger.read(layout_.adjacency_base + static_cast<std::uint64_t>(v) * 16,
+                8 + static_cast<Bytes>(g.degree(v)) * 4, MemClient::kInput);
   };
 
   auto ensure_cached = [&](VertexId v, bool random) {
@@ -883,98 +845,34 @@ Matrix AggregationEngine::run_on_demand(const AggregationTask& task, const Cache
     if (buffer.access(v)) {
       ++rep.buffer_hits;
     } else {
-      charge_fetch(v, random);
+      fetch(v, random);
     }
   };
-
-  const std::uint32_t total_cpes = config_.array.total_cpes();
-  const std::uint32_t total_macs = config_.array.total_macs();
-  auto cpe_macs = [&](std::uint32_t cpe) {
-    return config_.array.macs_in_row(cpe / config_.array.cols);
-  };
-  std::vector<std::uint64_t> cpe_load(total_cpes, 0);
-  const bool lb = config_.opts.aggregation_load_balance;
-  const std::size_t gat_extra =
-      task.kind == AggKind::kGatSoftmax ? task.gat_heads : 0;  // exp per head per direction
-
-  // Process vertices in ID order; account cycles per window of n targets.
-  std::uint64_t window_accums = 0;
-  std::uint32_t window_targets = 0;
-  std::uint64_t window_sfu = 0;
-  std::uint32_t window_max_deg = 0;
-  if (hbm_ != nullptr) hbm_->begin_epoch();
 
   // Dual-cache hub preload: one sequential sweep over the degree-order
   // prefix, charged to the first accounting window. Preloads are fills,
   // not lookups — they do not count as buffer accesses.
-  for (VertexId v : buffer.preloads()) charge_fetch(v, /*random=*/false);
+  for (VertexId v : buffer.preloads()) fetch(v, /*random=*/false);
 
-  auto flush_window = [&] {
-    std::uint64_t compute_it = 0;
-    if (lb) {
-      compute_it = div_ceil(window_accums * f, total_macs);
-      if (window_max_deg > 1) {
-        compute_it += static_cast<std::uint64_t>(
-            std::ceil(std::log2(static_cast<double>(window_max_deg) + 1.0)));
-      }
-    } else {
-      compute_it = *std::max_element(cpe_load.begin(), cpe_load.end());
-      std::fill(cpe_load.begin(), cpe_load.end(), 0);
-    }
-    if (window_sfu > 0) {
-      compute_it = std::max<std::uint64_t>(
-          compute_it, div_ceil(window_sfu, config_.sfu_lanes) + config_.sfu.exp_latency);
-    }
-    const Cycles mem_it = hbm_ != nullptr ? hbm_->epoch_cycles() : 0;
-    rep.compute_cycles += compute_it;
-    rep.memory_cycles += mem_it;
-    rep.total_cycles += std::max<Cycles>(compute_it, mem_it);
-    ++rep.iterations;
-    window_accums = 0;
-    window_targets = 0;
-    window_sfu = 0;
-    window_max_deg = 0;
-    if (hbm_ != nullptr) hbm_->begin_epoch();
-  };
-
+  // Process vertices in ID order; account cycles per window of n targets.
+  std::uint64_t window_targets = 0;
   for (VertexId v = 0; v < v_count; ++v) {
     ensure_cached(v, /*random=*/false);  // ID-order walk is sequential
     auto nb = g.neighbors(v);
-    std::uint32_t deg_here = 0;
     for (VertexId w : nb) {
       ensure_cached(w, /*random=*/true);  // a neighbor miss is a random pull
       state.contribute(task, v, w);
-      ++window_accums;
-      window_sfu += gat_extra;
-      ++deg_here;
-      ++rep.edges_processed;
-      ++rep.accum_ops;
-      rep.sfu_ops += gat_extra;
-      if (!lb) {
-        const std::uint32_t home = v % total_cpes;
-        cpe_load[home] += accum_cycles(f, cpe_macs(home));
-      }
     }
-    if (task.kind == AggKind::kGatSoftmax) {
-      window_sfu += f;  // final divide
-      rep.sfu_ops += f;
+    rep.edges_processed += nb.size();
+    ledger.accumulate(v, static_cast<std::uint32_t>(nb.size()));
+    ledger.finish_vertex(v);
+    if (++window_targets == n || v + 1 == v_count) {
+      ledger.close_epoch();
+      ++rep.iterations;
+      window_targets = 0;
     }
-    window_max_deg = std::max(window_max_deg, deg_here);
-    // Result write-back.
-    if (hbm_ != nullptr) {
-      hbm_->access(layout_.output_base + static_cast<std::uint64_t>(v) * f *
-                       config_.feature_bytes,
-                   static_cast<Bytes>(f) * config_.feature_bytes, true, MemClient::kOutput);
-    }
-    rep.dram_bytes += static_cast<Bytes>(f) * config_.feature_bytes;
-    ++rep.dram_accesses;
-    if (++window_targets == n) flush_window();
   }
-  if (window_targets > 0 || window_accums > 0) flush_window();
   rep.rounds = 1;
-
-  state.finalize(task);
-  return std::move(state.out);
 }
 
 }  // namespace gnnie

@@ -11,7 +11,10 @@
 // by the next vertices in the DRAM order; fully-processed vertices and
 // cache blocks are skipped. A pass over the whole order is a Round (Fig. 10
 // histograms are recorded at Round boundaries). All DRAM fetches walk
-// forward through the layout — sequential by construction.
+// forward through the layout — sequential by construction. If a whole
+// Round makes (almost) no progress, a livelock sweep finishes the residue
+// through the same edge walk, pulling each endpoint on demand instead of
+// requiring it cached (random DRAM reads, reported as such).
 //
 // On-demand mode (on-demand, dual-cache and belady-oracle policies):
 // vertices are processed in ID order and each vertex pulls its neighbors' ηw
@@ -24,7 +27,14 @@
 // from the GraphPlan); tasks without one run the degree-aware policy.
 //
 // The engine is functional (produces the aggregated feature matrix for the
-// GNN kind at hand) and timed (cycles, DRAM traffic, α histograms).
+// GNN kind at hand) and timed (cycles, DRAM traffic, α histograms). One
+// ledger in aggregation.cpp charges every mode's cycles and DRAM traffic,
+// epoch by epoch (the subgraph fill and each iteration, each on-demand
+// window of n targets, the sweep): compute from the epoch's accumulations
+// (spread over every MAC plus the adder-tree depth under load balancing,
+// else the busiest home CPE; the sweep always balances and skips the
+// adder tree) and SFU work, memory from the HbmModel, and the epoch costs
+// the larger of the two. The engine needs an HbmModel; null throws.
 #pragma once
 
 #include <cstdint>
@@ -155,6 +165,8 @@ struct AggregationReport {
 
 class AggregationEngine {
  public:
+  /// `hbm` times every DRAM access of a run; null throws
+  /// std::invalid_argument.
   AggregationEngine(const EngineConfig& config, HbmModel* hbm, const DramLayout& layout = {});
 
   /// Runs aggregation under the task's CachePolicy (degree-aware when
@@ -188,10 +200,12 @@ class AggregationEngine {
                                                       const ReverseAdjacency* reverse);
 
  private:
-  Matrix run_subgraph(const AggregationTask& task, const CachePolicy& policy,
-                      AggregationReport& rep);
-  Matrix run_on_demand(const AggregationTask& task, const CachePolicy& policy,
-                       AggregationReport& rep);
+  struct FunctionalState;  // the aggregated matrix under construction
+
+  void run_subgraph(const AggregationTask& task, const CachePolicy& policy,
+                    FunctionalState& state, AggregationReport& rep);
+  void run_on_demand(const AggregationTask& task, const CachePolicy& policy,
+                     FunctionalState& state, AggregationReport& rep);
 
   const EngineConfig& config_;
   HbmModel* hbm_;

@@ -14,6 +14,7 @@ std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / 
 AttentionEngine::AttentionEngine(const EngineConfig& config, HbmModel* hbm,
                                  const DramLayout& layout)
     : config_(config), hbm_(hbm), layout_(layout) {
+  GNNIE_REQUIRE(hbm != nullptr, "attention needs an HbmModel to time its DRAM stream");
   config_.validate();
 }
 
@@ -44,36 +45,33 @@ AttentionResult AttentionEngine::run(const Matrix& hw, std::span<const float> a1
     }
   }
 
-  if (report != nullptr) {
-    *report = AttentionReport{};
-    const ArrayConfig& arr = config_.array;
-    // One vertex per CPE row; its F-vector splits into N blocks of G, the
-    // row's CPEs each finishing in ⌈G/|MAC|⌉ cycles. Rows run in parallel;
-    // vertices round-robin over rows; two passes (a1 then a2).
-    const std::uint64_t g_block = div_ceil(f, arr.cols);
-    std::uint64_t max_row_cycles = 0;
-    for (std::uint32_t r = 0; r < arr.rows; ++r) {
-      const std::uint64_t vertices_on_row =
-          v_count / arr.rows + (r < v_count % arr.rows ? 1 : 0);
-      max_row_cycles = std::max(
-          max_row_cycles, vertices_on_row * div_ceil(g_block, arr.macs_in_row(r)));
-    }
-    report->compute_cycles = 2 * max_row_cycles;
-    report->macs = 2ull * v_count * f;
-
-    if (hbm_ != nullptr) {
-      // ηw streams once per pass (a1 pass, then a2 pass reusing weights in
-      // the alternate spad); e1/e2 append to the property array.
-      hbm_->begin_epoch();
-      const Bytes hw_bytes = static_cast<Bytes>(v_count) * f * config_.feature_bytes;
-      hbm_->access(layout_.property_base, hw_bytes, false, MemClient::kInput);
-      hbm_->access(layout_.property_base, hw_bytes, false, MemClient::kInput);
-      hbm_->access(layout_.property_base + hw_bytes,
-                   static_cast<Bytes>(v_count) * heads * 8, true, MemClient::kOutput);
-      report->memory_cycles = hbm_->epoch_cycles();
-    }
-    report->total_cycles = std::max(report->compute_cycles, report->memory_cycles);
+  AttentionReport local;
+  AttentionReport& rep = report != nullptr ? *report : local;
+  rep = AttentionReport{};
+  const ArrayConfig& arr = config_.array;
+  // One vertex per CPE row; its F-vector splits into N blocks of G, the
+  // row's CPEs each finishing in ⌈G/|MAC|⌉ cycles. Rows run in parallel;
+  // vertices round-robin over rows; two passes (a1 then a2).
+  const std::uint64_t g_block = div_ceil(f, arr.cols);
+  std::uint64_t max_row_cycles = 0;
+  for (std::uint32_t r = 0; r < arr.rows; ++r) {
+    const std::uint64_t vertices_on_row = v_count / arr.rows + (r < v_count % arr.rows ? 1 : 0);
+    max_row_cycles =
+        std::max(max_row_cycles, vertices_on_row * div_ceil(g_block, arr.macs_in_row(r)));
   }
+  rep.compute_cycles = 2 * max_row_cycles;
+  rep.macs = 2ull * v_count * f;
+
+  // ηw streams once per pass (a1 pass, then a2 pass reusing weights in the
+  // alternate spad); e1/e2 append to the property array.
+  hbm_->begin_epoch();
+  const Bytes hw_bytes = static_cast<Bytes>(v_count) * f * config_.feature_bytes;
+  hbm_->access(layout_.property_base, hw_bytes, false, MemClient::kInput);
+  hbm_->access(layout_.property_base, hw_bytes, false, MemClient::kInput);
+  hbm_->access(layout_.property_base + hw_bytes, static_cast<Bytes>(v_count) * heads * 8, true,
+               MemClient::kOutput);
+  rep.memory_cycles = hbm_->epoch_cycles();
+  rep.total_cycles = std::max(rep.compute_cycles, rep.memory_cycles);
   return res;
 }
 

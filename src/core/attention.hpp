@@ -41,6 +41,8 @@ struct AttentionResult {
 
 class AttentionEngine {
  public:
+  /// `hbm` times the two ηw passes and the e1/e2 write-back on every run,
+  /// with or without a report; null throws std::invalid_argument.
   AttentionEngine(const EngineConfig& config, HbmModel* hbm, const DramLayout& layout = {});
 
   /// `heads` must divide hw.cols(); each head uses its own column slice of

@@ -414,30 +414,20 @@ struct Executor {
     }
 
     // --- Edge aggregation, driven by the cache policy. ---
+    // The same kind the plan sized its cache capacities for; then each
+    // kind's extras.
     AggregationTask task;
     task.hw = &hw;
+    task.kind = agg_kind_of(model.kind);
     bind_plan(task, l);
-    switch (model.kind) {
-      case GnnKind::kGcn:
-      case GnnKind::kDiffPool:
-        task.kind = AggKind::kGcnNormalizedSum;
-        break;
-      case GnnKind::kGraphSage:
-        task.directed = true;
-        task.kind = AggKind::kMax;
-        break;
-      case GnnKind::kGat:
-        task.kind = AggKind::kGatSoftmax;
-        task.e1 = &att.e1;
-        task.e2 = &att.e2;
-        task.gat_heads = model.gat_heads;
-        task.leaky_slope = model.leaky_slope;
-        break;
-      case GnnKind::kGinConv:
-        task.kind = AggKind::kPlainSum;
-        task.self_weight = 1.0f + model.gin_eps;
-        break;
+    task.directed = model.kind == GnnKind::kGraphSage;
+    if (model.kind == GnnKind::kGat) {
+      task.e1 = &att.e1;
+      task.e2 = &att.e2;
+      task.gat_heads = model.gat_heads;
+      task.leaky_slope = model.leaky_slope;
     }
+    if (model.kind == GnnKind::kGinConv) task.self_weight = 1.0f + model.gin_eps;
     Matrix out = aggregation.run(task, &lr.aggregation);
     lr.total_cycles += lr.aggregation.total_cycles;
 

@@ -40,6 +40,7 @@ struct WeightingEngine::BlockGrid {
 WeightingEngine::WeightingEngine(const EngineConfig& config, HbmModel* hbm,
                                  const DramLayout& layout)
     : config_(config), hbm_(hbm), layout_(layout) {
+  GNNIE_REQUIRE(hbm != nullptr, "weighting needs an HbmModel to time its DRAM stream");
   config_.validate();
 }
 
@@ -327,56 +328,49 @@ void WeightingEngine::simulate(const BlockGrid& grid, const WeightingGeometry& g
   // weight-stationary scheme, EXCEPT the fraction resident in the input
   // buffer, which is fetched once and reused across passes (§IV-A: "the
   // feature vectors fetched in the input buffer get reused").
-  Cycles mem_per_pass = 0;
-  if (hbm_ != nullptr) {
-    const Bytes weight_bytes_per_pass = geom.weight_stream_bytes_per_pass;
-    const Bytes output_bytes_per_pass =
-        static_cast<Bytes>(grid.vertices) * arr.cols * config_.feature_bytes;
-    // Dense inputs are the previous layer's result, which is still staged
-    // in the output buffer — both buffers contribute residency capacity.
-    const Bytes resident_capacity =
-        config_.buffers.input + (dense_input ? config_.buffers.output : 0);
-    const double resident =
-        std::min(1.0, static_cast<double>(resident_capacity) /
-                          std::max<double>(1.0, static_cast<double>(feature_stream_bytes)));
-    for (std::uint64_t p = 0; p < passes; ++p) {
-      hbm_->begin_epoch();
-      hbm_->access(layout_.weight_base + p * weight_bytes_per_pass, weight_bytes_per_pass,
-                   false, MemClient::kWeight);
-      const Bytes feature_bytes_this_pass =
-          p == 0 ? feature_stream_bytes
-                 : static_cast<Bytes>(static_cast<double>(feature_stream_bytes) *
-                                      (1.0 - resident));
-      hbm_->access(layout_.feature_base, feature_bytes_this_pass, false, MemClient::kInput);
-      hbm_->access(layout_.output_base + p * output_bytes_per_pass, output_bytes_per_pass,
-                   true, MemClient::kOutput);
-      rep.weight_stream_bytes += weight_bytes_per_pass;
-      rep.dram_stream_bytes +=
-          weight_bytes_per_pass + feature_bytes_this_pass + output_bytes_per_pass;
-      // Psum pressure beyond the MPE slots spills partials through the
-      // output buffer to DRAM and reads them back ("the output buffer has
-      // the most transactions with DRAM due to psum storage", Fig. 14).
-      if (grid.vertices > 0 && max_row > 0.0 && min_row < max_row) {
-        const double in_flight =
-            static_cast<double>(grid.vertices) * (1.0 - min_row / max_row);
-        const double excess = in_flight - static_cast<double>(arr.psum_slots_per_mpe);
-        if (excess > 0.0) {
-          const auto spill_bytes = static_cast<Bytes>(
-              excess / in_flight * static_cast<double>(output_bytes_per_pass));
-          hbm_->access(layout_.output_base + passes * output_bytes_per_pass, spill_bytes, true,
-                       MemClient::kOutput);
-          hbm_->access(layout_.output_base + passes * output_bytes_per_pass, spill_bytes,
-                       false, MemClient::kOutput);
-          rep.dram_stream_bytes += 2 * spill_bytes;
-        }
+  const Bytes weight_bytes_per_pass = geom.weight_stream_bytes_per_pass;
+  const Bytes output_bytes_per_pass =
+      static_cast<Bytes>(grid.vertices) * arr.cols * config_.feature_bytes;
+  // Dense inputs are the previous layer's result, which is still staged
+  // in the output buffer — both buffers contribute residency capacity.
+  const Bytes resident_capacity =
+      config_.buffers.input + (dense_input ? config_.buffers.output : 0);
+  const double resident =
+      std::min(1.0, static_cast<double>(resident_capacity) /
+                        std::max<double>(1.0, static_cast<double>(feature_stream_bytes)));
+  for (std::uint64_t p = 0; p < passes; ++p) {
+    hbm_->begin_epoch();
+    hbm_->access(layout_.weight_base + p * weight_bytes_per_pass, weight_bytes_per_pass, false,
+                 MemClient::kWeight);
+    const Bytes feature_bytes_this_pass =
+        p == 0 ? feature_stream_bytes
+               : static_cast<Bytes>(static_cast<double>(feature_stream_bytes) * (1.0 - resident));
+    hbm_->access(layout_.feature_base, feature_bytes_this_pass, false, MemClient::kInput);
+    hbm_->access(layout_.output_base + p * output_bytes_per_pass, output_bytes_per_pass, true,
+                 MemClient::kOutput);
+    rep.weight_stream_bytes += weight_bytes_per_pass;
+    rep.dram_stream_bytes +=
+        weight_bytes_per_pass + feature_bytes_this_pass + output_bytes_per_pass;
+    // Psum pressure beyond the MPE slots spills partials through the
+    // output buffer to DRAM and reads them back ("the output buffer has
+    // the most transactions with DRAM due to psum storage", Fig. 14).
+    if (grid.vertices > 0 && max_row > 0.0 && min_row < max_row) {
+      const double in_flight = static_cast<double>(grid.vertices) * (1.0 - min_row / max_row);
+      const double excess = in_flight - static_cast<double>(arr.psum_slots_per_mpe);
+      if (excess > 0.0) {
+        const auto spill_bytes = static_cast<Bytes>(
+            excess / in_flight * static_cast<double>(output_bytes_per_pass));
+        hbm_->access(layout_.output_base + passes * output_bytes_per_pass, spill_bytes, true,
+                     MemClient::kOutput);
+        hbm_->access(layout_.output_base + passes * output_bytes_per_pass, spill_bytes, false,
+                     MemClient::kOutput);
+        rep.dram_stream_bytes += 2 * spill_bytes;
       }
-      mem_per_pass = hbm_->epoch_cycles();
-      rep.memory_cycles += mem_per_pass;
-      rep.total_cycles += std::max<Cycles>(
-          static_cast<Cycles>(std::llround(per_pass_compute)), mem_per_pass);
     }
-  } else {
-    rep.total_cycles = static_cast<Cycles>(std::llround(per_pass_compute)) * passes;
+    const Cycles mem_per_pass = hbm_->epoch_cycles();
+    rep.memory_cycles += mem_per_pass;
+    rep.total_cycles +=
+        std::max<Cycles>(static_cast<Cycles>(std::llround(per_pass_compute)), mem_per_pass);
   }
 
   rep.passes = passes;

@@ -71,7 +71,8 @@ struct WeightingGeometry {
 
 class WeightingEngine {
  public:
-  /// `hbm` may be null for compute-only analyses (memory time = 0).
+  /// `hbm` times every pass's weight, feature and output stream; null
+  /// throws std::invalid_argument.
   WeightingEngine(const EngineConfig& config, HbmModel* hbm,
                   const DramLayout& layout = {});
 

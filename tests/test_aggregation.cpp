@@ -5,6 +5,10 @@
 // the sequential-vs-random DRAM contrast against the ID-order baseline.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/aggregation.hpp"
 #include "datasets/synthetic.hpp"
@@ -385,6 +389,7 @@ TEST(Aggregation, RejectsMissingInputs) {
   AggregationEngine eng(cfg, &hbm);
   AggregationTask task;  // null graph/hw
   EXPECT_THROW(eng.run(task), std::invalid_argument);
+  EXPECT_THROW(AggregationEngine(cfg, nullptr), std::invalid_argument);
 }
 
 TEST(Aggregation, GatRequiresAttentionPartials) {
@@ -475,6 +480,201 @@ TEST(Aggregation, PrecomputedAlphaAndCapacityHintsAreBitExact) {
   task.initial_alpha = &short_alpha;
   HbmModel hbm_bad;
   EXPECT_THROW(AggregationEngine(cfg, &hbm_bad).run(task), std::invalid_argument);
+}
+
+// Every number one aggregation run reports, in one fixed order: the
+// report's cycles and counters, a weighted sum over its α-histogram bins,
+// and the DRAM model's lifetime stats. A recorded case is one brace list.
+std::vector<std::uint64_t> counters_of(const AggregationReport& r, const HbmStats& s) {
+  std::uint64_t histogram_sum = 0;  // Σ over Round histograms of (bin + 1) · count
+  for (const Histogram& h : r.alpha_round_histograms) {
+    for (std::size_t b = 0; b < h.bin_count(); ++b) histogram_sum += (b + 1) * h.bin(b);
+  }
+  return {r.compute_cycles,
+          r.memory_cycles,
+          r.total_cycles,
+          r.iterations,
+          r.rounds,
+          r.edges_processed,
+          r.accum_ops,
+          r.sfu_ops,
+          r.dram_accesses,
+          r.random_dram_accesses,
+          r.dram_bytes,
+          r.input_fetch_bytes,
+          r.evictions,
+          r.refetches,
+          r.buffer_accesses,
+          r.buffer_hits,
+          r.set_conflict_evictions,
+          r.dual_pinned_vertices,
+          r.partial_spills,
+          r.gamma_escalations,
+          r.livelock_sweep ? 1u : 0u,
+          r.final_gamma,
+          r.cache_capacity_vertices,
+          static_cast<std::uint64_t>(r.policy),
+          r.alpha_round_histograms.size(),
+          histogram_sum,
+          s.bytes_read,
+          s.bytes_written,
+          s.bursts,
+          s.row_hits,
+          s.row_misses,
+          s.client_bytes[0],
+          s.client_bytes[1],
+          s.client_bytes[2],
+          s.accesses};
+}
+
+std::string brace_list(const std::vector<std::uint64_t>& v) {
+  std::ostringstream os;
+  os << '{';
+  for (std::size_t i = 0; i < v.size(); ++i) os << (i == 0 ? "" : ", ") << v[i];
+  os << '}';
+  return os.str();
+}
+
+// Pins the modeled output of every cache mode and of each branch the
+// cycle and DRAM accounting takes (GAT's SFU work, directed edges, the
+// per-CPE charge without load balancing, γ relief, set conflicts and the
+// livelock sweep they lead to, spilled partials) to values recorded from
+// the engine, so a refactor of the accounting must keep every number.
+TEST(Aggregation, ReportsMatchRecordedValues) {
+  const Dataset d = tiny_cora();
+  const VertexId v_count = d.graph.vertex_count();
+  const Csr sampled = sample_neighborhood(d.graph, 5, 77);
+  const Matrix hw = random_dense(v_count, 32, 41);
+  Rng rng(42);
+  std::vector<float> e1(static_cast<std::size_t>(v_count) * 2), e2(e1.size());
+  for (float& x : e1) x = static_cast<float>(rng.next_double(-1.0, 1.0));
+  for (float& x : e2) x = static_cast<float>(rng.next_double(-1.0, 1.0));
+
+  AggregationTask gcn;
+  gcn.graph = &d.graph;
+  gcn.hw = &hw;
+  gcn.kind = AggKind::kGcnNormalizedSum;
+  AggregationTask gat = gcn;
+  gat.kind = AggKind::kGatSoftmax;
+  gat.e1 = &e1;
+  gat.e2 = &e2;
+  gat.gat_heads = 2;
+  AggregationTask gin = gcn;
+  gin.kind = AggKind::kPlainSum;
+  gin.self_weight = 1.1f;
+  AggregationTask sage = gcn;
+  sage.graph = &sampled;
+  sage.directed = true;
+  sage.kind = AggKind::kMax;
+
+  const EngineConfig base = small_config();
+  EngineConfig no_lb = base;
+  no_lb.opts.aggregation_load_balance = false;
+  EngineConfig gamma1 = base;
+  gamma1.cache.gamma = 1;
+  EngineConfig assoc4 = base;
+  assoc4.cache.associativity = 4;
+  EngineConfig assoc4_no_lb = assoc4;
+  assoc4_no_lb.opts.aggregation_load_balance = false;
+  EngineConfig small_out = base;
+  small_out.buffers.output = 8u << 10;
+
+  struct Case {
+    const char* name;
+    const AggregationTask& task;
+    const EngineConfig& config;
+    CachePolicyKind policy;
+    std::vector<std::uint64_t> want;
+  };
+  const Case cases[] = {
+      {"gcn degree-aware", gcn, base, CachePolicyKind::kDegreeAware,
+       {109, 4509, 4509, 29, 2, 791, 1582, 0, 1556, 0, 115712, 68288, 336, 70, 0, 0, 0, 0, 0, 0,
+        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556}},
+      {"gcn id-order", gcn, base, CachePolicyKind::kIdOrder,
+       {176, 5227, 5227, 41, 3, 791, 1582, 0, 1988, 0, 138756, 90756, 480, 214, 0, 0, 0, 0, 0, 0,
+        0, 5, 100, 1, 3, 543, 161984, 76800, 3731, 2591, 1140, 192704, 46080, 0, 1988}},
+      {"gcn on-demand", gcn, base, CachePolicyKind::kOnDemand,
+       {69, 8500, 8500, 5, 1, 1582, 1582, 0, 2974, 954, 260688, 208720, 0, 0, 1988, 704, 0, 0, 0,
+        0, 0, 0, 100, 2, 0, 0, 356224, 51968, 6378, 3672, 2706, 356224, 51968, 0, 2974}},
+      {"gcn set-aware", gcn, base, CachePolicyKind::kSetAware,
+       {161, 5093, 5093, 34, 2, 791, 1582, 0, 1742, 0, 125492, 77828, 396, 133, 0, 0, 0, 0, 0, 0,
+        0, 5, 100, 3, 2, 574, 138432, 71424, 3279, 2182, 1097, 163776, 46080, 0, 1742}},
+      {"gcn dual-cache", gcn, base, CachePolicyKind::kDualCache,
+       {69, 6843, 6843, 5, 1, 1582, 1582, 0, 2346, 564, 200128, 148160, 0, 0, 1988, 1118, 0, 100,
+        0, 0, 0, 0, 100, 4, 0, 0, 259904, 51968, 4873, 2511, 2362, 259904, 51968, 0, 2346}},
+      {"gcn belady-oracle", gcn, base, CachePolicyKind::kBeladyOracle,
+       {69, 5905, 5905, 5, 1, 1582, 1582, 0, 1924, 507, 169620, 117652, 0, 0, 1988, 1229, 0, 0, 0,
+        0, 0, 0, 100, 5, 0, 0, 204224, 51968, 4003, 2005, 1998, 204224, 51968, 0, 1924}},
+      {"gat 2 heads", gat, base, CachePolicyKind::kDegreeAware,
+       {583, 5289, 5289, 36, 2, 791, 1582, 14684, 1685, 0, 126044, 78424, 385, 110, 0, 0, 0, 0, 0,
+        0, 0, 5, 95, 0, 2, 744, 136192, 70720, 3233, 2093, 1140, 160832, 46080, 0, 1685}},
+      {"gat 2 heads on-demand", gat, base, CachePolicyKind::kOnDemand,
+       {522, 8630, 8630, 5, 1, 1582, 1582, 16156, 3020, 973, 275500, 223532, 0, 0, 1988, 681, 0,
+        0, 0, 0, 0, 0, 95, 2, 0, 0, 374336, 51968, 6661, 3993, 2668, 374336, 51968, 0, 3020}},
+      {"gin plain sum", gin, base, CachePolicyKind::kDegreeAware,
+       {109, 4509, 4509, 29, 2, 791, 1582, 0, 1556, 0, 115712, 68288, 336, 70, 0, 0, 0, 0, 0, 0,
+        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556}},
+      {"sage directed max", sage, base, CachePolicyKind::kDegreeAware,
+       {84, 4266, 4266, 28, 2, 1064, 1064, 0, 1526, 0, 111572, 64196, 324, 61, 0, 0, 0, 0, 0, 0,
+        0, 5, 103, 0, 2, 1042, 115328, 66816, 2846, 1923, 923, 136064, 46080, 0, 1526}},
+      {"sage directed max on-demand", sage, base, CachePolicyKind::kOnDemand,
+       {42, 7084, 7084, 4, 1, 1064, 1064, 0, 2348, 636, 200768, 148800, 0, 0, 1470, 499, 0, 0, 0,
+        0, 0, 0, 103, 2, 0, 0, 259328, 51968, 4864, 2517, 2347, 259328, 51968, 0, 2348}},
+      {"no load balance", gcn, no_lb, CachePolicyKind::kDegreeAware,
+       {775, 4509, 4573, 29, 2, 791, 1582, 0, 1556, 0, 115712, 68288, 336, 70, 0, 0, 0, 0, 0, 0,
+        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556}},
+      {"no load balance on-demand", gcn, no_lb, CachePolicyKind::kOnDemand,
+       {989, 8500, 8500, 5, 1, 1582, 1582, 0, 2974, 954, 260688, 208720, 0, 0, 1988, 704, 0, 0, 0,
+        0, 0, 0, 100, 2, 0, 0, 356224, 51968, 6378, 3672, 2706, 356224, 51968, 0, 2974}},
+      {"gamma 1", gin, gamma1, CachePolicyKind::kDegreeAware,
+       {160, 4932, 4945, 57, 2, 791, 1582, 0, 1488, 0, 111668, 64340, 312, 48, 0, 0, 0, 0, 0, 4,
+        0, 2, 100, 0, 2, 713, 114432, 66048, 2820, 1736, 1084, 134400, 46080, 0, 1488}},
+      {"associativity 4", gcn, assoc4, CachePolicyKind::kDegreeAware,
+       {81, 18582, 18587, 422, 6, 791, 1582, 0, 6367, 671, 422640, 369456, 1776, 1420, 0, 0, 96,
+        0, 0, 4, 1, 15, 100, 0, 6, 389, 627328, 159744, 12298, 9788, 2510, 740992, 46080, 0,
+        6367}},
+      {"associativity 4 gat", gat, assoc4, CachePolicyKind::kIdOrder,
+       {670, 13460, 13475, 381, 5, 791, 1582, 14684, 5323, 785, 393040, 341400, 1390, 1034, 0, 0,
+        91, 0, 0, 8, 1, 20, 95, 1, 5, 253, 561344, 135040, 10881, 8973, 1908, 650304, 46080, 0,
+        5323}},
+      {"associativity 4 directed", sage, assoc4, CachePolicyKind::kDegreeAware,
+       {116, 16042, 16045, 354, 5, 1064, 1064, 0, 5312, 792, 367156, 315540, 1384, 1028, 0, 0, 99,
+        0, 0, 6, 1, 10, 103, 0, 5, 598, 531904, 134656, 10415, 8286, 2129, 620480, 46080, 0,
+        5312}},
+      {"associativity 4 no load balance", gcn, assoc4_no_lb, CachePolicyKind::kSetAware,
+       {682, 11372, 11467, 262, 4, 791, 1582, 0, 4259, 768, 316888, 266644, 1041, 685, 0, 0, 96,
+        0, 0, 8, 1, 15, 100, 3, 4, 337, 440576, 112704, 8645, 6982, 1663, 507200, 46080, 0,
+        4259}},
+      {"small output buffer", gcn, small_out, CachePolicyKind::kDegreeAware,
+       {109, 5292, 5292, 29, 2, 791, 1582, 0, 1696, 0, 133632, 77248, 336, 70, 0, 0, 0, 0, 70, 0,
+        0, 5, 100, 0, 2, 764, 129728, 76544, 3223, 1856, 1367, 142272, 64000, 0, 1696}},
+  };
+
+  bool swept = false;
+  std::uint64_t escalations = 0, spills = 0, conflicts = 0, pinned = 0, random = 0;
+  for (const Case& c : cases) {
+    const auto policy = CachePolicy::make(c.policy);
+    AggregationTask task = c.task;
+    task.policy = policy.get();
+    HbmModel hbm;
+    AggregationReport rep;
+    AggregationEngine(c.config, &hbm).run(task, &rep);
+    const std::vector<std::uint64_t> got = counters_of(rep, hbm.stats());
+    EXPECT_EQ(got, c.want) << c.name << " now reports " << brace_list(got);
+    swept = swept || rep.livelock_sweep;
+    escalations += rep.gamma_escalations;
+    spills += rep.partial_spills;
+    conflicts += rep.set_conflict_evictions;
+    pinned += rep.dual_pinned_vertices;
+    random += rep.random_dram_accesses;
+  }
+  // The table must keep reaching every branch it exists to pin.
+  EXPECT_TRUE(swept);
+  EXPECT_GT(escalations, 0u);
+  EXPECT_GT(spills, 0u);
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_GT(pinned, 0u);
+  EXPECT_GT(random, 0u);
 }
 
 // The directed (GraphSAGE sampled-adjacency) variant of the same contract:

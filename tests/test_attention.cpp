@@ -1,6 +1,7 @@
 // Tests for the GAT attention engine (§V-A/B): functional correctness of
 // the reordered partial products, the O(|V|+|E|) vs O(|V|·|E|) cycle
-// advantage, report accounting, and batch-size independence.
+// advantage, report accounting, DRAM charging with or without a report,
+// and batch-size independence.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -84,16 +85,28 @@ TEST(Attention, RejectsMismatchedAttentionWidth) {
   AttentionEngine eng(cfg, &hbm);
   std::vector<float> short_a(fx.f - 1, 0.0f);
   EXPECT_THROW(eng.run(fx.hw, short_a, fx.a2), std::invalid_argument);
+  EXPECT_THROW(AttentionEngine(cfg, nullptr), std::invalid_argument);
 }
 
-TEST(Attention, NullHbmIsComputeOnly) {
+// The DRAM model is charged whether or not the caller asks for a report: a
+// stage sharing one HbmModel with the others must leave the same traffic.
+TEST(Attention, DramTrafficDoesNotDependOnTheReport) {
   AttentionFixture fx;
   EngineConfig cfg = EngineConfig::paper_default(false);
-  AttentionEngine eng(cfg, nullptr);
+  HbmModel without, with;
+  AttentionEngine(cfg, &without).run(fx.hw, fx.a1, fx.a2);
   AttentionReport rep;
-  eng.run(fx.hw, fx.a1, fx.a2, &rep);
-  EXPECT_EQ(rep.memory_cycles, 0u);
-  EXPECT_EQ(rep.total_cycles, rep.compute_cycles);
+  AttentionEngine(cfg, &with).run(fx.hw, fx.a1, fx.a2, &rep);
+  const HbmStats& a = without.stats();
+  const HbmStats& b = with.stats();
+  EXPECT_GT(b.bytes_read, 0u);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.bursts, b.bursts);
+  EXPECT_EQ(a.row_hits, b.row_hits);
+  EXPECT_EQ(a.row_misses, b.row_misses);
+  EXPECT_EQ(a.client_bytes, b.client_bytes);
+  EXPECT_EQ(a.accesses, b.accesses);
 }
 
 TEST(Attention, ZeroAttentionVectorsGiveZeroPartials) {
@@ -110,7 +123,8 @@ TEST(Attention, ZeroAttentionVectorsGiveZeroPartials) {
 
 TEST(Attention, ComputeCyclesScaleWithVertices) {
   EngineConfig cfg = EngineConfig::paper_default(false);
-  AttentionEngine eng(cfg, nullptr);
+  HbmModel hbm;
+  AttentionEngine eng(cfg, &hbm);
   Rng rng(4);
   auto run_v = [&](std::size_t v) {
     Matrix hw(v, 16);

@@ -189,17 +189,6 @@ TEST(Weighting, MemoryCyclesScaleWithPasses) {
   EXPECT_GT(rep128.memory_cycles, rep64.memory_cycles);
 }
 
-TEST(Weighting, NullHbmGivesComputeOnlyTiming) {
-  SparseMatrix h = small_sparse();
-  Matrix w = random_dense(h.col_count(), 32, 2);
-  EngineConfig cfg = config_with(true, true, true);
-  WeightingEngine eng(cfg, nullptr);
-  WeightingReport rep;
-  eng.run(h, w, &rep);
-  EXPECT_EQ(rep.memory_cycles, 0u);
-  EXPECT_EQ(rep.total_cycles, rep.compute_cycles);
-}
-
 TEST(Weighting, RejectsShapeMismatch) {
   SparseMatrix h = small_sparse();
   Matrix w = random_dense(h.col_count() + 1, 16, 2);
@@ -207,6 +196,7 @@ TEST(Weighting, RejectsShapeMismatch) {
   HbmModel hbm;
   WeightingEngine eng(cfg, &hbm);
   EXPECT_THROW(eng.run(h, w), std::invalid_argument);
+  EXPECT_THROW(WeightingEngine(cfg, nullptr), std::invalid_argument);
 }
 
 TEST(Weighting, TinyFeatureDimUsesFewerRows) {
