@@ -2,8 +2,9 @@
 //
 // Two graphs ("tenants") share a 4-die cluster under bursty open-loop
 // traffic. The same trace is replayed under every scheduler and at two
-// cluster sizes, showing what the serving layer adds over run_batch: tail
-// latency, queueing delay, and per-die utilization in cluster virtual time.
+// cluster sizes, showing what the serving layer adds over back-to-back
+// runs: tail latency, queueing delay, and per-die utilization in cluster
+// virtual time.
 //
 //   $ ./example_serving_cluster
 #include <algorithm>

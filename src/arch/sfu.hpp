@@ -4,8 +4,8 @@
 //
 // The functional path matters for GATs: exp() feeds the attention softmax.
 // The LUT keeps relative error well under 1e-3, which tests verify. The
-// cycle model charges SFU work by lane throughput (EngineConfig::sfu_lanes)
-// plus the exp pipeline fill (exp_latency).
+// cycle model charges SFU work by lane throughput (kSfuLanes in
+// core/engine_config.hpp) plus the exp pipeline fill (exp_latency).
 #pragma once
 
 #include <cstdint>

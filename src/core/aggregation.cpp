@@ -135,7 +135,7 @@ class Ledger {
  public:
   Ledger(const EngineConfig& config, HbmModel& hbm, const DramLayout& layout,
          const AggregationTask& task, AggregationReport& rep)
-      : partial_bytes(static_cast<Bytes>(task.hw->cols()) * config.feature_bytes),
+      : partial_bytes(static_cast<Bytes>(task.hw->cols()) * kFeatureBytes),
         prop_bytes(partial_bytes + 4 + (task.kind == AggKind::kGatSoftmax ? 8 : 0)),
         config_(config),
         hbm_(hbm),
@@ -230,7 +230,7 @@ class Ledger {
     }
     if (sfu_ops_ > 0) {
       compute = std::max<Cycles>(
-          compute, div_ceil(sfu_ops_, config_.sfu_lanes) + config_.sfu.exp_latency);
+          compute, div_ceil(sfu_ops_, kSfuLanes) + config_.sfu.exp_latency);
     }
     const Cycles memory = hbm_.epoch_cycles();
     rep_.compute_cycles += compute;
@@ -319,12 +319,11 @@ namespace {
 /// among cached vertices, not every vertex's full neighbor list — full
 /// lists stream through during edge discovery). The subgraph share is a
 /// small capped slice of the mean degree.
-double per_vertex_footprint(const EngineConfig& config, const Csr& g,
-                            std::size_t feature_width, AggKind kind) {
+double per_vertex_footprint(const Csr& g, std::size_t feature_width, AggKind kind) {
   const double avg_deg = g.vertex_count() == 0
                              ? 0.0
                              : static_cast<double>(g.edge_count()) / g.vertex_count();
-  return static_cast<double>(feature_width) * config.feature_bytes + 4.0 +
+  return static_cast<double>(feature_width) * kFeatureBytes + 4.0 +
          (kind == AggKind::kGatSoftmax ? 8.0 : 0.0) + 16.0 +
          std::min(avg_deg, 16.0) * 4.0;
 }
@@ -333,7 +332,7 @@ double per_vertex_footprint(const EngineConfig& config, const Csr& g,
 
 std::uint64_t AggregationEngine::cache_capacity_for(const EngineConfig& config, const Csr& g,
                                                     std::size_t feature_width, AggKind kind) {
-  const double per_vertex = per_vertex_footprint(config, g, feature_width, kind);
+  const double per_vertex = per_vertex_footprint(g, feature_width, kind);
   auto n = static_cast<std::uint64_t>(static_cast<double>(config.buffers.input) / per_vertex);
   n = std::clamp<std::uint64_t>(n, 8, std::max<std::uint64_t>(8, g.vertex_count()));
   return n;
@@ -342,12 +341,8 @@ std::uint64_t AggregationEngine::cache_capacity_for(const EngineConfig& config, 
 Bytes AggregationEngine::working_set_bytes_for(const EngineConfig& config, const Csr& g,
                                                std::size_t feature_width, AggKind kind) {
   const std::uint64_t n = cache_capacity_for(config, g, feature_width, kind);
-  const double per_vertex = per_vertex_footprint(config, g, feature_width, kind);
+  const double per_vertex = per_vertex_footprint(g, feature_width, kind);
   return static_cast<Bytes>(std::ceil(static_cast<double>(n) * per_vertex));
-}
-
-std::uint64_t AggregationEngine::cache_capacity(const AggregationTask& task) const {
-  return cache_capacity_for(config_, *task.graph, task.hw->cols(), task.kind);
 }
 
 std::vector<std::uint32_t> AggregationEngine::initial_alpha_for(
@@ -379,7 +374,9 @@ Matrix AggregationEngine::run(const AggregationTask& task, AggregationReport* re
   AggregationReport& rep = report != nullptr ? *report : local;
   rep = AggregationReport{};
   rep.cache_capacity_vertices =
-      task.cache_capacity_hint != 0 ? task.cache_capacity_hint : cache_capacity(task);
+      task.cache_capacity_hint != 0
+          ? task.cache_capacity_hint
+          : cache_capacity_for(config_, *task.graph, task.hw->cols(), task.kind);
 
   static const std::unique_ptr<CachePolicy> degree_aware =
       CachePolicy::make(CachePolicyKind::kDegreeAware);

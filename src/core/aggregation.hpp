@@ -104,8 +104,9 @@ struct AggregationTask {
   /// — it is used verbatim.
   const std::vector<std::uint32_t>* initial_alpha = nullptr;
   /// Plan-level precompute of the input-buffer capacity (vertices) for this
-  /// task's graph and feature width. 0 → derived here via cache_capacity()
-  /// (the derived value is never 0). Must equal the derived value.
+  /// task's graph and feature width. 0 → derived here via
+  /// cache_capacity_for (the derived value is never 0). Must equal the
+  /// derived value.
   std::uint64_t cache_capacity_hint = 0;
   /// Plan-level precompute of the dual-cache pinned-region size for this
   /// task (GraphPlan::dual_pinned_for_width): the run pins the top-p hubs
@@ -173,14 +174,10 @@ class AggregationEngine {
   /// task.policy is null). Returns the aggregated matrix.
   Matrix run(const AggregationTask& task, AggregationReport* report = nullptr);
 
-  /// Input-buffer capacity in vertices for a task (exposed for tests).
-  /// Ignores task.cache_capacity_hint — this is the derivation the hint
-  /// must reproduce.
-  std::uint64_t cache_capacity(const AggregationTask& task) const;
-
-  /// The same derivation from first principles, callable at plan time
-  /// (GraphPlan precomputes one value per distinct feature width so runs
-  /// skip re-deriving it).
+  /// Input-buffer capacity in vertices for aggregation over `g` at one
+  /// feature width: the derivation task.cache_capacity_hint must reproduce.
+  /// run() falls back to it when the task carries no hint; GraphPlan
+  /// precomputes one value per distinct feature width so runs skip it.
   static std::uint64_t cache_capacity_for(const EngineConfig& config, const Csr& g,
                                           std::size_t feature_width, AggKind kind);
 

@@ -65,7 +65,7 @@ AttentionResult AttentionEngine::run(const Matrix& hw, std::span<const float> a1
   // ηw streams once per pass (a1 pass, then a2 pass reusing weights in the
   // alternate spad); e1/e2 append to the property array.
   hbm_->begin_epoch();
-  const Bytes hw_bytes = static_cast<Bytes>(v_count) * f * config_.feature_bytes;
+  const Bytes hw_bytes = static_cast<Bytes>(v_count) * f * kFeatureBytes;
   hbm_->access(layout_.property_base, hw_bytes, false, MemClient::kInput);
   hbm_->access(layout_.property_base, hw_bytes, false, MemClient::kInput);
   hbm_->access(layout_.property_base + hw_bytes, static_cast<Bytes>(v_count) * heads * 8, true,

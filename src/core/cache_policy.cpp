@@ -47,7 +47,6 @@ std::vector<VertexId> identity_order(const Csr& g) {
 class DegreeAwarePolicy final : public CachePolicy {
  public:
   CachePolicyKind kind() const override { return CachePolicyKind::kDegreeAware; }
-  const char* name() const override { return "degree-aware"; }
   bool uses_subgraph_machinery() const override { return true; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     return degree_descending_order(g);
@@ -58,7 +57,6 @@ class DegreeAwarePolicy final : public CachePolicy {
 class IdOrderPolicy final : public CachePolicy {
  public:
   CachePolicyKind kind() const override { return CachePolicyKind::kIdOrder; }
-  const char* name() const override { return "id-order"; }
   bool uses_subgraph_machinery() const override { return true; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     return identity_order(g);
@@ -70,7 +68,6 @@ class IdOrderPolicy final : public CachePolicy {
 class OnDemandPolicy final : public CachePolicy {
  public:
   CachePolicyKind kind() const override { return CachePolicyKind::kOnDemand; }
-  const char* name() const override { return "on-demand"; }
   bool uses_subgraph_machinery() const override { return false; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     return identity_order(g);
@@ -87,7 +84,6 @@ class OnDemandPolicy final : public CachePolicy {
 class SetAwarePolicy final : public CachePolicy {
  public:
   CachePolicyKind kind() const override { return CachePolicyKind::kSetAware; }
-  const char* name() const override { return "set-aware"; }
   bool uses_subgraph_machinery() const override { return true; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
     const std::vector<VertexId> base = degree_descending_order(g);
@@ -115,7 +111,6 @@ class SetAwarePolicy final : public CachePolicy {
 class DualCachePolicy final : public CachePolicy {
  public:
   CachePolicyKind kind() const override { return CachePolicyKind::kDualCache; }
-  const char* name() const override { return "dual-cache"; }
   bool uses_subgraph_machinery() const override { return false; }
   ReplacementKind replacement() const override { return ReplacementKind::kDualPinnedLru; }
   std::vector<VertexId> layout_order(const Csr& g) const override {
@@ -128,7 +123,6 @@ class DualCachePolicy final : public CachePolicy {
 class BeladyOraclePolicy final : public CachePolicy {
  public:
   CachePolicyKind kind() const override { return CachePolicyKind::kBeladyOracle; }
-  const char* name() const override { return "belady-oracle"; }
   bool uses_subgraph_machinery() const override { return false; }
   ReplacementKind replacement() const override { return ReplacementKind::kBelady; }
   std::vector<VertexId> layout_order(const Csr& g) const override {

@@ -67,7 +67,7 @@ class CachePolicy {
   virtual ~CachePolicy() = default;
 
   virtual CachePolicyKind kind() const = 0;
-  virtual const char* name() const = 0;
+  const char* name() const { return to_string(kind()); }
 
   /// True: aggregation runs the cached-subgraph machinery (evictions, γ,
   /// Rounds) over layout_order(). False: the on-demand pull engine runs

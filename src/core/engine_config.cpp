@@ -44,11 +44,10 @@ void EngineConfig::validate() const {
   array.validate();
   hbm.validate();
   GNNIE_REQUIRE(clock_hz > 0.0, "clock must be positive");
-  GNNIE_REQUIRE(weight_bytes >= 1 && weight_bytes <= 4, "weight precision 1–4 bytes");
-  GNNIE_REQUIRE(feature_bytes == 4, "feature path is FP32");
-  GNNIE_REQUIRE(sfu_lanes > 0, "need at least one SFU lane");
+  // One clock domain: DRAM cycles (HbmConfig::burst_cycles) and every other
+  // modeled cycle are summed into one total, reported at clock_hz.
+  GNNIE_REQUIRE(hbm.clock_hz == clock_hz, "hbm.clock_hz must equal the accelerator clock_hz");
   GNNIE_REQUIRE(cache.gamma >= 1, "γ must be at least 1");
-  GNNIE_REQUIRE(plan_cache_capacity >= 1, "plan cache must hold at least one plan");
   GNNIE_REQUIRE(batching.max_coalesce >= 1,
                 "a service slot holds at least the head request (max_coalesce >= 1)");
   for (std::size_t i = 0; i < pipeline.variant_widths.size(); ++i) {

@@ -120,6 +120,18 @@ struct PipelineConfig {
 /// PipelineConfig::variant_widths).
 inline constexpr Cycles kVariantSetupCycles = 64;
 
+/// Weight precision in bytes (§VIII-A sizes the weight buffer for 1-byte
+/// weights).
+inline constexpr std::uint32_t kWeightBytes = 1;
+/// Feature and psum precision in bytes: the feature path is FP32.
+inline constexpr std::uint32_t kFeatureBytes = 4;
+/// Number of SFU lanes (the array interleaves "multiple columns" of SFUs;
+/// we model two columns' worth).
+inline constexpr std::uint32_t kSfuLanes = 32;
+/// LR overhead: cycles charged per redistributed block (weight reload into
+/// the light row's spad).
+inline constexpr double kLrCyclesPerBlock = 0.5;
+
 struct EngineConfig {
   ArrayConfig array = ArrayConfig::design_e();
   BufferSizes buffers = BufferSizes::for_dataset(true);
@@ -127,22 +139,10 @@ struct EngineConfig {
   SfuConfig sfu;
   OptimizationFlags opts;
   CacheConfig cache;
+  /// The accelerator clock: every modeled cycle count is in it, and
+  /// InferenceReport::runtime_seconds converts at it. The HBM model counts
+  /// DRAM time at hbm.clock_hz, so validate() requires the two to agree.
   double clock_hz = 1.3e9;
-  /// Weight precision in bytes (§VIII-A sizes the weight buffer for 1-byte
-  /// weights); features/psums are 4-byte.
-  std::uint32_t weight_bytes = 1;
-  std::uint32_t feature_bytes = 4;
-  /// Number of SFU lanes (the array interleaves "multiple columns" of SFUs;
-  /// we model two columns' worth).
-  std::uint32_t sfu_lanes = 32;
-  /// LR overhead: cycles charged per redistributed block (weight reload
-  /// into the light row's spad).
-  double lr_cycles_per_block = 0.5;
-  /// Serving-layer knob: how many graphs' plans a CompiledModel retains
-  /// (core/serving.hpp). Least-recently-planned graphs are evicted beyond
-  /// this; re-planning an evicted graph reproduces the identical plan.
-  /// Must be >= 1.
-  std::uint32_t plan_cache_capacity = 16;
   /// Serving-layer knob: the per-die cache-residency (warmth) model.
   WarmthConfig warmth;
   /// Serving-layer knob: die-level same-plan request coalescing.

@@ -46,30 +46,6 @@ struct InferenceResult {
   InferenceReport report;
 };
 
-/// Aggregate over one run_batch() call: the batch is serviced sequentially
-/// on one accelerator, so total_cycles is the makespan and per-request
-/// latencies come from the individual InferenceReports.
-struct BatchReport {
-  std::size_t requests = 0;
-  Cycles total_cycles = 0;
-  Cycles min_request_cycles = 0;
-  Cycles max_request_cycles = 0;
-  double clock_hz = 0.0;
-  HbmStats dram;              ///< summed over all requests
-  Joules dram_energy = 0.0;
-  std::uint64_t total_macs = 0;
-
-  Seconds total_seconds() const { return cycles_to_seconds(total_cycles, clock_hz); }
-  Seconds mean_request_seconds() const {
-    return requests == 0 ? 0.0 : total_seconds() / static_cast<double>(requests);
-  }
-  /// Served inferences per second at the batch's aggregate rate.
-  double throughput_per_second() const {
-    const Seconds s = total_seconds();
-    return s <= 0.0 ? 0.0 : static_cast<double>(requests) / s;
-  }
-};
-
 /// One request's lifetime in cluster virtual time (serve::Cluster): it
 /// arrives (open-loop, from the trace), waits in a queue, starts service on
 /// a die, and finishes service_cycles() later.
@@ -113,8 +89,7 @@ struct RequestRecord {
 
 /// Aggregate of one serve::Cluster::simulate() call: per-request records in
 /// trace order, rolled up into tail latency, queue depth, per-die
-/// utilization, and throughput. Unlike BatchReport (sequential service on
-/// one die, makespan only), this is the open-loop serving view — the
+/// utilization, and throughput: the open-loop serving view — the
 /// "millions of users" metrics are the percentiles, not the mean.
 struct ServingReport {
   std::vector<RequestRecord> requests;  ///< trace order

@@ -77,17 +77,6 @@ struct CompiledModel::State {
   std::vector<WeightingGeometry> layer_geom;        // main (embedding) layers
   std::vector<WeightingGeometry> pool_geom;         // DiffPool pool layers
   std::optional<WeightingGeometry> gin_mlp2_geom;   // GIN second linear
-
-  // Bounded LRU plan cache keyed by graph object (config.plan_cache_capacity
-  // entries; front of the list = most recently planned). Eviction only drops
-  // the cache's reference — plans held by in-flight requests stay valid.
-  struct CachedPlan {
-    GraphPlanPtr plan;
-    std::list<const Csr*>::iterator lru_it;
-  };
-  mutable std::mutex plan_mutex;
-  mutable std::list<const Csr*> plan_lru;
-  mutable std::unordered_map<const Csr*, CachedPlan> plan_cache;
 };
 
 const ModelConfig& CompiledModel::model() const { return state_->model; }
@@ -152,13 +141,13 @@ CompiledModel Engine::compile(const ModelConfig& model,
                     "GIN MLP parameters must match the layer output width");
     }
     state->layer_geom.push_back(WeightingGeometry::for_dims(config_, f_in, f_out));
-    weight_footprint += static_cast<Bytes>(f_in) * f_out * config_.weight_bytes;
+    weight_footprint += static_cast<Bytes>(f_in) * f_out * kWeightBytes;
   }
   if (model.kind == GnnKind::kGinConv) {
     state->gin_mlp2_geom =
         WeightingGeometry::for_dims(config_, model.hidden_dim, model.hidden_dim);
     weight_footprint += static_cast<Bytes>(model.num_layers) * model.hidden_dim *
-                        model.hidden_dim * config_.weight_bytes;
+                        model.hidden_dim * kWeightBytes;
   }
   if (model.kind == GnnKind::kDiffPool) {
     GNNIE_REQUIRE(state->weights->pool_layers.size() == model.num_layers,
@@ -171,7 +160,7 @@ CompiledModel Engine::compile(const ModelConfig& model,
       GNNIE_REQUIRE(lw.w.rows() == f_in && lw.w.cols() == f_out,
                     "pool layer weight matrix does not match the model dimensions");
       state->pool_geom.push_back(WeightingGeometry::for_dims(config_, f_in, f_out));
-      weight_footprint += static_cast<Bytes>(f_in) * f_out * config_.weight_bytes;
+      weight_footprint += static_cast<Bytes>(f_in) * f_out * kWeightBytes;
     }
   } else {
     GNNIE_REQUIRE(state->weights->pool_layers.empty(),
@@ -232,7 +221,7 @@ std::vector<std::size_t> aggregation_widths(const ModelConfig& model) {
 }  // namespace
 
 GraphPlanPtr CompiledModel::plan(const Csr& g, std::vector<Csr> sampled_per_layer) const {
-  State& s = *state_;
+  const State& s = *state_;
   if (s.model.kind == GnnKind::kGraphSage) {
     GNNIE_REQUIRE(sampled_per_layer.size() == s.model.num_layers,
                   "GraphSAGE needs one sampled adjacency per layer");
@@ -245,23 +234,10 @@ GraphPlanPtr CompiledModel::plan(const Csr& g, std::vector<Csr> sampled_per_laye
                   "only GraphSAGE models take sampled adjacencies");
   }
 
-  const bool cacheable = sampled_per_layer.empty();
-  const std::uint64_t fp = g.structure_fingerprint();
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(s.plan_mutex);
-    auto it = s.plan_cache.find(&g);
-    // A hit is honored only if the graph object still holds the structure
-    // it was planned for (callers may mutate/reassign the Csr in place).
-    if (it != s.plan_cache.end() && it->second.plan->fingerprint() == fp) {
-      s.plan_lru.splice(s.plan_lru.begin(), s.plan_lru, it->second.lru_it);
-      return it->second.plan;
-    }
-  }
-
   auto plan = std::shared_ptr<GraphPlan>(new GraphPlan());
   plan->owner_ = std::shared_ptr<const void>(state_, state_.get());
   plan->graph_ = &g;
-  plan->fingerprint_ = fp;
+  plan->fingerprint_ = g.structure_fingerprint();
   plan->planned_vertices_ = g.vertex_count();
   plan->planned_edges_ = g.edge_count();
   plan->policy_ = s.policy;
@@ -297,24 +273,6 @@ GraphPlanPtr CompiledModel::plan(const Csr& g, std::vector<Csr> sampled_per_laye
         plan->dual_pinned_.emplace_back(width,
                                         cache::best_dual_split(trace, capacity, g).pinned);
       }
-    }
-  }
-
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(s.plan_mutex);
-    auto it = s.plan_cache.find(&g);
-    if (it != s.plan_cache.end()) {
-      // Stale entry for this graph object (or a concurrent planner beat us):
-      // refresh it in place and mark it most-recent.
-      it->second.plan = plan;
-      s.plan_lru.splice(s.plan_lru.begin(), s.plan_lru, it->second.lru_it);
-    } else {
-      if (s.plan_cache.size() >= s.config.plan_cache_capacity) {
-        s.plan_cache.erase(s.plan_lru.back());
-        s.plan_lru.pop_back();
-      }
-      s.plan_lru.push_front(&g);
-      s.plan_cache.emplace(&g, State::CachedPlan{plan, s.plan_lru.begin()});
     }
   }
   return plan;
@@ -476,7 +434,7 @@ struct Executor {
     row_softmax_inplace(sm);  // SFU exp + divide per assignment entry
     const std::uint64_t softmax_ops = 2ull * sm.rows() * sm.cols();
     const Cycles softmax_cycles =
-        (softmax_ops + s.config.sfu_lanes - 1) / s.config.sfu_lanes + s.config.sfu.exp_latency;
+        (softmax_ops + kSfuLanes - 1) / kSfuLanes + s.config.sfu.exp_latency;
 
     // Coarsening: Xc = SᵀZ and Ac = Sᵀ(ÃS) — dense matmuls on the CPE array
     // plus one more aggregation pass for ÃS.
@@ -524,7 +482,7 @@ InferenceResult CompiledModel::run(const RunRequest& request) const {
                 "plan was created by a different (or destroyed) CompiledModel");
   const Csr& g = request.plan->graph();
   // O(1) staleness guard: catches the planned Csr being reassigned in
-  // place (full fingerprint revalidation happens on plan() cache hits).
+  // place.
   GNNIE_REQUIRE(g.vertex_count() == request.plan->planned_vertex_count() &&
                     g.edge_count() == request.plan->planned_edge_count(),
                 "planned graph changed since plan() — re-plan it");
@@ -564,12 +522,10 @@ InferenceResult CompiledModel::run(const RunRequest& request) const {
   return result;
 }
 
-ServiceCost CompiledModel::cost(const RunRequest& request, double warm_fraction) const {
-  GNNIE_REQUIRE(warm_fraction >= 0.0 && warm_fraction <= 1.0,
-                "warm fraction must be in [0, 1]");
+ServiceCost CompiledModel::cost(const RunRequest& request) const {
   const InferenceReport cold = run(request).report;
   ServiceCost cost;
-  cost.total_cycles = warm_total_cycles(cold, warm_fraction);
+  cost.total_cycles = cold.total_cycles;
   cost.head.cold_cycles = cold.total_cycles;
   cost.head.warm_cycles = warm_total_cycles(cold, 1.0);
   cost.head.batch_saving_cycles = batch_follower_saved_cycles(cold);
@@ -577,32 +533,6 @@ ServiceCost CompiledModel::cost(const RunRequest& request, double warm_fraction)
   cost.head.aggregation_cycles = cold.total_cycles - cost.head.weighting_cycles;
   cost.warm_stages = warmth_stages_of(cold);
   return cost;
-}
-
-BatchResult CompiledModel::run_batch(std::span<const RunRequest> requests) const {
-  BatchResult batch;
-  batch.report.clock_hz = state_->config.clock_hz;
-  batch.results.reserve(requests.size());
-  for (const RunRequest& request : requests) {
-    InferenceResult r = run(request);
-    const InferenceReport& rep = r.report;
-    if (batch.report.requests == 0) {
-      batch.report.min_request_cycles = rep.total_cycles;
-      batch.report.max_request_cycles = rep.total_cycles;
-    } else {
-      batch.report.min_request_cycles =
-          std::min(batch.report.min_request_cycles, rep.total_cycles);
-      batch.report.max_request_cycles =
-          std::max(batch.report.max_request_cycles, rep.total_cycles);
-    }
-    ++batch.report.requests;
-    batch.report.total_cycles += rep.total_cycles;
-    batch.report.dram += rep.dram;
-    batch.report.dram_energy += rep.dram_energy;
-    batch.report.total_macs += rep.total_macs;
-    batch.results.push_back(std::move(r));
-  }
-  return batch;
 }
 
 }  // namespace gnnie

@@ -2,39 +2,38 @@
 //
 //   Engine engine(EngineConfig::paper_default(false));
 //   CompiledModel model = engine.compile(model_config, weights);
-//   auto plan = model.plan(graph);                 // cached per graph
+//   GraphPlanPtr plan = model.plan(graph);         // keep it: one per graph
 //   InferenceResult r = model.run({plan, &features});
-//   BatchResult b = model.run_batch(requests);     // many features, one plan
+//   ServiceCost c = model.cost({plan, &features}); // cold service surface
 //
 // The lifecycle splits GNNIE's per-graph planning work (§IV-C weighting
-// bins, §VI degree-aware cache layout) from per-request execution:
+// bins, §VI degree-aware cache layout) from per-request execution. A
+// CompiledModel is an immutable compile output, and its three calls are
+// pure functions of their arguments:
 //
 //   * Engine::compile validates the model/weights pairing once, sizes the
 //     DRAM layout, and precomputes every layer's weighting geometry.
 //   * CompiledModel::plan binds one graph: the cache policy's DRAM layout
 //     order, its inverse positions, reverse adjacencies for sampled
 //     (directed) layers — everything reusable across runs on that graph.
-//     Plans are cached inside the CompiledModel and shared.
-//   * CompiledModel::run / run_batch execute requests against a plan.
-//     Every run builds its accelerator state (HbmModel) fresh, so runs are
-//     stateless by construction: back-to-back runs report identical stats.
+//     Each call builds a fresh plan; callers keep the GraphPlanPtr.
+//   * CompiledModel::run executes one request against a plan. Every run
+//     builds its accelerator state (HbmModel) fresh, so runs are stateless
+//     by construction: back-to-back runs report identical stats. Batches
+//     of requests are served by serve::Cluster (serve/cluster.hpp).
 //   * CompiledModel::cost runs one request and returns its cold service
 //     surface (ServiceCost): the cold and fully-warm totals, the follower
 //     saving, the §IV weighting / §V aggregation split, and the per-stage
 //     warmth surface. The serving cluster memoizes one per (config, plan,
-//     features) and prices every service slot from it (serve/cluster.hpp).
+//     features) and prices every service slot from it.
 //
 // The cache behavior is selected by a CachePolicy instance handed to the
 // Engine (core/cache_policy.hpp); a null policy means degree-aware.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,8 +77,7 @@ class GraphPlan {
   const Csr& graph() const { return *graph_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
   /// Graph shape at plan time. run() re-checks these (O(1)) to catch the
-  /// common case of the planned Csr being reassigned in place; full
-  /// structural revalidation (the fingerprint) happens on plan() hits.
+  /// common case of the planned Csr being reassigned in place.
   VertexId planned_vertex_count() const { return planned_vertices_; }
   EdgeId planned_edge_count() const { return planned_edges_; }
   const CachePolicy& policy() const { return *policy_; }
@@ -184,15 +182,10 @@ class GraphPlan {
 using GraphPlanPtr = std::shared_ptr<const GraphPlan>;
 
 /// One inference request: a plan (graph binding) plus that request's input
-/// features. Batch results correlate with requests by position.
+/// features.
 struct RunRequest {
   GraphPlanPtr plan;
   const SparseMatrix* features = nullptr;
-};
-
-struct BatchResult {
-  std::vector<InferenceResult> results;  ///< one per request, request order
-  BatchReport report;
 };
 
 /// Scalar summary of one request's staged service cost on one engine
@@ -208,14 +201,13 @@ struct ServiceCostSummary {
   Cycles aggregation_cycles = 0;    ///< cold remainder (cannot overlap a stream)
 };
 
-/// One request's service cost (CompiledModel::cost): its lone service time
-/// at the queried warm fraction, plus the parametric surface the serving
-/// cluster prices slots from — so a memo entry re-prices the request at any
-/// warmth, as a head or a follower, without re-running the engine. Callers
-/// needing per-layer detail use run().
+/// One request's service cost (CompiledModel::cost): its lone cold service
+/// time, plus the parametric surface the serving cluster prices slots from
+/// — so a memo entry re-prices the request at any warmth, as a head or a
+/// follower, without re-running the engine. Callers needing per-layer
+/// detail use run().
 struct ServiceCost {
-  /// Lone service time at the queried warm fraction:
-  /// warm_total_cycles(run(request).report, warm_fraction).
+  /// Lone cold service time: run(request).report.total_cycles.
   Cycles total_cycles = 0;
   /// The request's cold surface (warmth- and policy-independent; the
   /// cluster sets swap_penalty_cycles on its estimates, not here).
@@ -227,13 +219,14 @@ struct ServiceCost {
 
   /// head.cold_cycles discounted to warm fraction `f` (exact arithmetic
   /// order of warm_total_cycles; f = 0 returns cold, f = 1 returns
-  /// head.warm_cycles).
+  /// head.warm_cycles). The one way to price a request warm.
   Cycles warm_total(double warm_fraction) const;
 };
 
 /// A validated (model, weights, accelerator config, cache policy) bundle.
-/// Immutable and cheaply copyable (shared state); safe to hand to several
-/// serving threads, each running requests independently.
+/// Immutable and cheaply copyable (shared state, never written after
+/// compile); safe to hand to several serving threads, each planning and
+/// running requests independently.
 class CompiledModel {
  public:
   const ModelConfig& model() const;
@@ -246,16 +239,12 @@ class CompiledModel {
   /// Peak TOPS of the configured array (Table IV "Peak").
   double peak_tops() const;
 
-  /// Plans (or returns the cached plan for) one graph. GraphSAGE models
-  /// must pass one sampled adjacency per layer (sample_neighborhood) —
-  /// those plans are not cached, since sampling is fresh per call; all
-  /// other plans are cached per graph object and revalidated against the
-  /// graph's structure fingerprint on every hit. The cache is a bounded
-  /// LRU (EngineConfig::plan_cache_capacity, default 16 graphs): the
-  /// least-recently planned graph is evicted first, and re-planning an
-  /// evicted graph reproduces the identical plan (planning is
-  /// deterministic). Evicted plans held by in-flight requests stay valid —
-  /// eviction drops the cache's reference, not the plan.
+  /// Builds a fresh plan for one graph on every call. GraphSAGE models must
+  /// pass one sampled adjacency per layer (sample_neighborhood). Planning is
+  /// deterministic: two plans of one graph are distinct objects with equal
+  /// fingerprint, layout and precomputes, and run bit-identically. The
+  /// serving cluster keys coalescing and affinity on fingerprint(), not on
+  /// the plan object.
   GraphPlanPtr plan(const Csr& g, std::vector<Csr> sampled_per_layer = {}) const;
 
   /// True when `plan` was built by this model's plan() — the only plans
@@ -266,26 +255,21 @@ class CompiledModel {
   /// call, so identical requests produce bit-identical outputs and reports.
   InferenceResult run(const RunRequest& request) const;
 
-  /// Runs `request` once and returns its service cost: total_cycles is
-  /// exactly warm_total_cycles(run(request).report, warm_fraction) (warm
-  /// fraction in [0, 1]), and `head` / `warm_stages` are its cold surface.
-  /// Coalesced slots, plan variants, and swap penalties are priced by the
-  /// serving cluster (serve/cluster.hpp), not here.
-  ServiceCost cost(const RunRequest& request, double warm_fraction = 0.0) const;
-
-  /// Services requests sequentially on the modeled accelerator and returns
-  /// per-request results plus the aggregate batch report (makespan,
-  /// summed DRAM traffic, latency spread).
-  BatchResult run_batch(std::span<const RunRequest> requests) const;
+  /// Runs `request` once and returns its cold service cost: total_cycles is
+  /// exactly run(request).report.total_cycles, and `head` / `warm_stages`
+  /// are its surface (ServiceCost::warm_total prices it warm). Coalesced
+  /// slots, plan variants, and swap penalties are priced by the serving
+  /// cluster (serve/cluster.hpp), not here.
+  ServiceCost cost(const RunRequest& request) const;
 
   /// Opaque compile output (definition in serving.cpp).
   struct State;
 
  private:
   friend class Engine;
-  explicit CompiledModel(std::shared_ptr<State> state) : state_(std::move(state)) {}
+  explicit CompiledModel(std::shared_ptr<const State> state) : state_(std::move(state)) {}
 
-  std::shared_ptr<State> state_;
+  std::shared_ptr<const State> state_;
 };
 
 /// Entry point of the serving lifecycle: owns the accelerator configuration

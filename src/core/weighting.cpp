@@ -55,7 +55,7 @@ WeightingGeometry WeightingGeometry::for_dims(const EngineConfig& config, std::s
   g.passes = std::max<std::uint64_t>(
       1, (f_out + config.array.cols - 1) / config.array.cols);
   g.weight_stream_bytes_per_pass =
-      static_cast<Bytes>(config.array.cols) * f_in * config.weight_bytes;
+      static_cast<Bytes>(config.array.cols) * f_in * kWeightBytes;
   return g;
 }
 
@@ -139,7 +139,7 @@ Matrix WeightingEngine::run(const Matrix& h, const Matrix& w, WeightingReport* r
   }
 
   // Dense path: RLC bypassed, the full FP32 matrix streams per pass.
-  simulate(grid, geom, static_cast<Bytes>(grid.vertices) * f_in * config_.feature_bytes,
+  simulate(grid, geom, static_cast<Bytes>(grid.vertices) * f_in * kFeatureBytes,
            /*dense_input=*/true, report);
   return matmul(h, w);
 }
@@ -266,12 +266,12 @@ std::vector<double> WeightingEngine::schedule_rows(const BlockGrid& grid,
       const std::uint32_t light = idx[p];
       const std::uint32_t heavy = idx[arr.rows - 1 - p];
       const double diff = row_cycles[heavy] - row_cycles[light];
-      if (diff <= 2.0 * config_.lr_cycles_per_block) continue;
+      if (diff <= 2.0 * kLrCyclesPerBlock) continue;
       const double moved_cycles = diff / 2.0;
       const auto moved_blocks =
           static_cast<std::uint64_t>(std::ceil(moved_cycles / std::max(mean_block_cost, 1e-9)));
       const double overhead =
-          static_cast<double>(moved_blocks) * config_.lr_cycles_per_block;
+          static_cast<double>(moved_blocks) * kLrCyclesPerBlock;
       const double mid = (row_cycles[heavy] + row_cycles[light]) / 2.0;
       row_cycles[heavy] = mid;
       row_cycles[light] = mid + overhead;
@@ -330,7 +330,7 @@ void WeightingEngine::simulate(const BlockGrid& grid, const WeightingGeometry& g
   // feature vectors fetched in the input buffer get reused").
   const Bytes weight_bytes_per_pass = geom.weight_stream_bytes_per_pass;
   const Bytes output_bytes_per_pass =
-      static_cast<Bytes>(grid.vertices) * arr.cols * config_.feature_bytes;
+      static_cast<Bytes>(grid.vertices) * arr.cols * kFeatureBytes;
   // Dense inputs are the previous layer's result, which is still staged
   // in the output buffer — both buffers contribute residency capacity.
   const Bytes resident_capacity =

@@ -51,17 +51,6 @@ HbmModel::HbmModel(HbmConfig config) : config_(config) {
   pending_.reserve(kMaxPending);
 }
 
-HbmStats& HbmStats::operator+=(const HbmStats& other) {
-  bytes_read += other.bytes_read;
-  bytes_written += other.bytes_written;
-  bursts += other.bursts;
-  row_hits += other.row_hits;
-  row_misses += other.row_misses;
-  for (std::size_t c = 0; c < kMemClientCount; ++c) client_bytes[c] += other.client_bytes[c];
-  accesses += other.accesses;
-  return *this;
-}
-
 void HbmModel::begin_epoch() {
   settle();
   channel_busy_.assign(config_.channels, 0.0);

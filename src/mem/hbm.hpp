@@ -42,7 +42,9 @@ namespace gnnie {
 
 struct HbmConfig {
   double peak_bandwidth_bytes_per_s = 256.0e9;  ///< §VIII-A: 256 GB/s
-  double clock_hz = 1.3e9;                      ///< accelerator clock (cycles returned in it)
+  /// Accelerator clock: DRAM time is returned in its cycles.
+  /// EngineConfig::validate requires it to equal EngineConfig::clock_hz.
+  double clock_hz = 1.3e9;
   std::uint32_t channels = 8;
   std::uint32_t banks_per_channel = 16;
   std::uint32_t row_bytes = 2048;
@@ -85,9 +87,6 @@ struct HbmStats {
     const std::uint64_t total = row_hits + row_misses;
     return total == 0 ? 0.0 : static_cast<double>(row_hits) / static_cast<double>(total);
   }
-
-  /// Accumulates another run's stats (batch-report aggregation).
-  HbmStats& operator+=(const HbmStats& other);
 };
 
 /// One engine run's DRAM. Not safe to share between threads, even through

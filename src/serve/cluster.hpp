@@ -40,17 +40,17 @@
 // queue scans. The indexed loop is pinned record-for-record against a
 // scan-based reference simulator (tests/test_serve_equivalence.cpp).
 //
-// Degenerate case, by design: one die + FIFO + a zero-gap trace reproduces
-// CompiledModel::run_batch exactly — same per-request cycle counts, and a
-// makespan equal to BatchReport::total_cycles.
+// Degenerate case, by design: one die + FIFO + a zero-gap trace is the
+// batch API — it services the requests back to back, each taking exactly
+// its CompiledModel::run total_cycles, and the makespan is their sum.
 //
 // Service costs are memoized per distinct (die config, plan, features)
 // triple in a cluster-lifetime ServiceCostCache (serve/cost_cache.hpp)
 // shared by every simulate() call on this cluster — exact, not an
 // approximation, because runs are stateless — so a latency-vs-load sweep
 // costs each triple once, at its first load point. simulate() is const and
-// thread-safe: the cache fill takes a mutex, the plan cache is internally
-// locked, and all other state lives in the call's SimState, so independent
+// thread-safe: the cache fill takes a mutex, CompiledModel is immutable,
+// and all other state lives in the call's SimState, so independent
 // sweep cells over one cluster may run on parallel threads and still
 // produce bit-identical reports each.
 //

@@ -45,7 +45,7 @@ namespace gnnie::serve {
 struct CostEntry {
   /// The plan the costed run used: the request's own plan when the config's
   /// compiled model built it, else the per-config re-plan of its graph
-  /// (held here so re-plans outlive the plan cache).
+  /// (held here, so the re-plan lives as long as the entry).
   GraphPlanPtr plan;
   Bytes working_set = 0;  ///< plan->warm_working_set_bytes()
   /// Staged surface of a lone cold service of this triple

@@ -92,13 +92,12 @@ struct ShortestQueueScheduler final : Scheduler {
 struct GraphAffinityScheduler final : Scheduler {
   SchedulerKind kind() const override { return SchedulerKind::kGraphAffinity; }
 
-  std::size_t pick(const TracedRequest& request, std::span<const RequestEstimate>,
+  std::size_t pick(const TracedRequest&, std::span<const RequestEstimate> estimates,
                    std::span<const DieStatus> dies, Cycles) const override {
-    const std::uint64_t fp = request.request.plan->fingerprint();
     // 1. Least-loaded die already holding this graph's plan state.
     std::size_t best = kDefer;
     for (std::size_t d = 0; d < dies.size(); ++d) {
-      if (dies[d].affinity_fingerprint != fp) continue;
+      if (dies[d].affinity_fingerprint != estimates[d].fingerprint) continue;
       if (best == kDefer || dies[d].in_flight() < dies[best].in_flight()) best = d;
     }
     if (best != kDefer) return best;

@@ -6,7 +6,8 @@
 //
 //   * FIFO — one global queue: a request is dispatched only when a die is
 //     idle, so service starts cluster-wide in arrival order. On one die
-//     this reproduces CompiledModel::run_batch exactly.
+//     this services the trace back to back, each request taking exactly
+//     its CompiledModel::run cycles.
 //   * shortest-queue — join the die with the fewest in-flight requests
 //     (queued + in service) at arrival time; classic load balancing.
 //   * graph-affinity — like shortest-queue, but prefer dies whose last
@@ -106,6 +107,8 @@ struct RequestEstimate {
   /// clock domain. Schedulers read costs from here instead of recomputing
   /// discounts.
   ServiceCostSummary cost;
+  /// The request's plan fingerprint (GraphPlan::fingerprint), the same on
+  /// every die: the identity affinity routing and coalescing key on.
   std::uint64_t fingerprint = 0;
   Bytes working_set_bytes = 0;
   /// The same-plan backlog THIS die's next slot could actually drain: 1 +

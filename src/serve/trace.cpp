@@ -86,9 +86,7 @@ void RequestTrace::emit(Cycles arrival, std::size_t stream) {
   GNNIE_REQUIRE(slo <= 0 || static_cast<Cycles>(slo) <= kMaxCycles - arrival,
                 "a request deadline wraps the cycle clock");
   r.deadline = slo > 0 ? arrival + static_cast<Cycles>(slo) : 0;
-  r.request.plan = streams_[stream].plan;
-  r.request.features = streams_[stream].features;
-  requests_.push_back(std::move(r));
+  requests_.push_back(r);
 }
 
 RequestTrace RequestTrace::fixed_interval(std::vector<TraceStream> streams,

@@ -47,14 +47,14 @@ struct TraceStream {
   std::int64_t slo_cycles = 0;
 };
 
-/// One arrival: when it lands (cluster virtual time, cycles), which stream
-/// produced it, and the ready-to-run request.
+/// One arrival: when it lands (cluster virtual time, cycles) and which
+/// stream produced it. The request's plan and features are the stream's
+/// (RequestTrace::stream), stored once per stream, not per arrival.
 struct TracedRequest {
   Cycles arrival = 0;
   std::size_t stream = 0;
   /// Absolute deadline (arrival + the stream's slo_cycles); 0 = no SLO.
   Cycles deadline = 0;
-  RunRequest request;
 
   bool has_slo() const { return deadline != 0; }
 };

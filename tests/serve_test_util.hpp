@@ -1,8 +1,10 @@
 // Shared fixture for the serving-cluster tests (test_serve.cpp,
 // test_warmth.cpp): two small graphs ("tenants") served by one compiled
-// GCN, with the engine config adjustable per test (warmth knobs,
-// plan-cache size).
+// GCN, with the engine config adjustable per test (the serving knobs), and
+// the per-request run() cycles a one-die batch must reproduce.
 #pragma once
+
+#include <vector>
 
 #include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
@@ -43,5 +45,17 @@ struct ServeFixture {
   serve::TraceStream stream_a() { return {plan_a, &a.features, 1.0}; }
   serve::TraceStream stream_b() { return {plan_b, &b_features, 1.0}; }
 };
+
+/// Each trace request's lone run() cycles, trace order: what a one-die FIFO
+/// cluster charges on a zero-gap trace with every serving knob off.
+inline std::vector<Cycles> sequential_run_cycles(const CompiledModel& compiled,
+                                                 const serve::RequestTrace& trace) {
+  std::vector<Cycles> cycles;
+  for (const serve::TracedRequest& r : trace.requests()) {
+    const serve::TraceStream& stream = trace.stream(r.stream);
+    cycles.push_back(compiled.run({stream.plan, stream.features}).report.total_cycles);
+  }
+  return cycles;
+}
 
 }  // namespace gnnie::test

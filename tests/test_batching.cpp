@@ -1,12 +1,12 @@
 // Tests for die-level same-plan coalescing (EngineConfig::batching):
-// CompiledModel::cost's argument validation, the coalescing cluster (group
-// atomicity, slot charges pinned against hand arithmetic on the one-request
-// cost surface, slots keyed by plan rather than features, the acceptance
-// criterion that max_coalesce = 8 strictly improves p99 and makespan over
-// serial service on a single-graph Poisson trace at 4 dies), interaction
-// with cache warmth (one residency touch per slot), coalescing across a
-// plan-cache eviction, and the warmth-aware scheduler's head-of-line plan
-// preference.
+// argument validation of CompiledModel::cost and ServiceCost::warm_total,
+// the coalescing cluster (group atomicity, slot charges pinned against hand
+// arithmetic on the one-request cost surface, slots keyed by plan rather
+// than features, the acceptance criterion that max_coalesce = 8 strictly
+// improves p99 and makespan over serial service on a single-graph Poisson
+// trace at 4 dies), interaction with cache warmth (one residency touch per
+// slot), coalescing across two plans of one graph, and the warmth-aware
+// scheduler's head-of-line plan preference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,9 +41,9 @@ EngineConfig coalescing_config(std::uint32_t max_coalesce) {
 
 TEST(RunCostBatch, ValidatesItsArguments) {
   ServeFixture f;
-  const RunRequest a{f.plan_a, &f.a.features};
-  EXPECT_THROW(f.compiled.cost(a, -0.1), std::invalid_argument);
-  EXPECT_THROW(f.compiled.cost(a, 1.1), std::invalid_argument);
+  const ServiceCost a = f.compiled.cost({f.plan_a, &f.a.features});
+  EXPECT_THROW(a.warm_total(-0.1), std::invalid_argument);
+  EXPECT_THROW(a.warm_total(1.1), std::invalid_argument);
   const RunRequest no_plan{nullptr, &f.a.features};
   EXPECT_THROW(f.compiled.cost(no_plan), std::invalid_argument);
 }
@@ -209,28 +209,24 @@ TEST(BatchingCluster, CapLargerThanQueueDepthDrainsWhatIsThere) {
   EXPECT_EQ(rep.total_groups(), 2u);
 }
 
-TEST(BatchingCluster, CoalescesAcrossPlanCacheEvictionByFingerprint) {
-  // plan_cache_capacity 1: replanning graph A after plan(B) evicted it
-  // yields a distinct plan object with the same structure fingerprint.
-  // Coalescing groups by fingerprint, so requests holding the old and the
-  // new plan object share a slot — and the evicted-but-in-flight plan
-  // stays valid through the whole service.
-  EngineConfig config = coalescing_config(8);
-  config.plan_cache_capacity = 1;
-  ServeFixture f(config);
-  GraphPlanPtr plan_a2 = f.compiled.plan(f.a.graph);  // A was evicted by plan(B)
+TEST(BatchingCluster, CoalescesTwoPlansOfOneGraphByFingerprint) {
+  // Planning graph A again yields a distinct plan object with the same
+  // structure fingerprint. Coalescing groups by fingerprint, so requests
+  // holding the first and the second plan object share a slot.
+  ServeFixture f(coalescing_config(8));
+  GraphPlanPtr plan_a2 = f.compiled.plan(f.a.graph);
   ASSERT_NE(plan_a2.get(), f.plan_a.get());
   ASSERT_EQ(plan_a2->fingerprint(), f.plan_a->fingerprint());
 
   // One die, three zero-gap requests: the first seats alone; the queued
-  // old-plan and new-plan requests coalesce into one slot.
+  // first-plan and second-plan requests coalesce into one slot.
   RequestTrace trace = RequestTrace::fixed_interval(
       {f.stream_a(), {plan_a2, &f.a.features, 1.0}}, 3, 0);
   ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   ASSERT_EQ(rep.requests.size(), 3u);
   EXPECT_EQ(rep.requests[0].group_size, 1u);
-  EXPECT_EQ(rep.requests[1].group_size, 2u);  // stream 1: the evicted plan's successor
-  EXPECT_EQ(rep.requests[2].group_size, 2u);  // stream 0: the original plan object
+  EXPECT_EQ(rep.requests[1].group_size, 2u);  // stream 1: the second plan object
+  EXPECT_EQ(rep.requests[2].group_size, 2u);  // stream 0: the first plan object
   EXPECT_EQ(rep.requests[2].start, rep.requests[1].finish);
 }
 

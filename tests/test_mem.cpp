@@ -238,6 +238,20 @@ TEST(Hbm, RejectsBadGeometry) {
   }
 }
 
+TEST(Hbm, EngineConfigRejectsASecondClock) {
+  // One accelerator clock: the HBM model returns DRAM time in hbm.clock_hz
+  // cycles, the engine sums those with its compute cycles and reports
+  // seconds at clock_hz, so a config whose two clocks differ is rejected.
+  EngineConfig fast;
+  fast.clock_hz = 2.6e9;  // hbm.clock_hz keeps its 1.3 GHz default
+  EXPECT_THROW(fast.validate(), std::invalid_argument);
+  fast.hbm.clock_hz = 2.6e9;
+  EXPECT_NO_THROW(fast.validate());
+  EngineConfig slow_dram;
+  slow_dram.hbm.clock_hz = 1.0e9;
+  EXPECT_THROW(slow_dram.validate(), std::invalid_argument);
+}
+
 // Every HbmStats field by name, so a mismatch prints the field that moved.
 std::vector<std::pair<std::string, std::uint64_t>> fields_of(const HbmStats& s) {
   return {{"bytes_read", s.bytes_read},           {"bytes_written", s.bytes_written},

@@ -154,29 +154,29 @@ TEST(ServeTrace, RejectsArrivalsThatWrapTheCycleClock) {
   EXPECT_EQ(large.horizon(), Cycles{1} << 63);
 }
 
-// --- The ISSUE acceptance criterion: the degenerate cluster IS run_batch. ---
+// --- The degenerate cluster is the batch API: back-to-back run()s. ---
 
 TEST(ServeCluster, SingleDieFifoZeroGapReproducesRunBatchExactly) {
   ServeFixture f;
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 8, 0);
 
-  std::vector<RunRequest> requests;
-  for (const auto& r : trace.requests()) requests.push_back(r.request);
-  BatchResult batch = f.compiled.run_batch(requests);
-
   Cluster cluster(f.compiled, 1);
   ServingReport rep = cluster.simulate(trace, {.scheduler = SchedulerKind::kFifo});
 
-  ASSERT_EQ(rep.requests.size(), batch.results.size());
+  const std::vector<Cycles> runs = test::sequential_run_cycles(f.compiled, trace);
+  ASSERT_EQ(rep.requests.size(), runs.size());
+  Cycles sequential_total = 0;
   for (std::size_t i = 0; i < rep.requests.size(); ++i) {
-    // Same per-request cycle counts, serviced in arrival order on die 0.
-    EXPECT_EQ(rep.requests[i].service_cycles(), batch.results[i].report.total_cycles);
+    // Same per-request cycle counts as a lone run(), serviced in arrival
+    // order on die 0.
+    EXPECT_EQ(rep.requests[i].service_cycles(), runs[i]);
     EXPECT_EQ(rep.requests[i].die, 0u);
     if (i > 0) EXPECT_EQ(rep.requests[i].start, rep.requests[i - 1].finish);
+    sequential_total += runs[i];
   }
-  // Makespan equals the batch's sequential total exactly.
-  EXPECT_EQ(rep.makespan, batch.report.total_cycles);
-  EXPECT_EQ(rep.die_busy_cycles[0], batch.report.total_cycles);
+  // Makespan equals the runs' sequential total exactly.
+  EXPECT_EQ(rep.makespan, sequential_total);
+  EXPECT_EQ(rep.die_busy_cycles[0], sequential_total);
   EXPECT_DOUBLE_EQ(rep.die_utilization(0), 1.0);
 }
 
@@ -304,17 +304,13 @@ TEST(ServeCluster, ShortestQueueTieBreaksDeterministicallyByLowestIndex) {
   }
 }
 
-TEST(ServeCluster, AffinityRoutesByFingerprintAcrossPlanCacheEviction) {
-  // plan_cache_capacity 1: planning graph B evicts graph A's cached plan,
-  // and replanning A mid-trace produces a *new* plan object with the same
-  // structure fingerprint. Affinity must treat old and new plan objects of
-  // the same graph as one graph (it routes on the fingerprint), while the
-  // evicted plan held by in-flight requests stays valid.
-  EngineConfig config = EngineConfig::paper_default(false);
-  config.plan_cache_capacity = 1;
-  ServeFixture f(config);
-  GraphPlanPtr plan_a2 = f.compiled.plan(f.a.graph);  // A was evicted by plan(B)
-  ASSERT_NE(plan_a2.get(), f.plan_a.get()) << "eviction must force a fresh plan";
+TEST(ServeCluster, AffinityRoutesTwoPlansOfOneGraphByFingerprint) {
+  // Planning graph A again produces a *new* plan object with the same
+  // structure fingerprint. Affinity must treat both plan objects of the
+  // same graph as one graph (it routes on the fingerprint).
+  ServeFixture f;
+  GraphPlanPtr plan_a2 = f.compiled.plan(f.a.graph);
+  ASSERT_NE(plan_a2.get(), f.plan_a.get()) << "plan() must build a fresh plan";
   ASSERT_EQ(plan_a2->fingerprint(), f.plan_a->fingerprint());
 
   RequestTrace trace = RequestTrace::fixed_interval(

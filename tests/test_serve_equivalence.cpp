@@ -163,7 +163,8 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
 
   std::map<std::tuple<std::size_t, const void*, const void*>, CostEntry> service_memo;
   auto cost_of = [&](std::size_t cfg, std::size_t idx) -> const CostEntry& {
-    const RunRequest& request = arrivals[idx].request;
+    const TraceStream& stream = trace.stream(arrivals[idx].stream);
+    const RunRequest request{stream.plan, stream.features};
     const auto key =
         std::make_tuple(cfg, static_cast<const void*>(request.plan.get()),
                         static_cast<const void*>(request.features));
@@ -190,7 +191,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
   std::vector<DieStatus> status(die_count_);
   std::deque<std::size_t> deferred;
   auto fingerprint_of = [&](std::size_t idx) -> std::uint64_t {
-    return arrivals[idx].request.plan->fingerprint();
+    return trace.stream(arrivals[idx].stream).plan->fingerprint();
   };
   // Post-bugfix semantics: the same-plan waiters die `d`'s next slot could
   // actually drain — its own queue plus the global queue (scanned).

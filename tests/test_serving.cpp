@@ -1,7 +1,9 @@
-// Tests for the serving API (core/serving.hpp): plan caching and reuse
-// across runs (bit-identical to a fresh compile → plan → run), batch
-// determinism vs sequential runs, cache-policy selection through the
-// CachePolicy interface, and compile/plan/run validation.
+// Tests for the serving API (core/serving.hpp): plan reuse across runs
+// (bit-identical to a fresh compile → plan → run), pure planning (two
+// plans of one graph agree on everything but identity), the shape guard
+// against a plan whose graph was reassigned, cache-policy
+// selection through the CachePolicy interface, and compile/plan/run
+// validation.
 #include <gtest/gtest.h>
 
 #include "core/serving.hpp"
@@ -13,20 +15,17 @@ namespace {
 
 using test::ModelFixture;
 
-TEST(Serving, PlanIsCachedPerGraphAndReusedAcrossRuns) {
+TEST(Serving, PlanIsReusedAcrossRuns) {
   ModelFixture f(GnnKind::kGcn);
   EngineConfig cfg = EngineConfig::paper_default(false);
   Engine engine(cfg);
   CompiledModel compiled = engine.compile(f.model, f.weights);
-
-  GraphPlanPtr plan1 = compiled.plan(f.data.graph);
-  GraphPlanPtr plan2 = compiled.plan(f.data.graph);
-  EXPECT_EQ(plan1.get(), plan2.get());  // cache hit: same plan object
+  GraphPlanPtr plan = compiled.plan(f.data.graph);
 
   // One plan, several runs — outputs bit-identical to a fresh compile →
   // plan → run of the same workload.
   InferenceResult want = f.run(Engine(cfg));
-  RunRequest request{plan1, &f.data.features};
+  RunRequest request{plan, &f.data.features};
   InferenceResult r1 = compiled.run(request);
   InferenceResult r2 = compiled.run(request);
   EXPECT_EQ(Matrix::max_abs_diff(r1.output, want.output), 0.0f);
@@ -38,69 +37,55 @@ TEST(Serving, PlanIsCachedPerGraphAndReusedAcrossRuns) {
   EXPECT_EQ(r1.report.dram.bytes_written, r2.report.dram.bytes_written);
 }
 
-TEST(Serving, PlanCacheRevalidatesWhenGraphObjectIsReassigned) {
+TEST(Serving, PlanIsPure) {
+  // plan() builds a fresh plan on every call, and planning is
+  // deterministic: two plans of one graph are distinct objects that agree
+  // on every precompute and run bit-identically.
+  ModelFixture f(GnnKind::kGcn);
+  for (CachePolicyKind kind : {CachePolicyKind::kDegreeAware, CachePolicyKind::kDualCache}) {
+    Engine engine(EngineConfig::paper_default(false), CachePolicy::make(kind));
+    CompiledModel compiled = engine.compile(f.model, f.weights);
+    GraphPlanPtr p1 = compiled.plan(f.data.graph);
+    GraphPlanPtr p2 = compiled.plan(f.data.graph);
+    EXPECT_NE(p1.get(), p2.get()) << to_string(kind);
+    EXPECT_EQ(p1->fingerprint(), p2->fingerprint());
+    EXPECT_EQ(p1->order(), p2->order());
+    EXPECT_EQ(p1->positions(), p2->positions());
+    EXPECT_EQ(p1->initial_alpha(), p2->initial_alpha());
+    for (std::uint32_t l = 0; l < f.model.num_layers; ++l) {
+      const std::size_t width = f.model.layer_output_dim(l);
+      EXPECT_GT(p1->cache_capacity_for_width(width), 0u);
+      EXPECT_EQ(p1->cache_capacity_for_width(width), p2->cache_capacity_for_width(width));
+      // The dual split exists only for the dual-cache policy.
+      EXPECT_EQ(p1->dual_pinned_for_width(width).has_value(),
+                kind == CachePolicyKind::kDualCache);
+      EXPECT_EQ(p1->dual_pinned_for_width(width), p2->dual_pinned_for_width(width));
+    }
+    const InferenceResult r1 = compiled.run({p1, &f.data.features});
+    const InferenceResult r2 = compiled.run({p2, &f.data.features});
+    EXPECT_EQ(Matrix::max_abs_diff(r1.output, r2.output), 0.0f);
+    EXPECT_EQ(r1.report.total_cycles, r2.report.total_cycles);
+    EXPECT_EQ(r1.report.dram.bytes_read, r2.report.dram.bytes_read);
+    EXPECT_EQ(r1.report.dram.row_hits, r2.report.dram.row_hits);
+  }
+}
+
+TEST(Serving, StalePlanOfReassignedGraphIsRejected) {
+  // A plan describes the graph as it was at plan time. Once the planned Csr
+  // is reassigned in place, running the old plan is caught by the O(1)
+  // shape guard rather than producing silent nonsense, and a new plan()
+  // call binds the new structure.
   ModelFixture f(GnnKind::kGcn);
   Engine engine(EngineConfig::paper_default(false));
   CompiledModel compiled = engine.compile(f.model, f.weights);
-
   Csr g = generate_graph(spec_of(DatasetId::kCora).scaled(0.1), 1);
-  GraphPlanPtr plan1 = compiled.plan(g);
-  g = generate_graph(spec_of(DatasetId::kCora).scaled(0.1), 2);  // new structure, same object
-  GraphPlanPtr plan2 = compiled.plan(g);
-  EXPECT_NE(plan1.get(), plan2.get());
-  EXPECT_NE(plan1->fingerprint(), plan2->fingerprint());
-
-  // Running with a stale plan after the graph object shrank under it is
-  // caught by the O(1) shape guard rather than producing silent nonsense.
-  g = generate_graph(spec_of(DatasetId::kCora).scaled(0.05), 3);
-  EXPECT_THROW(compiled.run({plan2, &f.data.features}), std::invalid_argument);
-}
-
-TEST(Serving, PlanCacheEvictsLeastRecentlyPlannedGraph) {
-  ModelFixture f(GnnKind::kGcn);
-  EngineConfig cfg = EngineConfig::paper_default(false);
-  cfg.plan_cache_capacity = 2;
-  Engine engine(cfg);
-  CompiledModel compiled = engine.compile(f.model, f.weights);
-
-  Csr g1 = generate_graph(spec_of(DatasetId::kCora).scaled(0.05), 1);
-  Csr g2 = generate_graph(spec_of(DatasetId::kCora).scaled(0.05), 2);
-  Csr g3 = generate_graph(spec_of(DatasetId::kCora).scaled(0.05), 3);
-
-  GraphPlanPtr p1 = compiled.plan(g1);
-  GraphPlanPtr p2 = compiled.plan(g2);
-  // Touch g1 so g2 is the least recently planned, then overflow with g3.
-  EXPECT_EQ(compiled.plan(g1).get(), p1.get());
-  GraphPlanPtr p3 = compiled.plan(g3);
-
-  // g1 and g3 are still cached; g2 was evicted and re-plans to a new object.
-  EXPECT_EQ(compiled.plan(g1).get(), p1.get());
-  EXPECT_EQ(compiled.plan(g3).get(), p3.get());
-  GraphPlanPtr p2_again = compiled.plan(g2);
-  EXPECT_NE(p2_again.get(), p2.get());
-
-  // An evicted-then-replanned graph produces the identical plan: planning
-  // is deterministic, so layout, positions, and fingerprint all match.
-  EXPECT_EQ(p2_again->fingerprint(), p2->fingerprint());
-  EXPECT_EQ(p2_again->order(), p2->order());
-  EXPECT_EQ(p2_again->positions(), p2->positions());
-  EXPECT_EQ(p2_again->initial_alpha(), p2->initial_alpha());
-
-  // The evicted plan object itself stays valid for in-flight requests and
-  // still produces exactly what a fresh plan does.
-  SparseMatrix features = generate_features(spec_of(DatasetId::kCora).scaled(0.05), 11);
-  InferenceResult via_old = compiled.run({p2, &features});
-  InferenceResult via_new = compiled.run({p2_again, &features});
-  EXPECT_EQ(Matrix::max_abs_diff(via_old.output, via_new.output), 0.0f);
-  EXPECT_EQ(via_old.report.total_cycles, via_new.report.total_cycles);
-}
-
-TEST(Serving, PlanCacheDefaultCapacityIsSixteen) {
-  ModelFixture f(GnnKind::kGcn);
-  EngineConfig cfg = EngineConfig::paper_default(false);
-  EXPECT_EQ(cfg.plan_cache_capacity, 16u);
-  cfg.plan_cache_capacity = 0;
-  EXPECT_THROW(Engine{cfg}, std::invalid_argument);
+  GraphPlanPtr stale = compiled.plan(g);
+  Dataset shrunk = generate_dataset(spec_of(DatasetId::kCora).scaled(0.05), 3);
+  g = shrunk.graph;
+  EXPECT_THROW(compiled.run({stale, &shrunk.features}), std::invalid_argument);
+  GraphPlanPtr fresh = compiled.plan(g);
+  EXPECT_NE(fresh->fingerprint(), stale->fingerprint());
+  EXPECT_GT(compiled.run({fresh, &shrunk.features}).report.total_cycles, 0u);
 }
 
 TEST(Serving, PlanPrecomputesAggregationHints) {
@@ -123,43 +108,6 @@ TEST(Serving, PlanPrecomputesAggregationHints) {
                                                     AggKind::kGcnNormalizedSum));
   }
   EXPECT_EQ(plan->cache_capacity_for_width(12345), 0u);  // unknown width: no hint
-}
-
-TEST(Serving, RunBatchMatchesSequentialRuns) {
-  ModelFixture f(GnnKind::kGcn);
-  EngineConfig cfg = EngineConfig::paper_default(false);
-  Engine engine(cfg);
-  CompiledModel compiled = engine.compile(f.model, f.weights);
-  GraphPlanPtr plan = compiled.plan(f.data.graph);
-
-  // Three requests over the same plan with different feature sets — the
-  // serving scenario: one graph, many users.
-  std::vector<SparseMatrix> feature_sets;
-  feature_sets.push_back(f.data.features);
-  feature_sets.push_back(generate_features(f.data.spec, 7));
-  feature_sets.push_back(generate_features(f.data.spec, 8));
-  std::vector<RunRequest> requests;
-  for (std::size_t i = 0; i < feature_sets.size(); ++i) {
-    requests.push_back({plan, &feature_sets[i]});
-  }
-
-  BatchResult batch = compiled.run_batch(requests);
-  ASSERT_EQ(batch.results.size(), requests.size());
-  ASSERT_EQ(batch.report.requests, requests.size());
-
-  Cycles cycle_sum = 0;
-  std::uint64_t bytes_read_sum = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    InferenceResult solo = compiled.run(requests[i]);
-    EXPECT_EQ(Matrix::max_abs_diff(batch.results[i].output, solo.output), 0.0f);
-    EXPECT_EQ(batch.results[i].report.total_cycles, solo.report.total_cycles);
-    cycle_sum += solo.report.total_cycles;
-    bytes_read_sum += solo.report.dram.bytes_read;
-  }
-  EXPECT_EQ(batch.report.total_cycles, cycle_sum);
-  EXPECT_EQ(batch.report.dram.bytes_read, bytes_read_sum);
-  EXPECT_GE(batch.report.max_request_cycles, batch.report.min_request_cycles);
-  EXPECT_GT(batch.report.throughput_per_second(), 0.0);
 }
 
 TEST(Serving, DifferentFeaturesDifferentOutputsSamePlan) {

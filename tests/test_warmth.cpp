@@ -3,7 +3,8 @@
 // the warmth-charging cluster, and the end-to-end acceptance criterion —
 // with warmth enabled, locality-aware schedulers measurably beat FIFO on a
 // skewed two-graph trace; with warmth disabled, the simulator is bit-exact
-// with the warmth-unaware one (the PR-2 run_batch equivalence pin).
+// with the warmth-unaware one (a one-die FIFO cluster on a zero-gap trace
+// services each request in exactly its run() cycles).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@ using serve::Scheduler;
 using serve::SchedulerKind;
 using serve::TraceStream;
 using WarmthFixture = test::ServeFixture;  // two tenants, config-adjustable
+using test::sequential_run_cycles;
 
 /// Warmth config used by the cluster tests: a budget that holds exactly one
 /// of the two fixture plans (35–42 KB working sets), so competing plans on
@@ -51,19 +53,20 @@ TEST(WarmthCost, WarmCostNeverExceedsColdAndIsMonotoneInWarmFraction) {
     GraphPlanPtr plan = compiled.plan(d.graph);
     const RunRequest request{plan, &d.features};
 
-    const Cycles cold = compiled.cost(request).total_cycles;
+    const ServiceCost cost = compiled.cost(request);
+    const Cycles cold = cost.total_cycles;
     Cycles prev = cold;
     for (double f : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-      const Cycles warm = compiled.cost(request, f).total_cycles;
+      const Cycles warm = cost.warm_total(f);
       EXPECT_LE(warm, cold) << "kind " << static_cast<int>(kind) << " f " << f;
       EXPECT_LE(warm, prev) << "warm cost must be monotone in the warm fraction";
       prev = warm;
     }
     // A fully warm run actually saves something on these memory-bound
     // aggregation stages (the discount is not vacuously zero).
-    EXPECT_LT(compiled.cost(request, 1.0).total_cycles, cold);
-    EXPECT_THROW(compiled.cost(request, -0.1), std::invalid_argument);
-    EXPECT_THROW(compiled.cost(request, 1.1), std::invalid_argument);
+    EXPECT_LT(cost.warm_total(1.0), cold);
+    EXPECT_THROW(cost.warm_total(-0.1), std::invalid_argument);
+    EXPECT_THROW(cost.warm_total(1.1), std::invalid_argument);
   }
 }
 
@@ -80,7 +83,7 @@ TEST(WarmthCost, ZeroWarmFractionReproducesRunCostBitExactly) {
       EXPECT_LE(warmth_stage_discount(stage, 1.0), lr.aggregation.memory_cycles);
     }
     EXPECT_EQ(warm_total_cycles(cold, 0.0), cold.total_cycles);
-    const ServiceCost cost = f.compiled.cost(request, 0.0);
+    const ServiceCost cost = f.compiled.cost(request);
     EXPECT_EQ(cost.total_cycles, cold.total_cycles);
     EXPECT_EQ(cost.warm_total(0.0), cold.total_cycles);
   }
@@ -243,27 +246,26 @@ TEST(WarmthCluster, MemoizedCostIsColdAndWarmFractionAppliesPerService) {
   EXPECT_EQ(alt.requests[4].service_cycles(), cold.total_cycles + penalty);
 }
 
-// --- The PR-2 equivalence pin: warmth defaults off and changes nothing. ---
+// --- The batch equivalence pin: warmth defaults off and changes nothing. ---
 
 TEST(WarmthCluster, DisabledWarmthKeepsSingleDieFifoZeroGapBatchEquivalence) {
   EngineConfig config = EngineConfig::paper_default(false);
   ASSERT_FALSE(config.warmth.enabled) << "warmth must default off";
   WarmthFixture f(config);
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 8, 0);
-
-  std::vector<RunRequest> requests;
-  for (const auto& r : trace.requests()) requests.push_back(r.request);
-  BatchResult batch = f.compiled.run_batch(requests);
+  const std::vector<Cycles> runs = sequential_run_cycles(f.compiled, trace);
 
   ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
 
-  ASSERT_EQ(rep.requests.size(), batch.results.size());
+  ASSERT_EQ(rep.requests.size(), runs.size());
+  Cycles sequential_total = 0;
   for (std::size_t i = 0; i < rep.requests.size(); ++i) {
-    EXPECT_EQ(rep.requests[i].service_cycles(), batch.results[i].report.total_cycles);
+    EXPECT_EQ(rep.requests[i].service_cycles(), runs[i]);
     EXPECT_FALSE(rep.requests[i].warm_hit());
     EXPECT_FALSE(rep.requests[i].plan_swap);
+    sequential_total += runs[i];
   }
-  EXPECT_EQ(rep.makespan, batch.report.total_cycles);
+  EXPECT_EQ(rep.makespan, sequential_total);
   EXPECT_FALSE(rep.warmth_enabled);
   EXPECT_EQ(rep.total_plan_swaps(), 0u);
   EXPECT_DOUBLE_EQ(rep.warm_hit_rate(), 0.0);
@@ -272,16 +274,16 @@ TEST(WarmthCluster, DisabledWarmthKeepsSingleDieFifoZeroGapBatchEquivalence) {
 TEST(WarmthCluster, EnabledWarmthNeverServesSlowerThanTheColdBatch) {
   WarmthFixture f(tight_warmth_config());
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 8, 0);
-  std::vector<RunRequest> requests;
-  for (const auto& r : trace.requests()) requests.push_back(r.request);
-  BatchResult batch = f.compiled.run_batch(requests);
+  const std::vector<Cycles> runs = sequential_run_cycles(f.compiled, trace);
+  Cycles sequential_total = 0;
+  for (Cycles c : runs) sequential_total += c;
 
   ServingReport rep = Cluster(f.compiled, 1).simulate(trace, {.scheduler = SchedulerKind::kFifo});
   // Single-stream zero-gap: one cold start, then warm hits with no swaps —
   // strictly faster than the all-cold batch.
-  EXPECT_LT(rep.makespan, batch.report.total_cycles);
+  EXPECT_LT(rep.makespan, sequential_total);
   for (std::size_t i = 1; i < rep.requests.size(); ++i) {
-    EXPECT_LE(rep.requests[i].service_cycles(), batch.results[i].report.total_cycles);
+    EXPECT_LE(rep.requests[i].service_cycles(), runs[i]);
   }
 }
 
