@@ -1,9 +1,8 @@
 #include "bench_util.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -22,18 +21,43 @@ double BenchOptions::scale_for(const DatasetSpec& spec) const {
   }
 }
 
-BenchOptions parse_options(int argc, char** argv) {
+namespace {
+
+template <class T>
+T parse_number(const std::string& arg, const char* expected) {
+  const std::size_t eq = arg.find('=');
+  const char* first = arg.data() + (eq == std::string::npos ? arg.size() : eq + 1);
+  const char* last = arg.data() + arg.size();
+  T value{};
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (first == last || ec != std::errc{} || end != last) {
+    throw std::invalid_argument(arg + ": expected " + expected);
+  }
+  return value;
+}
+
+}  // namespace
+
+std::uint64_t parse_count(const std::string& arg) {
+  return parse_number<std::uint64_t>(arg, "an unsigned decimal integer");
+}
+
+double parse_scale(const std::string& arg) {
+  const double scale = parse_number<double>(arg, "a number in (0, 1]");
+  if (!(scale > 0.0 && scale <= 1.0)) throw std::invalid_argument(arg + ": must be in (0, 1]");
+  return scale;
+}
+
+BenchOptions parse_options(int argc, char** argv, BenchFlags accepted) {
+  const bool dataset_flags = accepted == BenchFlags::kSeedScaleDatasets;
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      opt.large_scale = std::strtod(arg.c_str() + 8, nullptr);
-      if (opt.large_scale <= 0.0 || opt.large_scale > 1.0) {
-        throw std::invalid_argument("--scale must be in (0, 1]");
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--datasets=", 0) == 0) {
+    if (arg.rfind("--seed=", 0) == 0) {
+      opt.seed = parse_count(arg);
+    } else if (dataset_flags && arg.rfind("--scale=", 0) == 0) {
+      opt.large_scale = parse_scale(arg);
+    } else if (dataset_flags && arg.rfind("--datasets=", 0) == 0) {
       std::string list = arg.substr(11);
       std::size_t pos = 0;
       while (pos != std::string::npos) {
@@ -43,8 +67,8 @@ BenchOptions parse_options(int argc, char** argv) {
         pos = comma == std::string::npos ? comma : comma + 1;
       }
     } else {
-      throw std::invalid_argument("unknown flag: " + arg +
-                                  " (expected --scale=, --seed=, --datasets=)");
+      throw std::invalid_argument("unknown flag: " + arg + " (this bench takes --seed=" +
+                                  (dataset_flags ? ", --scale=, --datasets=)" : ")"));
     }
   }
   return opt;

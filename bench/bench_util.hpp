@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table bench binaries: flag parsing
-// (--scale, --seed, --datasets), paper-vs-measured reporting, and a
-// work-stealing parallel_for for replaying independent sweep cells.
+// (--scale, --seed, --datasets) and the checked number parsers every bench
+// flag goes through, paper-vs-measured reporting, and a work-stealing
+// parallel_for for replaying independent sweep cells.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,23 @@ struct BenchOptions {
   double scale_for(const DatasetSpec& spec) const;
 };
 
-/// Parses --scale=<f>, --seed=<n>, --datasets=CR,CS (unknown flags fatal).
-BenchOptions parse_options(int argc, char** argv);
+/// The flags a figure/table bench reads: every bench takes --seed; the
+/// benches that sweep datasets also take --scale and --datasets.
+enum class BenchFlags { kSeed, kSeedScaleDatasets };
+
+/// Parses --seed=<n>, --scale=<f> and --datasets=CR,CS. A flag outside
+/// `accepted`, an unknown flag or a malformed value throws
+/// std::invalid_argument, so no bench runs a flag it ignores.
+BenchOptions parse_options(int argc, char** argv,
+                           BenchFlags accepted = BenchFlags::kSeedScaleDatasets);
+
+/// The checked number parsers behind every bench flag. `arg` is a whole
+/// "--name=value" argument; std::from_chars must consume all of the value,
+/// or std::invalid_argument names the argument. A count or seed is an
+/// unsigned decimal, so "abc", "-1" and "24x" throw.
+std::uint64_t parse_count(const std::string& arg);
+/// A dataset scale: a finite number in (0, 1].
+double parse_scale(const std::string& arg);
 
 /// "dataset (scale 0.05)" annotation used in bench headers.
 std::string scale_note(const DatasetSpec& spec, double scale);

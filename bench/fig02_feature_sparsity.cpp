@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner("Fig. 2: Nonzero histogram for input vertex feature vectors (Cora)",
                       "bimodal: sparse Region A (majority) + denser Region B; "

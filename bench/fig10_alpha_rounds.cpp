@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner("Fig. 10: Histogram of alpha through Rounds (Pubmed)",
                       "histogram grows flatter every Round: peak frequency and max alpha drop");

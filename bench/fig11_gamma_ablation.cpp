@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner("Fig. 11: Ablation on gamma — DRAM accesses vs eviction threshold",
                       "DRAM accesses increase with gamma (CR, CS, PB); gamma=5 is the default");

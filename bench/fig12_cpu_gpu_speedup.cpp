@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", t.render().c_str());
   std::printf(
-      "\nNote: PyG-CPU/GPU are analytic roofline models (DESIGN.md §1); absolute\n"
+      "\nNote: PyG-CPU/GPU are analytic roofline models; absolute\n"
       "speedups depend on their throughput constants — the claim checked here is the\n"
       "per-model ordering and the CPU/GPU contrast.\n");
   return 0;

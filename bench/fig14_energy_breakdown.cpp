@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner(
       "Fig. 14: Energy breakdown for GCN and GAT",

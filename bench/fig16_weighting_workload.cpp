@@ -34,7 +34,7 @@ gnnie::WeightingReport run_weighting(const gnnie::Dataset& d, bool binning, bool
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner("Fig. 16: CPE row workload in Weighting (baseline vs FM vs FM+LR)",
                       "FM reduces weighting cycles by 6% (CR), 14% (CS), 31% (PB); "

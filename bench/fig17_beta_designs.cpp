@@ -33,7 +33,7 @@ gnnie::Cycles weighting_cycles(const gnnie::Dataset& d, const gnnie::ArrayConfig
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner(
       "Fig. 17: Speedup gain vs hardware overhead (beta, Eq. 9) for Designs B-E",

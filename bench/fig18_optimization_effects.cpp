@@ -61,7 +61,7 @@ void print_reduction_row(Table& t, const char* name, Cycles base, Cycles v1, Cyc
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner(
       "Fig. 18: Effectiveness of GNNIE's optimization methods",

@@ -1,4 +1,4 @@
-// Extension ablation (beyond the paper's figures; DESIGN.md §6): the full
+// Extension ablation (beyond the paper's figures): the full
 // cache-policy family side by side, anchored to the offline-optimal oracle —
 //   * GNNIE's degree-aware policy (CP, §VI),
 //   * the same subgraph machinery with an ID-ordered layout,

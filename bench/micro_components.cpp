@@ -1,12 +1,11 @@
 // Component micro-benchmarks (google-benchmark): the library's hot
-// primitives — RLC codec, SFU LUT exp, CSR traversal, degree reorder,
+// primitives — SFU LUT exp, CSR traversal, degree reorder,
 // sparse×dense weighting, cache-policy aggregation step, and the reference
 // GNN layers. These are engineering benchmarks for the simulator itself
 // (host-side speed), complementing the fig*/table* reproduction harnesses.
 #include <benchmark/benchmark.h>
 
 #include "arch/sfu.hpp"
-#include "common/rng.hpp"
 #include "core/aggregation.hpp"
 #include "core/weighting.hpp"
 #include "datasets/synthetic.hpp"
@@ -15,7 +14,6 @@
 #include "nn/layers.hpp"
 #include "nn/model.hpp"
 #include "nn/reference.hpp"
-#include "sparse/rlc.hpp"
 
 namespace {
 
@@ -25,28 +23,6 @@ const Dataset& cora() {
   static const Dataset d = generate_dataset(DatasetId::kCora, 1.0, 1);
   return d;
 }
-
-void BM_RlcEncode(benchmark::State& state) {
-  const auto sparsity = static_cast<double>(state.range(0)) / 100.0;
-  Rng rng(7);
-  std::vector<float> v(4096);
-  for (float& x : v) x = rng.next_bool(sparsity) ? 0.0f : 1.0f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rlc_encode(v));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096 * 4);
-}
-BENCHMARK(BM_RlcEncode)->Arg(50)->Arg(90)->Arg(99);
-
-void BM_RlcRoundtrip(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<float> v(4096);
-  for (float& x : v) x = rng.next_bool(0.9873) ? 0.0f : 1.0f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rlc_decode(rlc_encode(v)));
-  }
-}
-BENCHMARK(BM_RlcRoundtrip);
 
 void BM_SfuExp(benchmark::State& state) {
   SfuExpLut sfu;

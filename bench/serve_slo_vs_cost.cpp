@@ -23,11 +23,10 @@
 //   $ ./bench_serve_slo_vs_cost --requests=64 --scale=0.03
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,22 +49,18 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
+      opt.requests = gnnie::bench::parse_count(arg);
     } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = std::strtod(arg.c_str() + 8, nullptr);
+      opt.scale = gnnie::bench::parse_scale(arg);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opt.seed = gnnie::bench::parse_count(arg);
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json_path = arg.substr(7);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
-  if (opt.requests == 0 || opt.scale <= 0.0) {
-    std::fprintf(stderr, "--requests and --scale must be positive\n");
-    std::exit(2);
-  }
+  if (opt.requests == 0) throw std::invalid_argument("--requests must be positive");
   return opt;
 }
 

@@ -32,9 +32,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,23 +56,21 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
+      opt.requests = gnnie::bench::parse_count(arg);
     } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = std::strtod(arg.c_str() + 8, nullptr);
+      opt.scale = gnnie::bench::parse_scale(arg);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opt.seed = gnnie::bench::parse_count(arg);
     } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opt.reps = gnnie::bench::parse_count(arg);
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json_path = arg.substr(7);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
-  if (opt.requests == 0 || opt.scale <= 0.0 || opt.reps == 0) {
-    std::fprintf(stderr, "--requests, --scale and --reps must be positive\n");
-    std::exit(2);
+  if (opt.requests == 0 || opt.reps == 0) {
+    throw std::invalid_argument("--requests and --reps must be positive");
   }
   return opt;
 }

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const auto opt = bench::parse_options(argc, argv);
+  const auto opt = bench::parse_options(argc, argv, bench::BenchFlags::kSeed);
 
   bench::print_banner("Table IV: Throughput (TOPS)",
                       "peak 3.17; CR 2.88, CS 2.69, PB 2.57 — moderate degradation with size");

@@ -1,7 +1,7 @@
 // Scenario: architectural design-space exploration beyond the paper's
-// Designs A–E — the ablations DESIGN.md §6 promises. Sweeps MAC
-// provisioning, MPE psum slots, and input-buffer size, reporting the
-// speedup-per-MAC metric β (Eq. 9) and end-to-end inference cycles.
+// Designs A–E. Sweeps MAC provisioning, MPE psum slots, and input-buffer
+// size, reporting the speedup-per-MAC metric β (Eq. 9) and end-to-end
+// inference cycles.
 //
 //   $ ./example_design_space
 #include <cstdio>

@@ -2,7 +2,7 @@
 """CI perf gate over serving-bench JSON.
 
 Compares a fresh bench run against its checked-in baseline at reference
-offered loads. Two report shapes are understood, detected from the JSON
+offered loads. Four report shapes are understood, detected from the JSON
 itself:
 
   * bench_serve_latency_vs_load (baseline bench/baseline_serve.json):

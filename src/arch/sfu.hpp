@@ -2,10 +2,12 @@
 // Taylor hybrid (the paper cites the Nilsson et al. hardware exp [25]) and
 // LeakyReLU.
 //
-// The functional path matters for GATs: exp() feeds the attention softmax.
-// The LUT keeps relative error well under 1e-3, which tests verify. The
-// cycle model charges SFU work by lane throughput (kSfuLanes in
-// core/engine_config.hpp) plus the exp pipeline fill (exp_latency).
+// SfuExpLut is a standalone functional model of the hardware exp, measured
+// by example_attention_study; its relative error stays well under 1e-3,
+// which tests verify. The engine's GAT scores call std::exp (gat_score in
+// core/aggregation.cpp), and the cycle model charges SFU work only through
+// lane throughput (kSfuLanes in core/engine_config.hpp) and the exp
+// pipeline fill (exp_latency).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // Analytic PyTorch-Geometric software baselines (Fig. 12's PyG-CPU and
 // PyG-GPU). We cannot run the authors' Xeon 6132 / Tesla V100S testbeds, so
-// these are roofline-style models (substitution documented in DESIGN.md §1):
-// per layer,
+// these are roofline-style models, per layer:
 //
 //   t = dense_flops/dense_tput + edge_ops/edge_tput + special/special_tput
 //       + bytes/bandwidth + fixed per-layer dispatch overhead,

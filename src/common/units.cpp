@@ -1,24 +1,8 @@
 #include "common/units.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 namespace gnnie {
-
-std::string format_si(double value, int precision) {
-  static constexpr const char* suffixes[] = {"", " k", " M", " G", " T", " P"};
-  int tier = 0;
-  double v = value;
-  double mag = std::fabs(v);
-  while (mag >= 1000.0 && tier < 5) {
-    v /= 1000.0;
-    mag /= 1000.0;
-    ++tier;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g%s", precision, v, suffixes[tier]);
-  return buf;
-}
 
 std::string format_sci(double value, int precision) {
   char buf[64];

@@ -17,9 +17,6 @@ using Ops = std::uint64_t;      ///< arithmetic operations (1 MAC = 2 ops)
 using Joules = double;
 using Seconds = double;
 
-/// "12.3 k", "4.56 M", "7.89 G" — for human-readable tables.
-std::string format_si(double value, int precision = 3);
-
 /// "1.23e+04" style for speedup tables that span many decades.
 std::string format_sci(double value, int precision = 2);
 

@@ -1,6 +1,6 @@
 #include "core/cache_policy.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <numeric>
 
 #include "common/require.hpp"
@@ -28,51 +28,41 @@ const std::vector<CachePolicyKind>& all_cache_policy_kinds() {
   return kinds;
 }
 
-std::optional<CachePolicyKind> cache_policy_kind_from_string(std::string_view name) {
-  for (CachePolicyKind kind : all_cache_policy_kinds()) {
-    if (name == to_string(kind)) return kind;
+std::unique_ptr<CachePolicy> CachePolicy::make(CachePolicyKind kind) {
+  const auto& kinds = all_cache_policy_kinds();
+  GNNIE_REQUIRE(std::find(kinds.begin(), kinds.end(), kind) != kinds.end(),
+                "unknown cache policy kind");
+  return std::unique_ptr<CachePolicy>(new CachePolicy(kind));
+}
+
+bool CachePolicy::uses_subgraph_machinery() const {
+  switch (kind_) {
+    case CachePolicyKind::kDegreeAware:
+    case CachePolicyKind::kIdOrder:
+    case CachePolicyKind::kSetAware:
+      return true;
+    case CachePolicyKind::kOnDemand:
+    case CachePolicyKind::kDualCache:
+    case CachePolicyKind::kBeladyOracle:
+      break;
   }
-  return std::nullopt;
+  return false;
+}
+
+ReplacementKind CachePolicy::replacement() const {
+  switch (kind_) {
+    case CachePolicyKind::kDualCache: return ReplacementKind::kDualPinnedLru;
+    case CachePolicyKind::kBeladyOracle: return ReplacementKind::kBelady;
+    case CachePolicyKind::kDegreeAware:
+    case CachePolicyKind::kIdOrder:
+    case CachePolicyKind::kOnDemand:
+    case CachePolicyKind::kSetAware:
+      break;
+  }
+  return ReplacementKind::kLru;
 }
 
 namespace {
-
-std::vector<VertexId> identity_order(const Csr& g) {
-  std::vector<VertexId> order(g.vertex_count());
-  std::iota(order.begin(), order.end(), VertexId{0});
-  return order;
-}
-
-/// CP (§VI): descending-degree-bin layout + subgraph machinery.
-class DegreeAwarePolicy final : public CachePolicy {
- public:
-  CachePolicyKind kind() const override { return CachePolicyKind::kDegreeAware; }
-  bool uses_subgraph_machinery() const override { return true; }
-  std::vector<VertexId> layout_order(const Csr& g) const override {
-    return degree_descending_order(g);
-  }
-};
-
-/// §VIII-E baseline: subgraph machinery over a plain vertex-ID layout.
-class IdOrderPolicy final : public CachePolicy {
- public:
-  CachePolicyKind kind() const override { return CachePolicyKind::kIdOrder; }
-  bool uses_subgraph_machinery() const override { return true; }
-  std::vector<VertexId> layout_order(const Csr& g) const override {
-    return identity_order(g);
-  }
-};
-
-/// HyGCN-style on-demand pulls through an LRU input buffer. The layout is
-/// the vertex-ID pull order (targets are processed in ascending ID).
-class OnDemandPolicy final : public CachePolicy {
- public:
-  CachePolicyKind kind() const override { return CachePolicyKind::kOnDemand; }
-  bool uses_subgraph_machinery() const override { return false; }
-  std::vector<VertexId> layout_order(const Csr& g) const override {
-    return identity_order(g);
-  }
-};
 
 /// Conflict-aware layout for the §VI/Fig. 9 set-associative buffer. The
 /// degree-descending order packs the hubs into the first DRAM blocks, which
@@ -81,68 +71,45 @@ class OnDemandPolicy final : public CachePolicy {
 /// the blocks: block b holds the b-th, (B+b)-th, (2B+b)-th … hottest
 /// vertices, spreading the hubs one-per-block so each set's conflict victim
 /// is a cheap tail vertex instead of a hub.
-class SetAwarePolicy final : public CachePolicy {
- public:
-  CachePolicyKind kind() const override { return CachePolicyKind::kSetAware; }
-  bool uses_subgraph_machinery() const override { return true; }
-  std::vector<VertexId> layout_order(const Csr& g) const override {
-    const std::vector<VertexId> base = degree_descending_order(g);
-    const std::size_t v_count = base.size();
-    const std::size_t num_blocks = (v_count + kCacheBlockVertices - 1) / kCacheBlockVertices;
-    std::vector<VertexId> out;
-    out.reserve(v_count);
-    for (std::size_t block = 0; block < num_blocks; ++block) {
-      for (std::size_t slot = 0; slot < kCacheBlockVertices; ++slot) {
-        const std::size_t idx = slot * num_blocks + block;
-        if (idx < v_count) out.push_back(base[idx]);
-      }
+std::vector<VertexId> set_aware_order(const Csr& g) {
+  const std::vector<VertexId> base = degree_descending_order(g);
+  const std::size_t v_count = base.size();
+  const std::size_t num_blocks = (v_count + kCacheBlockVertices - 1) / kCacheBlockVertices;
+  std::vector<VertexId> out;
+  out.reserve(v_count);
+  for (std::size_t block = 0; block < num_blocks; ++block) {
+    for (std::size_t slot = 0; slot < kCacheBlockVertices; ++slot) {
+      const std::size_t idx = slot * num_blocks + block;
+      if (idx < v_count) out.push_back(base[idx]);
     }
-    return out;
   }
-};
-
-/// DCI-style dual cache: on-demand pulls with the buffer split between a
-/// pinned hub region and an LRU fill region. The split itself is a per-plan
-/// artifact (GraphPlan::dual_pinned_for_width, via cache::best_dual_split);
-/// the layout is the *exact* degree order whose prefix the hub region pins
-/// — exact rather than binned, because a pinned set should hold the hottest
-/// vertices precisely (access frequency = 1 + degree), not the boundary
-/// bin's id-ordered approximation.
-class DualCachePolicy final : public CachePolicy {
- public:
-  CachePolicyKind kind() const override { return CachePolicyKind::kDualCache; }
-  bool uses_subgraph_machinery() const override { return false; }
-  ReplacementKind replacement() const override { return ReplacementKind::kDualPinnedLru; }
-  std::vector<VertexId> layout_order(const Csr& g) const override {
-    return exact_degree_order(g);
-  }
-};
-
-/// Offline-optimal replacement over the deterministic on-demand access
-/// sequence (Ginex-style). The denominator of every hit-rate report.
-class BeladyOraclePolicy final : public CachePolicy {
- public:
-  CachePolicyKind kind() const override { return CachePolicyKind::kBeladyOracle; }
-  bool uses_subgraph_machinery() const override { return false; }
-  ReplacementKind replacement() const override { return ReplacementKind::kBelady; }
-  std::vector<VertexId> layout_order(const Csr& g) const override {
-    return identity_order(g);
-  }
-};
+  return out;
+}
 
 }  // namespace
 
-std::unique_ptr<CachePolicy> CachePolicy::make(CachePolicyKind kind) {
-  switch (kind) {
-    case CachePolicyKind::kDegreeAware: return std::make_unique<DegreeAwarePolicy>();
-    case CachePolicyKind::kIdOrder: return std::make_unique<IdOrderPolicy>();
-    case CachePolicyKind::kOnDemand: return std::make_unique<OnDemandPolicy>();
-    case CachePolicyKind::kSetAware: return std::make_unique<SetAwarePolicy>();
-    case CachePolicyKind::kDualCache: return std::make_unique<DualCachePolicy>();
-    case CachePolicyKind::kBeladyOracle: return std::make_unique<BeladyOraclePolicy>();
+std::vector<VertexId> CachePolicy::layout_order(const Csr& g) const {
+  switch (kind_) {
+    // CP (§VI): descending-degree bins.
+    case CachePolicyKind::kDegreeAware: return degree_descending_order(g);
+    case CachePolicyKind::kSetAware: return set_aware_order(g);
+    // The dual cache's split is a per-plan artifact
+    // (GraphPlan::dual_pinned_for_width, via cache::best_dual_split); its
+    // layout is the *exact* degree order whose prefix the hub region pins —
+    // exact rather than binned, because a pinned set should hold the
+    // hottest vertices precisely (access frequency = 1 + degree), not the
+    // boundary bin's id-ordered approximation.
+    case CachePolicyKind::kDualCache: return exact_degree_order(g);
+    // Vertex-ID order: the §VIII-E ID-order baseline's layout, and the
+    // ascending pull order of the on-demand and oracle engines.
+    case CachePolicyKind::kIdOrder:
+    case CachePolicyKind::kOnDemand:
+    case CachePolicyKind::kBeladyOracle:
+      break;
   }
-  GNNIE_REQUIRE(false, "unknown cache policy kind");
-  return nullptr;  // unreachable
+  std::vector<VertexId> order(g.vertex_count());
+  std::iota(order.begin(), order.end(), VertexId{0});
+  return order;
 }
 
 }  // namespace gnnie

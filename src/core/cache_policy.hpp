@@ -1,4 +1,4 @@
-// Pluggable cache-allocation policies for edge Aggregation (§VI and the
+// Cache-allocation policies for edge Aggregation (§VI and the
 // §VIII-E ablation). A CachePolicy decides (a) how vertices are laid out in
 // DRAM — i.e. in what order the subgraph machinery fetches them — and (b)
 // whether the subgraph machinery runs at all, or vertices instead pull
@@ -22,16 +22,14 @@
 //     offline-optimal replacement over the deterministic access sequence —
 //     the upper bound every heuristic's hit rate is reported against.
 //
-// AggregationEngine dispatches through this interface, and a policy object
-// is the only way to pick one. The degree-aware kind is the default
-// everywhere: a null policy (Engine, AggregationTask) means degree-aware,
-// and every other kind is strictly opt-in.
+// AggregationEngine reads a policy's layout and mode from this class, and a
+// policy object is the only way to pick one. The degree-aware kind is the
+// default everywhere: a null policy (Engine, AggregationTask) means
+// degree-aware, and every other kind is strictly opt-in.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -49,8 +47,6 @@ enum class CachePolicyKind {
 
 const char* to_string(CachePolicyKind kind);
 const std::vector<CachePolicyKind>& all_cache_policy_kinds();
-/// Inverse of to_string; nullopt for unknown names.
-std::optional<CachePolicyKind> cache_policy_kind_from_string(std::string_view name);
 
 /// Vertices per DRAM cache block (the paper's Fig. 9 geometry). The
 /// subgraph machinery skips fully-processed blocks on refetch (§VI) and maps
@@ -62,36 +58,41 @@ inline constexpr std::uint32_t kCacheBlockVertices = 8;
 /// without subgraph machinery (ignored otherwise).
 enum class ReplacementKind { kLru, kBelady, kDualPinnedLru };
 
-class CachePolicy {
+/// One policy of the family above. Each query switches on kind() with no
+/// default, so adding a CachePolicyKind without deciding all three is a
+/// compile error (-Werror=switch), not a silent fallthrough.
+class CachePolicy final {
  public:
-  virtual ~CachePolicy() = default;
+  /// The one way to build a policy; throws std::invalid_argument for a value
+  /// outside the enumeration.
+  static std::unique_ptr<CachePolicy> make(CachePolicyKind kind);
 
-  virtual CachePolicyKind kind() const = 0;
-  const char* name() const { return to_string(kind()); }
+  CachePolicyKind kind() const { return kind_; }
+  const char* name() const { return to_string(kind_); }
 
   /// True: aggregation runs the cached-subgraph machinery (evictions, γ,
   /// Rounds) over layout_order(). False: the on-demand pull engine runs
   /// instead, with replacement() managing the input buffer.
-  virtual bool uses_subgraph_machinery() const = 0;
+  bool uses_subgraph_machinery() const;
 
   /// How the on-demand engine replaces buffer entries when
   /// uses_subgraph_machinery() is false: it builds its one
   /// cache::ReplacementBuffer (cache/replay.hpp) from this. LRU is the
   /// HyGCN baseline; kBelady replays perfect future knowledge;
   /// kDualPinnedLru pins a hub region and runs LRU over the rest.
-  virtual ReplacementKind replacement() const { return ReplacementKind::kLru; }
+  ReplacementKind replacement() const;
 
   /// DRAM layout = processing order: order[i] is the vertex fetched i-th.
   /// Every policy returns a full permutation of [0, |V|): for on-demand
   /// kinds it is the pull order (and the hot prefix the trace-replay
   /// analysis pins, cache/alloc.hpp), even though the subgraph machinery
   /// never runs over it.
-  virtual std::vector<VertexId> layout_order(const Csr& g) const = 0;
+  std::vector<VertexId> layout_order(const Csr& g) const;
 
-  /// Factory over the kind enum. The switch is exhaustive with no default:
-  /// adding a CachePolicyKind without a factory entry is a compile error
-  /// (-Werror=switch), not a silent fallthrough.
-  static std::unique_ptr<CachePolicy> make(CachePolicyKind kind);
+ private:
+  explicit CachePolicy(CachePolicyKind kind) : kind_(kind) {}
+
+  CachePolicyKind kind_;
 };
 
 }  // namespace gnnie

@@ -4,6 +4,12 @@
 
 namespace gnnie {
 
+BufferSizes BufferSizes::for_dataset(bool large_dataset) {
+  BufferSizes s{};
+  s.input = large_dataset ? (512u << 10) : (256u << 10);
+  return s;
+}
+
 EngineConfig EngineConfig::paper_default(bool large_dataset) {
   EngineConfig c;
   c.buffers = BufferSizes::for_dataset(large_dataset);

@@ -11,10 +11,24 @@
 
 #include "arch/pe_array.hpp"
 #include "arch/sfu.hpp"
-#include "mem/buffers.hpp"
+#include "common/units.hpp"
 #include "mem/hbm.hpp"
 
 namespace gnnie {
+
+/// On-chip buffer capacities (§III, §VIII-A): input 256 KB for CR and CS or
+/// 512 KB for the larger datasets, output 1 MB, weight 128 KB (4K × 16 × 2
+/// for double-buffering). The input buffer sizes the cached subgraph and the
+/// weighting passes' resident features; the output buffer holds partial
+/// sums and the previous layer's result.
+struct BufferSizes {
+  Bytes input;
+  Bytes output = 1u << 20;   // 1 MB
+  Bytes weight = 128u << 10; // 128 KB
+
+  /// `large_dataset` selects the 512 KB input buffer (PB, PPI, RD).
+  static BufferSizes for_dataset(bool large_dataset);
+};
 
 struct OptimizationFlags {
   /// Weighting: skip all-zero feature blocks via the zero-detection buffer.

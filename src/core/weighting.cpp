@@ -63,8 +63,9 @@ namespace {
 
 std::uint32_t div_ceil_u32(std::uint32_t a, std::uint32_t b) { return (a + b - 1) / b; }
 
-/// Approximate RLC stream size: one 5-byte token per nonzero plus filler
-/// tokens for long zero runs (worst case one per 255 zeros).
+/// Approximate size of the §III RLC feature stream, the zero-run scheme of
+/// [28]: one 5-byte token (1-byte run of preceding zeros, 4-byte value) per
+/// nonzero, plus a filler token per 255 zeros of a longer run (worst case).
 Bytes rlc_stream_bytes(std::uint64_t nnz, std::uint64_t zeros) {
   return 5 * (nnz + zeros / 255 + 1);
 }

@@ -2,8 +2,7 @@
 //
 // The paper evaluates on Cora, Citeseer, Pubmed, PPI, and Reddit. We do not
 // ship those datasets; instead `datasets/synthetic.hpp` generates graphs and
-// feature matrices that are stat-matched to this table (see DESIGN.md §1 for
-// why that preserves the evaluated behaviour).
+// feature matrices that are stat-matched to this table.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Stat-matched synthetic dataset generation (substitute for the paper's
-// real datasets; see DESIGN.md §1).
+// real datasets).
 //
 // Graphs: Chung–Lu model. Each vertex gets a power-law weight; undirected
 // edges are drawn with endpoint probability proportional to weight until the

@@ -1,4 +1,4 @@
-// Energy model (RTL/CACTI substitute — DESIGN.md §1). Per-op and per-byte
+// Energy model (RTL/CACTI substitute). Per-op and per-byte
 // energies at a 32 nm-class node, calibrated so a sustained GNNIE run lands
 // at the paper's reported 3.9 W @ 1.3 GHz envelope. Produces the Fig. 14
 // breakdown (DRAM traffic per on-chip buffer + compute + leakage) and the

@@ -49,18 +49,4 @@ Csr GraphBuilder::build() const {
   return Csr(std::move(offsets), std::move(neighbors));
 }
 
-Csr apply_permutation(const Csr& g, const std::vector<VertexId>& perm) {
-  GNNIE_REQUIRE(perm.size() == g.vertex_count(), "permutation size must match vertex count");
-  std::vector<bool> seen(perm.size(), false);
-  for (VertexId p : perm) {
-    GNNIE_REQUIRE(p < perm.size() && !seen[p], "perm must be a permutation");
-    seen[p] = true;
-  }
-  GraphBuilder b(g.vertex_count());
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    for (VertexId n : g.neighbors(v)) b.add_edge(perm[v], perm[n]);
-  }
-  return b.build();
-}
-
 }  // namespace gnnie

@@ -38,8 +38,4 @@ class GraphBuilder {
   std::vector<Edge> edges_;
 };
 
-/// Permutes vertex ids: new id of v is perm[v]. perm must be a permutation
-/// of [0, |V|). Neighbor lists in the result are sorted.
-Csr apply_permutation(const Csr& g, const std::vector<VertexId>& perm);
-
 }  // namespace gnnie

@@ -1,4 +1,4 @@
-// HBM 2.0 DRAM model (Ramulator substitute — see DESIGN.md §1).
+// HBM 2.0 DRAM model (Ramulator substitute).
 //
 // The model captures the first-order behaviour GNNIE's caching argument
 // rests on: sequential streams ride open row buffers at near-peak bandwidth,

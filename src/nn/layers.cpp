@@ -124,7 +124,7 @@ Matrix gin_layer(const Csr& g, const Matrix& h, const LayerWeights& lw, float ep
   GNNIE_REQUIRE(lw.w2.rows() > 0, "GIN layer needs the second MLP linear");
   // MLP((1+ε)h_i + Σ h_j) with a linear first stage lets us run
   // weighting-first: z = h·W1, aggregate, then bias/ReLU and the second
-  // dense linear (see DESIGN.md §4).
+  // dense linear.
   Matrix z = matmul(h, lw.w);
   Matrix agg = sum_aggregate(g, z, 1.0f + eps);
   for (std::size_t r = 0; r < agg.rows(); ++r) {

@@ -11,10 +11,6 @@ void relu_inplace(Matrix& m) {
 
 float leaky_relu(float x, float slope) { return x >= 0.0f ? x : slope * x; }
 
-void leaky_relu_inplace(Matrix& m, float slope) {
-  for (float& x : m.data()) x = leaky_relu(x, slope);
-}
-
 void softmax_inplace(std::span<float> v) {
   if (v.empty()) return;
   const float mx = *std::max_element(v.begin(), v.end());

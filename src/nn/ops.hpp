@@ -9,7 +9,6 @@
 namespace gnnie {
 
 void relu_inplace(Matrix& m);
-void leaky_relu_inplace(Matrix& m, float slope = 0.2f);
 float leaky_relu(float x, float slope = 0.2f);
 
 /// Numerically-stable softmax over a span, in place.

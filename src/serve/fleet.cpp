@@ -1,5 +1,6 @@
 #include "serve/fleet.hpp"
 
+#include <cmath>
 #include <map>
 
 #include "common/require.hpp"
@@ -34,7 +35,10 @@ void FleetSpec::validate() const {
   GNNIE_REQUIRE(!configs.empty(), "a fleet needs at least one die config");
   GNNIE_REQUIRE(!assignment.empty(), "a fleet needs at least one die");
   for (const FleetDieConfig& c : configs) {
-    GNNIE_REQUIRE(c.cost >= 0.0, "a die config cost cannot be negative");
+    // A fleet's cost is reported and written to JSON, where inf has no
+    // spelling; NaN fails the comparison too.
+    GNNIE_REQUIRE(std::isfinite(c.cost) && c.cost >= 0.0,
+                  "a die config cost must be finite and non-negative");
     c.engine.validate();
   }
   for (std::size_t c : assignment) {

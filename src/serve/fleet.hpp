@@ -62,7 +62,8 @@ struct FleetSpec {
   std::string mix_label() const;
 
   /// Throws unless the spec is well-formed: at least one die, every
-  /// assignment in range, every config validate()s, costs non-negative.
+  /// assignment in range, every config validate()s, costs finite and
+  /// non-negative.
   void validate() const;
 
   /// Every die runs the same config — semantically the plain cluster.

@@ -1,9 +1,12 @@
 // Shared helpers for the engine-level tests (test_engine.cpp,
 // test_serving.cpp, and the cross-module suites): a scaled synthetic Cora
-// workload for any GNN kind, and a one-request compile → plan → run.
+// workload for any GNN kind, a one-request compile → plan → run, and the
+// printer the recorded-value pins use to report what an engine now counts.
 #pragma once
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,5 +53,15 @@ struct ModelFixture {
     return run_once(engine, model, weights, data.graph, data.features, sampled);
   }
 };
+
+/// "{a, b, c}": a counter vector in the form the recorded-value tables use,
+/// so a failing pin prints the line to paste after an intended change.
+inline std::string brace_list(const std::vector<std::uint64_t>& v) {
+  std::ostringstream os;
+  os << '{';
+  for (std::size_t i = 0; i < v.size(); ++i) os << (i == 0 ? "" : ", ") << v[i];
+  os << '}';
+  return os.str();
+}
 
 }  // namespace gnnie::test

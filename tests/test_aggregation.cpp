@@ -5,13 +5,12 @@
 // the sequential-vs-random DRAM contrast against the ID-order baseline.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/aggregation.hpp"
 #include "datasets/synthetic.hpp"
+#include "engine_test_util.hpp"
 #include "graph/builder.hpp"
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
@@ -527,14 +526,6 @@ std::vector<std::uint64_t> counters_of(const AggregationReport& r, const HbmStat
           s.accesses};
 }
 
-std::string brace_list(const std::vector<std::uint64_t>& v) {
-  std::ostringstream os;
-  os << '{';
-  for (std::size_t i = 0; i < v.size(); ++i) os << (i == 0 ? "" : ", ") << v[i];
-  os << '}';
-  return os.str();
-}
-
 // Pins the modeled output of every cache mode and of each branch the
 // cycle and DRAM accounting takes (GAT's SFU work, directed edges, the
 // per-CPE charge without load balancing, γ relief, set conflicts and the
@@ -660,7 +651,7 @@ TEST(Aggregation, ReportsMatchRecordedValues) {
     AggregationReport rep;
     AggregationEngine(c.config, &hbm).run(task, &rep);
     const std::vector<std::uint64_t> got = counters_of(rep, hbm.stats());
-    EXPECT_EQ(got, c.want) << c.name << " now reports " << brace_list(got);
+    EXPECT_EQ(got, c.want) << c.name << " now reports " << test::brace_list(got);
     swept = swept || rep.livelock_sweep;
     escalations += rep.gamma_escalations;
     spills += rep.partial_spills;

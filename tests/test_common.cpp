@@ -252,12 +252,6 @@ TEST(Table, RejectsMismatchedRowWidth) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Units, FormatSi) {
-  EXPECT_EQ(format_si(1500.0), "1.5 k");
-  EXPECT_EQ(format_si(2.0e6), "2 M");
-  EXPECT_EQ(format_si(5.0), "5");
-}
-
 TEST(Units, CyclesToSeconds) {
   EXPECT_DOUBLE_EQ(cycles_to_seconds(1'300'000'000ull, 1.3e9), 1.0);
 }

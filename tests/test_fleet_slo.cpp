@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/serving.hpp"
@@ -67,6 +68,9 @@ TEST(FleetSpec, ValidatesShapeAndRejectsBadDesignLetters) {
   FleetSpec negative_cost = FleetSpec::homogeneous(EngineConfig::paper_default(false), 2);
   negative_cost.configs[0].cost = -1.0;
   EXPECT_THROW(negative_cost.validate(), std::invalid_argument);
+  FleetSpec infinite_cost = FleetSpec::homogeneous(EngineConfig::paper_default(false), 2);
+  infinite_cost.configs[0].cost = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(infinite_cost.validate(), std::invalid_argument);
   EXPECT_THROW(FleetSpec::from_designs(""), std::invalid_argument);
   EXPECT_THROW(FleetSpec::from_designs("AXB"), std::invalid_argument);
   EXPECT_THROW(FleetSpec::homogeneous(EngineConfig::paper_default(false), 0),

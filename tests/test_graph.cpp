@@ -106,23 +106,6 @@ TEST(GraphBuilder, BuildIsRepeatable) {
   EXPECT_EQ(g1.edge_count(), g2.edge_count());
 }
 
-TEST(ApplyPermutation, RelabelsNeighborhoods) {
-  Csr g = triangle_plus_tail();
-  // Swap 0 and 4.
-  std::vector<VertexId> perm{4, 1, 2, 3, 0};
-  Csr p = apply_permutation(g, perm);
-  EXPECT_EQ(p.degree(4), 3u);
-  EXPECT_EQ(p.degree(0), 0u);
-  auto nb = p.neighbors(3);  // was neighbor of old-0 → now neighbor of 4
-  EXPECT_EQ(std::vector<VertexId>(nb.begin(), nb.end()), (std::vector<VertexId>{4}));
-}
-
-TEST(ApplyPermutation, RejectsNonPermutation) {
-  Csr g = triangle_plus_tail();
-  EXPECT_THROW(apply_permutation(g, {0, 0, 1, 2, 3}), std::invalid_argument);
-  EXPECT_THROW(apply_permutation(g, {0, 1}), std::invalid_argument);
-}
-
 TEST(Stats, DegreeVectorAndMoments) {
   Csr g = triangle_plus_tail();
   auto d = degrees(g);

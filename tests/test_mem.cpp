@@ -1,6 +1,6 @@
 // Tests for src/mem: HBM row-buffer behaviour (sequential ≫ random — the
-// property GNNIE's cache policy exploits), epoch accounting, buffer
-// capacity rules, double-buffer overlap.
+// property GNNIE's cache policy exploits), epoch accounting, and the
+// paper's buffer sizes (core/engine_config.hpp).
 //
 // ReferenceHbm keeps the model's earlier per-burst loop, which mapped each
 // burst to its channel, row and bank by division, and the suite pins
@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "core/engine_config.hpp"
-#include "mem/buffers.hpp"
 #include "mem/hbm.hpp"
 
 namespace gnnie {
@@ -344,41 +343,6 @@ TEST(Hbm, MatchesPerBurstReferenceBitForBit) {
   }
 }
 
-TEST(Buffer, ReserveReleaseAndPeak) {
-  OnChipBuffer b("test", 1000);
-  b.reserve(400);
-  b.reserve(500);
-  EXPECT_EQ(b.used(), 900u);
-  b.release(600);
-  EXPECT_EQ(b.used(), 300u);
-  EXPECT_EQ(b.peak_used(), 900u);
-  EXPECT_EQ(b.free_bytes(), 700u);
-}
-
-TEST(Buffer, OverflowAndUnderflowThrow) {
-  OnChipBuffer b("test", 100);
-  EXPECT_THROW(b.reserve(101), std::invalid_argument);
-  b.reserve(50);
-  EXPECT_THROW(b.release(51), std::invalid_argument);
-}
-
-TEST(Buffer, MaxItems) {
-  OnChipBuffer b("test", 1024);
-  EXPECT_EQ(b.max_items(256), 4u);
-  EXPECT_EQ(b.max_items(1000), 1u);
-  EXPECT_THROW(b.max_items(2048), std::invalid_argument);
-  EXPECT_THROW(b.max_items(0), std::invalid_argument);
-}
-
-TEST(Buffer, AccessCounters) {
-  OnChipBuffer b("test", 64);
-  b.note_read(10);
-  b.note_write(20);
-  b.note_read(5);
-  EXPECT_EQ(b.bytes_read(), 15u);
-  EXPECT_EQ(b.bytes_written(), 20u);
-}
-
 TEST(Buffer, PaperSizes) {
   BufferSizes small = BufferSizes::for_dataset(false);
   BufferSizes large = BufferSizes::for_dataset(true);
@@ -386,12 +350,6 @@ TEST(Buffer, PaperSizes) {
   EXPECT_EQ(large.input, 512u << 10);
   EXPECT_EQ(small.output, 1u << 20);
   EXPECT_EQ(small.weight, 128u << 10);
-}
-
-TEST(Overlap, TakesTheSlowerSide) {
-  EXPECT_EQ(overlap_phase(100, 40), 100u);
-  EXPECT_EQ(overlap_phase(40, 100), 100u);
-  EXPECT_EQ(overlap_phase(0, 0), 0u);
 }
 
 }  // namespace
