@@ -1,9 +1,11 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cstdio>
 #include <exception>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -15,7 +17,7 @@ double BenchOptions::scale_for(const DatasetSpec& spec) const {
   switch (spec.id) {
     case DatasetId::kPpi:
     case DatasetId::kReddit:
-      return large_scale;
+      return scale;
     default:
       return 1.0;
   }
@@ -48,30 +50,80 @@ double parse_scale(const std::string& arg) {
   return scale;
 }
 
-BenchOptions parse_options(int argc, char** argv, BenchFlags accepted) {
-  const bool dataset_flags = accepted == BenchFlags::kSeedScaleDatasets;
-  BenchOptions opt;
+BenchOptions parse_options(int argc, char** argv, unsigned accepted, BenchOptions defaults) {
+  struct Flag {
+    BenchFlags bit;
+    const char* prefix;
+  };
+  static constexpr Flag kFlags[] = {{kSeed, "--seed="},         {kScale, "--scale="},
+                                    {kDatasets, "--datasets="}, {kRequests, "--requests="},
+                                    {kReps, "--reps="},         {kJson, "--json="}};
+  BenchOptions opt = std::move(defaults);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = parse_count(arg);
-    } else if (dataset_flags && arg.rfind("--scale=", 0) == 0) {
-      opt.large_scale = parse_scale(arg);
-    } else if (dataset_flags && arg.rfind("--datasets=", 0) == 0) {
-      std::string list = arg.substr(11);
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        std::size_t comma = list.find(',', pos);
-        std::string item = list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!item.empty()) opt.datasets.push_back(item);
-        pos = comma == std::string::npos ? comma : comma + 1;
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if ((accepted & f.bit) != 0 && arg.rfind(f.prefix, 0) == 0) flag = &f;
+    }
+    if (flag == nullptr) {
+      std::string takes;
+      for (const Flag& f : kFlags) {
+        if ((accepted & f.bit) != 0) takes += (takes.empty() ? "" : ", ") + std::string(f.prefix);
       }
-    } else {
-      throw std::invalid_argument("unknown flag: " + arg + " (this bench takes --seed=" +
-                                  (dataset_flags ? ", --scale=, --datasets=)" : ")"));
+      throw std::invalid_argument("unknown flag: " + arg + " (this bench takes " + takes + ")");
+    }
+    const std::string value = arg.substr(std::string(flag->prefix).size());
+    switch (flag->bit) {
+      case kSeed:
+        opt.seed = parse_count(arg);
+        break;
+      case kScale:
+        opt.scale = parse_scale(arg);
+        break;
+      case kDatasets:
+        for (std::size_t pos = 0; pos <= value.size();) {
+          const std::size_t comma = std::min(value.find(',', pos), value.size());
+          if (comma > pos) opt.datasets.push_back(value.substr(pos, comma - pos));
+          pos = comma + 1;
+        }
+        break;
+      case kRequests:
+        opt.requests = parse_count(arg);
+        break;
+      case kReps:
+        opt.reps = parse_count(arg);
+        break;
+      default:  // kJson
+        opt.json_path = value;
     }
   }
+  if ((accepted & kRequests) != 0 && opt.requests == 0) {
+    throw std::invalid_argument("--requests must be positive");
+  }
+  if ((accepted & kReps) != 0 && opt.reps == 0) {
+    throw std::invalid_argument("--reps must be positive");
+  }
   return opt;
+}
+
+bool write_json(const std::string& json, const std::string& path) {
+  if (json.empty() || json.front() != '{' || json.back() != '}' ||
+      !json_braces_balanced(json)) {
+    std::fprintf(stderr, "emitted JSON is malformed\n");
+    return false;
+  }
+  if (path.empty()) {
+    std::printf("%s\n", json.c_str());
+    return true;
+  }
+  std::ofstream f(path);
+  f << json << "\n";
+  if (!f) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 std::string scale_note(const DatasetSpec& spec, double scale) {

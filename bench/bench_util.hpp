@@ -1,7 +1,7 @@
-// Shared helpers for the figure/table bench binaries: flag parsing
-// (--scale, --seed, --datasets) and the checked number parsers every bench
-// flag goes through, paper-vs-measured reporting, and a work-stealing
-// parallel_for for replaying independent sweep cells.
+// Shared helpers for the bench binaries: one flag parser (--seed, --scale,
+// --datasets, --requests, --reps, --json) over the checked number parsers
+// every flag goes through, the JSON writer, paper-vs-measured reporting,
+// and a work-stealing parallel_for for replaying independent sweep cells.
 #pragma once
 
 #include <cstdint>
@@ -19,27 +19,43 @@
 namespace gnnie::bench {
 
 struct BenchOptions {
-  /// Scale factor applied to the large datasets (PPI, Reddit); the citation
-  /// graphs (CR, CS, PB) always run full-size — they are laptop-friendly and
-  /// most paper figures use exactly those three.
-  double large_scale = 0.05;
+  /// --scale=<f>. The dataset-sweeping figure and table benches apply it to
+  /// the large datasets only (scale_for: the citation graphs CR, CS and PB
+  /// always run full-size — they are laptop-friendly and most paper figures
+  /// use exactly those three); the serve benches apply it to every graph
+  /// they build.
+  double scale = 0.05;
   std::uint64_t seed = 1;
   /// Short names to run (empty = the bench's default set).
   std::vector<std::string> datasets;
+  std::size_t requests = 400;  ///< --requests=<n>: trace length of a serve bench
+  std::size_t reps = 3;        ///< --reps=<n>: timed repetitions per scenario
+  std::string json_path;       ///< --json=PATH; empty = JSON to stdout
 
   /// Effective scale for one dataset (1.0 for CR/CS/PB).
   double scale_for(const DatasetSpec& spec) const;
 };
 
-/// The flags a figure/table bench reads: every bench takes --seed; the
-/// benches that sweep datasets also take --scale and --datasets.
-enum class BenchFlags { kSeed, kSeedScaleDatasets };
+/// The flags a bench reads, or-ed together: every bench takes --seed, the
+/// figure and table benches that sweep datasets also take --scale and
+/// --datasets, and the serve benches take --requests, --scale and --json
+/// (bench_serve_throughput adds --reps).
+enum BenchFlags : unsigned {
+  kSeed = 1u << 0,
+  kScale = 1u << 1,
+  kDatasets = 1u << 2,
+  kRequests = 1u << 3,
+  kReps = 1u << 4,
+  kJson = 1u << 5,
+  kSeedScaleDatasets = kSeed | kScale | kDatasets,
+  kServe = kSeed | kScale | kRequests | kJson,
+};
 
-/// Parses --seed=<n>, --scale=<f> and --datasets=CR,CS. A flag outside
-/// `accepted`, an unknown flag or a malformed value throws
-/// std::invalid_argument, so no bench runs a flag it ignores.
-BenchOptions parse_options(int argc, char** argv,
-                           BenchFlags accepted = BenchFlags::kSeedScaleDatasets);
+/// Parses the flags in `accepted` over `defaults`. A flag outside
+/// `accepted`, an unknown flag, a malformed value or a zero --requests or
+/// --reps throws std::invalid_argument, so no bench runs a flag it ignores.
+BenchOptions parse_options(int argc, char** argv, unsigned accepted = kSeedScaleDatasets,
+                           BenchOptions defaults = {});
 
 /// The checked number parsers behind every bench flag. `arg` is a whole
 /// "--name=value" argument; std::from_chars must consume all of the value,
@@ -54,6 +70,12 @@ std::string scale_note(const DatasetSpec& spec, double scale);
 
 /// Prints the standard bench banner: figure/table id + claim being checked.
 void print_banner(const std::string& experiment, const std::string& claim);
+
+/// Writes a bench's JSON text to `path` (then prints "wrote <path>"), or to
+/// stdout when `path` is empty, followed by a newline. Returns false, after
+/// saying why on stderr, when the text is not one object whose brackets
+/// balance (json_braces_balanced) or the file cannot be written.
+bool write_json(const std::string& json, const std::string& path);
 
 /// Structural sanity check for emitted JSON (shared by JSON-emitting
 /// benches and the report-IO tests): every {/[ is closed by its own kind

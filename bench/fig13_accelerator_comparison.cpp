@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
     t.add_row({to_string(row.kind), "== avg ==", "", "", "", h_sum, a_sum});
   }
   std::printf("%s", t.render().c_str());
-  std::printf("\nGNNIE uses %u MACs; AWB-GCN uses 4096 (%.1fx more).\n",
-              ArrayConfig::design_e().total_macs(),
-              4096.0 / ArrayConfig::design_e().total_macs());
+  std::printf("\nGNNIE uses %u MACs; AWB-GCN uses %u (%.1fx more).\n",
+              ArrayConfig::design_e().total_macs(), kAwbGcnMacs,
+              static_cast<double>(kAwbGcnMacs) / ArrayConfig::design_e().total_macs());
   std::printf("HyGCN/AWB-GCN cannot run GAT or DiffPool (no neighborhood softmax; §VII).\n");
   return 0;
 }

@@ -34,10 +34,9 @@ int main(int argc, char** argv) {
     const InferenceReport rep = bench::run_gnnie(w, cfg);
     const double gnnie_eff = inferences_per_kilojoule(compute_energy(rep));
     const double hygcn_eff = inferences_per_kilojoule(
-        hygcn.config().power_w,
-        hygcn.run(w.model, w.data.graph, w.data.features).runtime_seconds);
+        kHygcnPowerW, hygcn.run(w.model, w.data.graph, w.data.features).runtime_seconds);
     const double awb_eff = inferences_per_kilojoule(
-        awb.config().power_w, awb.run(w.model, w.data.graph, w.data.features).runtime_seconds);
+        kAwbGcnPowerW, awb.run(w.model, w.data.graph, w.data.features).runtime_seconds);
     t.add_row({bench::scale_note(spec, scale), format_sci(gnnie_eff), format_sci(hygcn_eff),
                format_sci(awb_eff), Table::cell(gnnie_eff / hygcn_eff),
                Table::cell(gnnie_eff / awb_eff)});

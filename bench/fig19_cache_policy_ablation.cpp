@@ -15,7 +15,6 @@
 // --json=PATH emits the run as one JSON object for scripts/check_bench.py
 // (gated in CI against bench/baseline_cache.json).
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,20 +27,8 @@
 int main(int argc, char** argv) {
   using namespace gnnie;
 
-  // --json=PATH is this bench's own flag; everything else goes through the
-  // shared parser (which fatals on flags it does not know).
-  std::string json_path;
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
   const auto opt =
-      bench::parse_options(static_cast<int>(passthrough.size()), passthrough.data());
+      bench::parse_options(argc, argv, bench::kSeedScaleDatasets | bench::kJson);
 
   bench::print_banner(
       "Extension: cache-policy ablation vs the Belady oracle",
@@ -57,7 +44,7 @@ int main(int argc, char** argv) {
   Table t({"dataset", "policy", "hit rate", "frac of oracle", "cycles", "DRAM MB",
            "conflict evict"});
   std::ostringstream json;
-  json << "{\"scale\":" << opt.large_scale << ",\"seed\":" << opt.seed
+  json << "{\"scale\":" << opt.scale << ",\"seed\":" << opt.seed
        << ",\"feature_width\":" << kFeatureWidth
        << ",\"associativity\":" << kAssociativity << ",\"workloads\":[";
 
@@ -113,22 +100,7 @@ int main(int argc, char** argv) {
   json << "]}";
   std::printf("%s", t.render().c_str());
 
-  const std::string out = json.str();
-  if (!bench::json_braces_balanced(out) || out.front() != '{' || out.back() != '}') {
-    std::fprintf(stderr, "emitted JSON is malformed\n");
-    return 1;
-  }
-  if (json_path.empty()) {
-    std::printf("%s\n", out.c_str());
-  } else {
-    std::ofstream f(json_path);
-    f << out << "\n";
-    if (!f) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json.str(), opt.json_path)) return 1;
   std::printf(
       "\nHit rates are trace replays over one shared access sequence; the oracle\n"
       "row is offline-optimal, so every fraction-of-oracle is <= 1 by theorem.\n");

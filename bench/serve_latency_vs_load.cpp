@@ -28,10 +28,8 @@
 //   $ ./bench_serve_latency_vs_load --requests=64 --scale=0.05
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,40 +37,9 @@
 #include "core/report_io.hpp"
 #include "serve/cluster.hpp"
 
-namespace {
-
-struct Options {
-  std::size_t requests = 400;
-  double scale = 0.05;
-  std::uint64_t seed = 1;
-  std::string json_path;  // empty = stdout
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = gnnie::bench::parse_scale(arg);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = arg.substr(7);
-    } else {
-      throw std::invalid_argument("unknown flag: " + arg);
-    }
-  }
-  if (opt.requests == 0) throw std::invalid_argument("--requests must be positive");
-  return opt;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const Options opt = parse(argc, argv);
+  const bench::BenchOptions opt = bench::parse_options(argc, argv, bench::kServe);
 
   bench::print_banner("Serving: latency vs offered load",
                       "open-loop tail latency is flat below the knee, explodes at rho ~ 1");
@@ -391,22 +358,7 @@ int main(int argc, char** argv) {
   }
   json << "]}}";
 
-  const std::string out = json.str();
-  if (!bench::json_braces_balanced(out) || out.front() != '{' || out.back() != '}') {
-    std::fprintf(stderr, "emitted JSON is malformed\n");
-    return 1;
-  }
-  if (opt.json_path.empty()) {
-    std::printf("%s\n", out.c_str());
-  } else {
-    std::ofstream f(opt.json_path);
-    f << out << "\n";
-    if (!f) {
-      std::fprintf(stderr, "failed to write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_json(json.str(), opt.json_path)) return 1;
   std::printf(
       "\nLatency is flat at the service time below the knee; past rho ~ 1 the\n"
       "open-loop queue grows without bound and the percentiles follow.\n");

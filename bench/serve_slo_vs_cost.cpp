@@ -23,10 +23,8 @@
 //   $ ./bench_serve_slo_vs_cost --requests=64 --scale=0.03
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,40 +33,9 @@
 #include "serve/fleet.hpp"
 #include "serve/slo.hpp"
 
-namespace {
-
-struct Options {
-  std::size_t requests = 400;
-  double scale = 0.05;
-  std::uint64_t seed = 1;
-  std::string json_path;  // empty = stdout
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = gnnie::bench::parse_scale(arg);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = arg.substr(7);
-    } else {
-      throw std::invalid_argument("unknown flag: " + arg);
-    }
-  }
-  if (opt.requests == 0) throw std::invalid_argument("--requests must be positive");
-  return opt;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const Options opt = parse(argc, argv);
+  const bench::BenchOptions opt = bench::parse_options(argc, argv, bench::kServe);
 
   bench::print_banner("Serving: SLO attainment vs fleet cost",
                       "mixed fleets buy deadline attainment per MAC that uniform ones cannot");
@@ -201,22 +168,7 @@ int main(int argc, char** argv) {
   }
   json << "]}";
 
-  const std::string out = json.str();
-  if (!bench::json_braces_balanced(out) || out.front() != '{' || out.back() != '}') {
-    std::fprintf(stderr, "emitted JSON is malformed\n");
-    return 1;
-  }
-  if (opt.json_path.empty()) {
-    std::printf("%s\n", out.c_str());
-  } else {
-    std::ofstream f(opt.json_path);
-    f << out << "\n";
-    if (!f) {
-      std::fprintf(stderr, "failed to write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_json(json.str(), opt.json_path)) return 1;
   std::printf(
       "\nAt the knee the mixed fleet holds the tight stream's attainment with\n"
       "fewer MACs than the uniform fleets; shedding converts hopeless waits\n"

@@ -32,9 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,38 +40,6 @@
 #include "serve/cluster.hpp"
 
 namespace {
-
-struct Options {
-  std::size_t requests = 1'000'000;
-  double scale = 0.05;
-  std::uint64_t seed = 1;
-  std::size_t reps = 3;
-  std::string json_path;  // empty = stdout
-};
-
-Options parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = gnnie::bench::parse_scale(arg);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = gnnie::bench::parse_count(arg);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = arg.substr(7);
-    } else {
-      throw std::invalid_argument("unknown flag: " + arg);
-    }
-  }
-  if (opt.requests == 0 || opt.reps == 0) {
-    throw std::invalid_argument("--requests and --reps must be positive");
-  }
-  return opt;
-}
 
 /// FNV-1a over the fields that pin a record's identity; the simulator is
 /// deterministic, so every repetition must produce the same fold.
@@ -104,7 +70,8 @@ struct ScenarioResult {
 /// insists the record checksum never moves between repetitions.
 ScenarioResult run_scenario(const std::string& name, const gnnie::serve::Cluster& cluster,
                             const gnnie::serve::RequestTrace& trace,
-                            const gnnie::serve::Scheduler& scheduler, const Options& opt) {
+                            const gnnie::serve::Scheduler& scheduler,
+                            const gnnie::bench::BenchOptions& opt) {
   using clock = std::chrono::steady_clock;
   ScenarioResult result;
   result.name = name;
@@ -135,7 +102,10 @@ ScenarioResult run_scenario(const std::string& name, const gnnie::serve::Cluster
 
 int main(int argc, char** argv) {
   using namespace gnnie;
-  const Options opt = parse(argc, argv);
+  bench::BenchOptions defaults;
+  defaults.requests = 1'000'000;
+  const bench::BenchOptions opt =
+      bench::parse_options(argc, argv, bench::kServe | bench::kReps, defaults);
 
   bench::print_banner("Serving: simulator wall-clock throughput",
                       "the event loop retires a million-request trace in seconds, not minutes");
@@ -214,22 +184,7 @@ int main(int argc, char** argv) {
   }
   json << "]}";
 
-  const std::string out = json.str();
-  if (!bench::json_braces_balanced(out) || out.front() != '{' || out.back() != '}') {
-    std::fprintf(stderr, "emitted JSON is malformed\n");
-    return 1;
-  }
-  if (opt.json_path.empty()) {
-    std::printf("%s\n", out.c_str());
-  } else {
-    std::ofstream f(opt.json_path);
-    f << out << "\n";
-    if (!f) {
-      std::fprintf(stderr, "failed to write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", opt.json_path.c_str());
-  }
+  if (!bench::write_json(json.str(), opt.json_path)) return 1;
   std::printf(
       "\nEvents/sec is wall-clock, so compare like builds only: the CI gate\n"
       "runs Release without sanitizers against a deliberately conservative\n"

@@ -41,6 +41,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", t.render().c_str());
   std::printf("\nNote: PPI/RD run at --scale=%g (mean degree preserved); CR/CS/PB full size.\n",
-              opt.large_scale);
+              opt.scale);
   return 0;
 }

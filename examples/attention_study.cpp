@@ -44,9 +44,8 @@ int main() {
               static_cast<double>(naive) / static_cast<double>(rep.total_cycles));
 
   // SFU LUT exp vs libm, through the attention coefficient of one vertex.
-  SfuExpLut sfu(cfg.sfu);
-  std::printf("=== SFU LUT exp accuracy (%u-entry LUT) ===\n",
-              1u << cfg.sfu.lut_log2_entries);
+  SfuExpLut sfu;
+  std::printf("=== SFU LUT exp accuracy (%u-entry LUT) ===\n", 1u << kSfuLutLog2Entries);
   std::printf("max relative error over [-20, 10]: %.2e\n",
               sfu.max_relative_error(-20.0f, 10.0f));
 

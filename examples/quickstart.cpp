@@ -52,7 +52,7 @@ int main() {
   const InferenceReport& rep = result.report;
   std::printf("\ninference: %llu cycles = %.1f us @ %.1f GHz\n",
               (unsigned long long)rep.total_cycles, rep.runtime_seconds() * 1e6,
-              rep.clock_hz / 1e9);
+              kClockHz / 1e9);
   std::printf("effective throughput: %.2f TOPS (peak %.2f)\n", rep.effective_tops(),
               compiled.peak_tops());
   std::printf("DRAM: %.1f MB read, %.1f MB written, row-hit rate %.0f%%\n",

@@ -60,7 +60,7 @@ int main() {
     serve::Cluster cluster(compiled, dies);
     for (serve::SchedulerKind kind : serve::all_scheduler_kinds()) {
       ServingReport rep = cluster.simulate(trace, {.scheduler = kind});
-      const double us = 1e6 / rep.clock_hz;
+      const double us = 1e6 / kClockHz;
       double util = 0.0;
       for (std::size_t d = 0; d < dies; ++d) util += rep.die_utilization(d);
       std::printf("%6zu %-16s %12.1f %12.1f %12.1f %12.2f %7.0f%%\n", dies,
@@ -95,7 +95,7 @@ int main() {
   serve::Cluster warm_cluster(warm_compiled, 4);
   for (serve::SchedulerKind kind : serve::all_scheduler_kinds()) {
     ServingReport rep = warm_cluster.simulate(warm_trace, {.scheduler = kind});
-    const double us = 1e6 / rep.clock_hz;
+    const double us = 1e6 / kClockHz;
     std::printf("%-16s %12.1f %12.1f %9.1f%% %8llu\n", rep.scheduler.c_str(),
                 rep.p50_latency_cycles() * us, rep.p99_latency_cycles() * us,
                 100.0 * rep.warm_hit_rate(),
@@ -122,7 +122,7 @@ int main() {
   serve::Cluster batch_cluster(batch_compiled, 4);
   for (serve::SchedulerKind kind : serve::all_scheduler_kinds()) {
     ServingReport rep = batch_cluster.simulate(batch_trace, {.scheduler = kind});
-    const double us = 1e6 / rep.clock_hz;
+    const double us = 1e6 / kClockHz;
     std::printf("%-16s %12.1f %12.1f %9.1f%% %11.2f %13llu\n", rep.scheduler.c_str(),
                 rep.p50_latency_cycles() * us, rep.p99_latency_cycles() * us,
                 100.0 * rep.coalesce_rate(), rep.mean_batch_size(),

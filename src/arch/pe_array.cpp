@@ -29,7 +29,6 @@ std::vector<std::vector<std::uint32_t>> ArrayConfig::row_groups() const {
 }
 
 void ArrayConfig::validate() const {
-  GNNIE_REQUIRE(rows > 0 && cols > 0, "array must be non-empty");
   GNNIE_REQUIRE(macs_per_row.size() == rows, "macs_per_row must have one entry per row");
   for (std::uint32_t m : macs_per_row) GNNIE_REQUIRE(m > 0, "every CPE needs at least one MAC");
   for (std::size_t r = 1; r < macs_per_row.size(); ++r) {
@@ -64,7 +63,6 @@ ArrayConfig ArrayConfig::design_e() {
 }
 
 std::string ArrayConfig::name() const {
-  if (rows != 16 || cols != 16) return "custom";
   const auto uniform_macs = [&](std::uint32_t m) {
     for (std::uint32_t x : macs_per_row) {
       if (x != m) return false;

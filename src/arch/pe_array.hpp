@@ -14,8 +14,9 @@
 namespace gnnie {
 
 struct ArrayConfig {
-  std::uint32_t rows = 16;
-  std::uint32_t cols = 16;
+  /// The 16 × 16 CPE array of every design point (§VIII-A).
+  static constexpr std::uint32_t rows = 16;
+  static constexpr std::uint32_t cols = 16;
   /// MACs per CPE for each row; size == rows, nondecreasing for FM designs.
   /// Rows with equal MAC count form one flexible-MAC binning group
   /// (row_groups(); uniform designs have one group).

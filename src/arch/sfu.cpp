@@ -1,5 +1,6 @@
 #include "arch/sfu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -7,10 +8,8 @@
 
 namespace gnnie {
 
-SfuExpLut::SfuExpLut(SfuConfig config) : config_(config) {
-  GNNIE_REQUIRE(config_.lut_log2_entries >= 2 && config_.lut_log2_entries <= 16,
-                "LUT size out of range");
-  const std::size_t n = 1ull << config_.lut_log2_entries;
+SfuExpLut::SfuExpLut() {
+  const std::size_t n = 1ull << kSfuLutLog2Entries;
   pow2_lut_.resize(n + 1);  // +1 sentinel so interpolation never reads past the end
   for (std::size_t i = 0; i <= n; ++i) {
     pow2_lut_[i] = std::pow(2.0f, static_cast<float>(i) / static_cast<float>(n));
@@ -28,7 +27,9 @@ float SfuExpLut::exp(float x) const {
   const float frac = t - fl;
   const std::size_t n = pow2_lut_.size() - 1;
   const float scaled = frac * static_cast<float>(n);
-  const auto idx = static_cast<std::size_t>(scaled);
+  // Just below an integer t, t − floor(t) rounds to 1.0f; clamping keeps the
+  // interpolation inside the table (weight 1 on the 2^1 entry).
+  const auto idx = std::min<std::size_t>(static_cast<std::size_t>(scaled), n - 1);
   const float w = scaled - static_cast<float>(idx);
   const float pow2_frac = pow2_lut_[idx] * (1.0f - w) + pow2_lut_[idx + 1] * w;
   return std::ldexp(pow2_frac, static_cast<int>(fl));

@@ -6,8 +6,7 @@
 // by example_attention_study; its relative error stays well under 1e-3,
 // which tests verify. The engine's GAT scores call std::exp (gat_score in
 // core/aggregation.cpp), and the cycle model charges SFU work only through
-// lane throughput (kSfuLanes in core/engine_config.hpp) and the exp
-// pipeline fill (exp_latency).
+// lane throughput (kSfuLanes) and the exp pipeline fill (kSfuExpLatency).
 #pragma once
 
 #include <cstdint>
@@ -17,15 +16,17 @@
 
 namespace gnnie {
 
-struct SfuConfig {
-  /// log2 of the 2^frac LUT size (256 entries reproduces a small ROM).
-  std::uint32_t lut_log2_entries = 8;
-  Cycles exp_latency = 3;  ///< pipelined: one result/cycle after fill
-};
+/// Number of SFU lanes (the array interleaves "multiple columns" of SFUs;
+/// we model two columns' worth).
+inline constexpr std::uint32_t kSfuLanes = 32;
+/// Exp pipeline fill: one result per lane per cycle after it.
+inline constexpr Cycles kSfuExpLatency = 3;
+/// log2 of the exp LUT's 2^frac entries (256 reproduces a small ROM).
+inline constexpr std::uint32_t kSfuLutLog2Entries = 8;
 
 class SfuExpLut {
  public:
-  explicit SfuExpLut(SfuConfig config = {});
+  SfuExpLut();
 
   /// Hardware-style exp: e^x = 2^(x·log2 e); integer part by exponent
   /// manipulation, fractional part by LUT + linear interpolation.
@@ -33,13 +34,10 @@ class SfuExpLut {
 
   float leaky_relu(float x, float slope) const;
 
-  const SfuConfig& config() const { return config_; }
-
   /// Worst-case relative error of the LUT exp over [lo, hi], sampled.
   double max_relative_error(float lo, float hi, int samples = 4096) const;
 
  private:
-  SfuConfig config_;
   std::vector<float> pow2_lut_;  ///< 2^f for f in [0,1)
 };
 

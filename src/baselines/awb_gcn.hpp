@@ -16,17 +16,10 @@
 
 namespace gnnie {
 
-struct AwbGcnConfig {
-  double clock_hz = 330.0e6;  ///< FPGA implementation frequency
-  std::uint32_t macs = 4096;
-  double balanced_utilization = 0.85;   ///< after autotuning converges
-  double rebalance_overhead = 0.10;     ///< inter-PE communication tax
-  double adjacency_refetch = 2.0;       ///< Ã streamed per SpMM tile pass
-  /// FPGA board DDR4 bandwidth (AWB-GCN is an FPGA implementation, not an
-  /// HBM part).
-  double dram_bandwidth = 19.0e9;
-  double power_w = 9.5;
-};
+/// AWB-GCN's MAC count and reported power (Figs. 13 and 15). The rest of
+/// its published design point is fixed in awb_gcn.cpp.
+inline constexpr std::uint32_t kAwbGcnMacs = 4096;
+inline constexpr double kAwbGcnPowerW = 9.5;
 
 struct AwbGcnReport {
   Cycles spmm1_cycles = 0;  ///< X·W
@@ -38,18 +31,11 @@ struct AwbGcnReport {
 
 class AwbGcnModel {
  public:
-  explicit AwbGcnModel(AwbGcnConfig config = {});
-
   static bool supports(GnnKind kind) { return kind == GnnKind::kGcn; }
 
   /// Throws std::invalid_argument for anything but GCN (§VII).
   AwbGcnReport run(const ModelConfig& model, const Csr& g,
                    const SparseMatrix& features) const;
-
-  const AwbGcnConfig& config() const { return config_; }
-
- private:
-  AwbGcnConfig config_;
 };
 
 }  // namespace gnnie

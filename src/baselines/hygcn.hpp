@@ -19,23 +19,9 @@
 
 namespace gnnie {
 
-struct HygcnConfig {
-  double clock_hz = 1.0e9;
-  std::uint32_t simd_cores = 32;
-  std::uint32_t simd_width = 16;
-  std::uint32_t systolic_macs = 4608;     ///< combination engine (32×144)
-  double systolic_utilization = 0.65;     ///< no zero skipping, fill/drain
-  double window_reuse = 0.35;             ///< shard overlap reuse on sparse graphs
-  double pipeline_imbalance_penalty = 0.15;
-  double dram_bandwidth = 256.0e9;
-  /// Effective bandwidth fraction for neighbor gathers: irregular accesses
-  /// at cache-line granularity with row-buffer thrash (§VII's "random
-  /// memory access" critique of sharding on highly sparse adjacency).
-  double gather_efficiency = 0.15;
-  /// Window sliding/shrinking re-reads features across shards.
-  double shard_refetch = 2.0;
-  double power_w = 6.7;                   ///< reported, 12 nm
-};
+/// HyGCN's reported power at 12 nm, for the Fig. 15 energy comparison. The
+/// rest of its published design point is fixed in hygcn.cpp.
+inline constexpr double kHygcnPowerW = 6.7;
 
 struct HygcnReport {
   Cycles aggregation_cycles = 0;
@@ -47,18 +33,11 @@ struct HygcnReport {
 
 class HygcnModel {
  public:
-  explicit HygcnModel(HygcnConfig config = {});
-
   static bool supports(GnnKind kind);
 
   /// Predicts one inference; throws std::invalid_argument for GAT/DiffPool
   /// (no softmax-over-neighborhood support — §VII).
   HygcnReport run(const ModelConfig& model, const Csr& g, const SparseMatrix& features) const;
-
-  const HygcnConfig& config() const { return config_; }
-
- private:
-  HygcnConfig config_;
 };
 
 }  // namespace gnnie

@@ -20,9 +20,11 @@ using Seconds = double;
 /// "1.23e+04" style for speedup tables that span many decades.
 std::string format_sci(double value, int precision = 2);
 
-/// Seconds from a cycle count at a clock frequency in Hz.
-inline Seconds cycles_to_seconds(Cycles c, double hz) {
-  return static_cast<double>(c) / hz;
-}
+/// The accelerator clock (§VIII-A: 1.3 GHz). Every modeled cycle count,
+/// compute and DRAM alike, is in it.
+inline constexpr double kClockHz = 1.3e9;
+
+/// Seconds from a cycle count at kClockHz.
+inline Seconds cycles_to_seconds(Cycles c) { return static_cast<double>(c) / kClockHz; }
 
 }  // namespace gnnie

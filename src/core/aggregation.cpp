@@ -230,13 +230,14 @@ class Ledger {
     }
     if (sfu_ops_ > 0) {
       compute = std::max<Cycles>(
-          compute, div_ceil(sfu_ops_, kSfuLanes) + config_.sfu.exp_latency);
+          compute, div_ceil(sfu_ops_, kSfuLanes) + kSfuExpLatency);
     }
     const Cycles memory = hbm_.epoch_cycles();
     rep_.compute_cycles += compute;
     rep_.memory_cycles += memory;
     rep_.total_cycles += std::max(compute, memory);
     rep_.accum_ops += accumulations_;
+    rep_.macs += accumulations_ * f_;
     rep_.sfu_ops += sfu_ops_;
     accumulations_ = 0;
     sfu_ops_ = 0;

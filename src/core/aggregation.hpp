@@ -129,6 +129,7 @@ struct AggregationReport {
   std::uint64_t rounds = 0;
   std::uint64_t edges_processed = 0;       ///< undirected pairs (or directed edges)
   std::uint64_t accum_ops = 0;             ///< F-wide accumulate operations
+  std::uint64_t macs = 0;                  ///< accum_ops × F, at the width this run aggregated
   std::uint64_t sfu_ops = 0;               ///< exp/divide operations (GAT)
   std::uint64_t dram_accesses = 0;
   std::uint64_t random_dram_accesses = 0;  ///< on-demand misses (baseline mode)

@@ -20,11 +20,11 @@ namespace gnnie {
 /// 512 KB for the larger datasets, output 1 MB, weight 128 KB (4K × 16 × 2
 /// for double-buffering). The input buffer sizes the cached subgraph and the
 /// weighting passes' resident features; the output buffer holds partial
-/// sums and the previous layer's result.
+/// sums and the previous layer's result. No model reads the weight
+/// buffer's size: weights stream from DRAM per pass (core/weighting.hpp).
 struct BufferSizes {
   Bytes input;
-  Bytes output = 1u << 20;   // 1 MB
-  Bytes weight = 128u << 10; // 128 KB
+  Bytes output = 1u << 20;  // 1 MB
 
   /// `large_dataset` selects the 512 KB input buffer (PB, PPI, RD).
   static BufferSizes for_dataset(bool large_dataset);
@@ -139,24 +139,20 @@ inline constexpr Cycles kVariantSetupCycles = 64;
 inline constexpr std::uint32_t kWeightBytes = 1;
 /// Feature and psum precision in bytes: the feature path is FP32.
 inline constexpr std::uint32_t kFeatureBytes = 4;
-/// Number of SFU lanes (the array interleaves "multiple columns" of SFUs;
-/// we model two columns' worth).
-inline constexpr std::uint32_t kSfuLanes = 32;
 /// LR overhead: cycles charged per redistributed block (weight reload into
 /// the light row's spad).
 inline constexpr double kLrCyclesPerBlock = 0.5;
 
+/// One die's design. Every cycle it models is at kClockHz
+/// (common/units.hpp), and the HBM 2.0 part and the SFU are fixed parts
+/// (mem/hbm.hpp, arch/sfu.hpp).
 struct EngineConfig {
   ArrayConfig array = ArrayConfig::design_e();
   BufferSizes buffers = BufferSizes::for_dataset(true);
+  /// No data: HbmModel(config.hbm) builds the part's model.
   HbmConfig hbm;
-  SfuConfig sfu;
   OptimizationFlags opts;
   CacheConfig cache;
-  /// The accelerator clock: every modeled cycle count is in it, and
-  /// InferenceReport::runtime_seconds converts at it. The HBM model counts
-  /// DRAM time at hbm.clock_hz, so validate() requires the two to agree.
-  double clock_hz = 1.3e9;
   /// Serving-layer knob: the per-die cache-residency (warmth) model.
   WarmthConfig warmth;
   /// Serving-layer knob: die-level same-plan request coalescing.

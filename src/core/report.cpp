@@ -64,7 +64,7 @@ double ServingReport::die_utilization(std::size_t die) const {
 double ServingReport::throughput_per_second() const {
   // Shed requests were never served, so they are not throughput.
   const std::uint64_t completed = completed_count();
-  if (completed == 0 || makespan == 0 || clock_hz <= 0.0) return 0.0;
+  if (completed == 0 || makespan == 0) return 0.0;
   return static_cast<double>(completed) / makespan_seconds();
 }
 

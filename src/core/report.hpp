@@ -29,14 +29,13 @@ struct LayerReport {
 struct InferenceReport {
   std::vector<LayerReport> layers;
   Cycles total_cycles = 0;
-  double clock_hz = 0.0;
   HbmStats dram;        ///< DRAM stats of this run (and only this run)
   Joules dram_energy = 0.0;
   std::uint64_t total_macs = 0;
   std::uint64_t total_accum_ops = 0;
   std::uint64_t total_sfu_ops = 0;
 
-  Seconds runtime_seconds() const { return cycles_to_seconds(total_cycles, clock_hz); }
+  Seconds runtime_seconds() const { return cycles_to_seconds(total_cycles); }
   /// Effective TOPS with the 1 MAC = 2 ops convention (Table IV).
   double effective_tops() const;
 };
@@ -95,7 +94,6 @@ struct ServingReport {
   std::vector<RequestRecord> requests;  ///< trace order
   std::size_t dies = 0;
   std::string scheduler;                ///< name() of the scheduler that ran
-  double clock_hz = 0.0;
   Cycles makespan = 0;                  ///< last finish time (0: empty trace)
   /// Per die: the summed span of its service slots, each from service
   /// start to slot end. Equals the members' summed service with pipelining
@@ -158,9 +156,7 @@ struct ServingReport {
   double mean_queue_depth() const;
   /// Fraction of [0, makespan] die `die` spent servicing requests.
   double die_utilization(std::size_t die) const;
-  Seconds makespan_seconds() const {
-    return clock_hz <= 0.0 ? 0.0 : cycles_to_seconds(makespan, clock_hz);
-  }
+  Seconds makespan_seconds() const { return cycles_to_seconds(makespan); }
   /// Served inferences per second of cluster virtual time.
   double throughput_per_second() const;
 

@@ -121,7 +121,7 @@ void write_aggregation(JsonOut& out, const AggregationReport& rep) {
 
 std::string report_to_json(const InferenceReport& report) {
   JsonOut out;
-  out << "{\"total_cycles\":" << report.total_cycles << ",\"clock_hz\":" << report.clock_hz
+  out << "{\"total_cycles\":" << report.total_cycles << ",\"clock_hz\":" << kClockHz
       << ",\"runtime_seconds\":" << report.runtime_seconds()
       << ",\"effective_tops\":" << report.effective_tops()
       << ",\"total_macs\":" << report.total_macs
@@ -166,7 +166,7 @@ std::string serving_report_to_json(const ServingReport& report) {
   out.reserve(kRecordBytesBound * (report.requests.size() + 16));
   out << "{\"schema_version\":4,\"dies\":" << report.dies
       << ",\"scheduler\":" << JsonString{report.scheduler}
-      << ",\"requests\":" << report.requests.size() << ",\"clock_hz\":" << report.clock_hz
+      << ",\"requests\":" << report.requests.size() << ",\"clock_hz\":" << kClockHz
       << ",\"makespan_cycles\":" << report.makespan
       << ",\"makespan_seconds\":" << report.makespan_seconds()
       << ",\"throughput_per_second\":" << report.throughput_per_second()

@@ -300,10 +300,6 @@ Matrix transpose(const Matrix& m) {
   return t;
 }
 
-std::uint64_t macs_of(const AggregationReport& rep, std::size_t f) {
-  return rep.accum_ops * f;
-}
-
 struct Executor {
   const CompiledModel::State& s;
   const GraphPlan& plan;
@@ -434,7 +430,7 @@ struct Executor {
     row_softmax_inplace(sm);  // SFU exp + divide per assignment entry
     const std::uint64_t softmax_ops = 2ull * sm.rows() * sm.cols();
     const Cycles softmax_cycles =
-        (softmax_ops + kSfuLanes - 1) / kSfuLanes + s.config.sfu.exp_latency;
+        (softmax_ops + kSfuLanes - 1) / kSfuLanes + kSfuExpLatency;
 
     // Coarsening: Xc = SᵀZ and Ac = Sᵀ(ÃS) — dense matmuls on the CPE array
     // plus one more aggregation pass for ÃS.
@@ -493,7 +489,6 @@ InferenceResult CompiledModel::run(const RunRequest& request) const {
   Executor exec(s, *request.plan);
   InferenceResult result;
   InferenceReport& rep = result.report;
-  rep.clock_hz = s.config.clock_hz;
 
   if (s.model.kind == GnnKind::kDiffPool) {
     result.output = exec.run_diffpool(x0, rep);
@@ -513,7 +508,7 @@ InferenceResult CompiledModel::run(const RunRequest& request) const {
     rep.total_macs += lr.weighting.macs;
     if (lr.attention) rep.total_macs += lr.attention->macs;
     if (lr.mlp2) rep.total_macs += lr.mlp2->macs;
-    rep.total_macs += macs_of(lr.aggregation, result.output.cols());
+    rep.total_macs += lr.aggregation.macs;
     rep.total_accum_ops += lr.aggregation.accum_ops;
     rep.total_sfu_ops += lr.aggregation.sfu_ops;
   }

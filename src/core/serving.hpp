@@ -191,7 +191,7 @@ struct RunRequest {
 /// Scalar summary of one request's staged service cost on one engine
 /// config — the POD slice of ServiceCost that routing code copies around
 /// (serve::RequestEstimate embeds one per (die, request)). All cycles are
-/// at the priced config's clock_hz; a serving fleet shares one clock.
+/// at kClockHz.
 struct ServiceCostSummary {
   Cycles cold_cycles = 0;           ///< lone cold service (run total)
   Cycles warm_cycles = 0;           ///< lone fully-warm service (fraction 1)

@@ -12,6 +12,13 @@
 namespace gnnie {
 namespace {
 
+// The feature nnz mixture. Region centers are multiples of the overall
+// mean nnz: A's center is derived so the mixture mean stays at 1.0× and
+// Table II sparsity is matched ((2/3)·0.55 + (1/3)·1.90 ≈ 1.0).
+constexpr double kRegionAWeight = 2.0 / 3.0;  // share of vertices in sparse Region A
+constexpr double kRegionBCenter = 1.90;
+constexpr double kRegionSigma = 0.22;  // within-region relative std deviation
+
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   return seed * 0x9e3779b97f4a7c15ULL + stream * 0xd1b54a32d192ed03ULL + 1;
 }
@@ -108,10 +115,7 @@ Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed) {
   return b.build();
 }
 
-SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed,
-                               const FeatureMixture& mix_in) {
-  FeatureMixture mix = mix_in;
-  if (mix.index_zipf_s < 0.0) mix.index_zipf_s = spec.feature_zipf_s;
+SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed) {
   GNNIE_REQUIRE(spec.feature_length > 0, "feature length must be positive");
   GNNIE_REQUIRE(spec.feature_sparsity >= 0.0 && spec.feature_sparsity < 1.0,
                 "sparsity must be in [0,1)");
@@ -122,7 +126,7 @@ SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed,
   // For dense specs (Reddit: 48% sparsity) the Region-B mode would clip at
   // the feature length and drag the realized mean below target; pull B in
   // and push A out so the mixture mean stays at 1.0× the target.
-  double center_b = mix.region_b_center;
+  double center_b = kRegionBCenter;
   const double max_center_b =
       0.90 * static_cast<double>(spec.feature_length) / std::max(mean_nnz, 1.0);
   if (center_b > max_center_b) {
@@ -130,7 +134,7 @@ SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed,
     // w_a·c_a + (1-w_a)·c_b = 1.
   }
   const double center_a =
-      std::max(0.05, (1.0 - (1.0 - mix.region_a_weight) * center_b) / mix.region_a_weight);
+      std::max(0.05, (1.0 - (1.0 - kRegionAWeight) * center_b) / kRegionAWeight);
 
   // Zipfian feature popularity: index i carries weight (i+1)^-s, so
   // low-index ranges are denser (bag-of-words frequent terms). Nonzero
@@ -140,19 +144,19 @@ SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed,
   // negative, so larger (i+1)^s → more negative key → less likely selected.
   std::vector<double> recip_weight(spec.feature_length);
   for (std::uint32_t i = 0; i < spec.feature_length; ++i) {
-    recip_weight[i] = std::pow(static_cast<double>(i) + 1.0, mix.index_zipf_s);
+    recip_weight[i] = std::pow(static_cast<double>(i) + 1.0, spec.feature_zipf_s);
   }
 
   std::vector<SparseRow> rows;
   rows.reserve(spec.vertices);
   std::vector<std::pair<double, std::uint32_t>> keys(spec.feature_length);
   for (std::uint32_t v = 0; v < spec.vertices; ++v) {
-    const bool region_a = rng.next_bool(mix.region_a_weight);
+    const bool region_a = rng.next_bool(kRegionAWeight);
     const double center = (region_a ? center_a : center_b) * mean_nnz;
-    const double drawn = center * (1.0 + mix.region_sigma * rng.next_gaussian());
+    const double drawn = center * (1.0 + kRegionSigma * rng.next_gaussian());
     // Clamp symmetrically around the center: one-sided truncation at the
     // feature length would bias the realized mean (and thus the sparsity).
-    const double sigma_abs = mix.region_sigma * center;
+    const double sigma_abs = kRegionSigma * center;
     const double delta = std::min({2.5 * sigma_abs,
                                    static_cast<double>(spec.feature_length) - center, center});
     const auto nnz = static_cast<std::uint32_t>(

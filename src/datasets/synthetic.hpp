@@ -10,7 +10,8 @@
 //
 // Features: per-vertex nonzero counts are drawn from a two-component
 // mixture ("Region A" sparse / "Region B" denser, Fig. 2) whose mean matches
-// the Table II sparsity; nonzero positions are uniform, values positive
+// the Table II sparsity; nonzero positions follow the spec's Zipfian index
+// popularity (DatasetSpec::feature_zipf_s), values are positive
 // (bag-of-words-like).
 #pragma once
 
@@ -28,30 +29,11 @@ struct Dataset {
   SparseMatrix features; ///< |V| × feature_length input features
 };
 
-struct FeatureMixture {
-  /// Fraction of vertices in the sparse Region A (vs denser Region B).
-  double region_a_weight = 2.0 / 3.0;
-  /// Region centers as multiples of the overall mean nnz; the defaults keep
-  /// the mixture mean at 1.0× so Table II sparsity is matched:
-  /// (2/3)·0.55 + (1/3)·1.90 ≈ 1.0.
-  double region_a_center = 0.55;
-  double region_b_center = 1.90;
-  /// Within-region relative std deviation.
-  double region_sigma = 0.22;
-  /// Zipf exponent for feature-index popularity. Bag-of-words features have
-  /// frequent and rare words, so nonzeros concentrate in some index ranges —
-  /// the source of the per-CPE-row imbalance GNNIE's FM scheduler fixes
-  /// (Fig. 16). 0 = uniform indices; negative = use the dataset spec's
-  /// calibrated feature_zipf_s (the default).
-  double index_zipf_s = -1.0;
-};
-
 /// Generates the graph only (no features). Deterministic in (spec, seed).
 Csr generate_graph(const DatasetSpec& spec, std::uint64_t seed);
 
 /// Generates the feature matrix only. Deterministic in (spec, seed).
-SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed,
-                               const FeatureMixture& mix = {});
+SparseMatrix generate_features(const DatasetSpec& spec, std::uint64_t seed);
 
 /// Full dataset: graph + features (seeds derived from `seed`).
 Dataset generate_dataset(const DatasetSpec& spec, std::uint64_t seed = 1);

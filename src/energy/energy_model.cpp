@@ -3,6 +3,24 @@
 #include "common/require.hpp"
 
 namespace gnnie {
+namespace {
+
+// Compute (32 nm, ~1 V): an 8-bit-weight MAC plus its pipeline share.
+constexpr double kMacPj = 0.9;
+constexpr double kSfuOpPj = 3.5;
+// On-chip SRAM access energies scale with capacity (CACTI-style):
+constexpr double kSpadPjPerByte = 0.06;
+constexpr double kInputBufferPjPerByte = 0.20;   // 256–512 KB
+constexpr double kOutputBufferPjPerByte = 0.32;  // 1 MB
+constexpr double kWeightBufferPjPerByte = 0.12;  // 128 KB
+// On-chip reuse multipliers: each DRAM byte is read from its buffer this
+// many times by the PE array before being replaced.
+constexpr double kInputReuse = 4.0;
+constexpr double kOutputReuse = 2.5;
+constexpr double kWeightReuse = 12.0;
+constexpr double kLeakageW = 0.55;  // static power of logic + SRAM
+
+}  // namespace
 
 Joules EnergyBreakdown::total() const {
   return mac + sfu + spad + input_buffer + output_buffer + weight_buffer + dram_input +
@@ -13,14 +31,14 @@ Joules EnergyBreakdown::on_chip_total() const {
   return mac + sfu + spad + input_buffer + output_buffer + weight_buffer + leakage;
 }
 
-EnergyBreakdown compute_energy(const InferenceReport& report, const EnergyParams& params) {
+EnergyBreakdown compute_energy(const InferenceReport& report) {
   EnergyBreakdown e;
   const double pj = 1e-12;
 
-  e.mac = static_cast<double>(report.total_macs) * params.mac_pj * pj;
-  e.sfu = static_cast<double>(report.total_sfu_ops) * params.sfu_op_pj * pj;
+  e.mac = static_cast<double>(report.total_macs) * kMacPj * pj;
+  e.sfu = static_cast<double>(report.total_sfu_ops) * kSfuOpPj * pj;
   // Every MAC reads two operands from / writes one partial to its spads.
-  e.spad = static_cast<double>(report.total_macs) * 3.0 * params.spad_pj_per_byte * pj;
+  e.spad = static_cast<double>(report.total_macs) * 3.0 * kSpadPjPerByte * pj;
 
   const auto client =
       [&](MemClient c) { return static_cast<double>(report.dram.client_bytes[static_cast<std::size_t>(c)]); };
@@ -28,15 +46,15 @@ EnergyBreakdown compute_energy(const InferenceReport& report, const EnergyParams
   const double out_bytes = client(MemClient::kOutput);
   const double w_bytes = client(MemClient::kWeight);
 
-  e.input_buffer = in_bytes * params.input_reuse * params.input_buffer_pj_per_byte * pj;
-  e.output_buffer = out_bytes * params.output_reuse * params.output_buffer_pj_per_byte * pj;
-  e.weight_buffer = w_bytes * params.weight_reuse * params.weight_buffer_pj_per_byte * pj;
+  e.input_buffer = in_bytes * kInputReuse * kInputBufferPjPerByte * pj;
+  e.output_buffer = out_bytes * kOutputReuse * kOutputBufferPjPerByte * pj;
+  e.weight_buffer = w_bytes * kWeightReuse * kWeightBufferPjPerByte * pj;
 
-  e.dram_input = in_bytes * 8.0 * params.dram_pj_per_bit * pj;
-  e.dram_output = out_bytes * 8.0 * params.dram_pj_per_bit * pj;
-  e.dram_weight = w_bytes * 8.0 * params.dram_pj_per_bit * pj;
+  e.dram_input = in_bytes * 8.0 * HbmConfig::energy_pj_per_bit * pj;
+  e.dram_output = out_bytes * 8.0 * HbmConfig::energy_pj_per_bit * pj;
+  e.dram_weight = w_bytes * 8.0 * HbmConfig::energy_pj_per_bit * pj;
 
-  e.leakage = params.leakage_w * report.runtime_seconds();
+  e.leakage = kLeakageW * report.runtime_seconds();
   return e;
 }
 

@@ -1,32 +1,15 @@
 // Energy model (RTL/CACTI substitute). Per-op and per-byte
-// energies at a 32 nm-class node, calibrated so a sustained GNNIE run lands
-// at the paper's reported 3.9 W @ 1.3 GHz envelope. Produces the Fig. 14
-// breakdown (DRAM traffic per on-chip buffer + compute + leakage) and the
-// Fig. 15 inferences/kJ comparison inputs.
+// energies at a 32 nm-class node (constants in energy_model.cpp; DRAM
+// traffic costs HbmConfig::energy_pj_per_bit), calibrated so a sustained
+// GNNIE run lands at the paper's reported 3.9 W @ 1.3 GHz envelope.
+// Produces the Fig. 14 breakdown (DRAM traffic per on-chip buffer + compute
+// + leakage) and the Fig. 15 inferences/kJ comparison inputs.
 #pragma once
 
 #include "common/units.hpp"
 #include "core/report.hpp"
 
 namespace gnnie {
-
-struct EnergyParams {
-  // Compute (32 nm, ~1 V): an 8-bit-weight MAC plus its pipeline share.
-  double mac_pj = 0.9;
-  double sfu_op_pj = 3.5;
-  // On-chip SRAM access energies scale with capacity (CACTI-style):
-  double spad_pj_per_byte = 0.06;
-  double input_buffer_pj_per_byte = 0.20;   // 256–512 KB
-  double output_buffer_pj_per_byte = 0.32;  // 1 MB
-  double weight_buffer_pj_per_byte = 0.12;  // 128 KB
-  // On-chip reuse multipliers: each DRAM byte is read from its buffer this
-  // many times by the PE array before being replaced.
-  double input_reuse = 4.0;
-  double output_reuse = 2.5;
-  double weight_reuse = 12.0;
-  double dram_pj_per_bit = 3.97;  ///< [26]
-  double leakage_w = 0.55;        ///< static power of logic + SRAM
-};
 
 struct EnergyBreakdown {
   Joules mac = 0.0;
@@ -46,7 +29,7 @@ struct EnergyBreakdown {
 };
 
 /// Energy of one inference from its report.
-EnergyBreakdown compute_energy(const InferenceReport& report, const EnergyParams& params = {});
+EnergyBreakdown compute_energy(const InferenceReport& report);
 
 /// Average power over the inference (total energy / runtime).
 double average_power_w(const EnergyBreakdown& e, const InferenceReport& report);

@@ -20,8 +20,10 @@ namespace gnnie {
 /// of the bins ... ties broken in dictionary order".
 std::vector<VertexId> degree_descending_order(const Csr& g);
 
-/// Exact descending-degree comparison order (full sort), used in tests to
-/// bound how far the linear-time binned order deviates from a true sort.
+/// Exact descending-degree order (a stable full sort: ties in id order).
+/// The dual cache's layout and pinned-hub order (cache_policy.cpp,
+/// cache/alloc.cpp, aggregation.cpp): a pinned region must hold the
+/// hottest vertices exactly, which the binned order only approximates.
 std::vector<VertexId> exact_degree_order(const Csr& g);
 
 /// Inverse of an order: position[v] = index of vertex v in `order`.

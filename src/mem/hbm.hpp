@@ -10,14 +10,14 @@
 // memory time is the maximum channel busy time since begin_epoch() —
 // channels work in parallel, requests on one channel serialize.
 //
-// Geometry: channels, banks per channel, burst bytes and bursts per row must
-// be powers of two (HBM2's 8 / 16 / 64 B / 2 KiB rows qualify), so the model
-// maps a burst to its channel, row and bank with shifts and masks, never a
+// Geometry: the part's channels, banks per channel, burst bytes and bursts
+// per row are powers of two (static_asserts below), so the model maps a
+// burst to its channel, row and bank with shifts and masks, never a
 // division. Busy time still accumulates one burst at a time, in each
 // channel's address order: floating-point addition is not associative, so
 // summing a row's bursts in closed form (n × service) would move
-// epoch_cycles() — 32 sequential additions of the default 2.6-cycle burst
-// give 83.19999999999997, the product 83.19999999999999.
+// epoch_cycles() — 32 sequential additions of the 2.6-cycle burst give
+// 83.19999999999997, the product 83.19999999999999.
 //
 // Settling: access() only counts bytes and bursts and queues the access.
 // The queue is charged to the channels (row hits and misses, busy time)
@@ -33,41 +33,49 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.hpp"
 
 namespace gnnie {
 
+/// The HBM 2.0 part of §VIII-A. Its parameters are fixed: the evaluation
+/// uses one part, and every cycle it returns is at kClockHz.
 struct HbmConfig {
-  double peak_bandwidth_bytes_per_s = 256.0e9;  ///< §VIII-A: 256 GB/s
-  /// Accelerator clock: DRAM time is returned in its cycles.
-  /// EngineConfig::validate requires it to equal EngineConfig::clock_hz.
-  double clock_hz = 1.3e9;
-  std::uint32_t channels = 8;
-  std::uint32_t banks_per_channel = 16;
-  std::uint32_t row_bytes = 2048;
-  std::uint32_t burst_bytes = 64;
+  static constexpr double peak_bandwidth_bytes_per_s = 256.0e9;  ///< §VIII-A: 256 GB/s
+  static constexpr std::uint32_t channels = 8;
+  static constexpr std::uint32_t banks_per_channel = 16;
+  static constexpr std::uint32_t row_bytes = 2048;
+  static constexpr std::uint32_t burst_bytes = 64;
   /// Extra cycles charged to the channel when a burst misses its bank's
   /// open row (activate + precharge, in accelerator cycles) after a
   /// non-sequential jump.
-  double row_miss_penalty = 24.0;
+  static constexpr double row_miss_penalty = 24.0;
   /// Residual miss cost on a *streaming* pattern (consecutive bursts):
   /// consecutive rows land in different banks, so the next activation
   /// overlaps with the current transfer and is almost free.
-  double streaming_miss_penalty = 2.0;
-  double energy_pj_per_bit = 3.97;  ///< [26]
+  static constexpr double streaming_miss_penalty = 2.0;
+  /// DRAM transfer energy [26], for HbmModel::energy and the energy model
+  /// (energy/energy_model.hpp) alike.
+  static constexpr double energy_pj_per_bit = 3.97;
 
   /// Transfer time of one burst on one channel, in accelerator cycles.
-  double burst_cycles() const;
-
-  /// Throws std::invalid_argument unless the geometry is power-of-two (see
-  /// the file comment), bandwidth and clock are finite and positive, the
-  /// penalties and energy are finite and non-negative, and one burst's
-  /// transfer time is finite. HbmModel and EngineConfig::validate call it.
-  void validate() const;
+  static constexpr double burst_cycles() {
+    return static_cast<double>(burst_bytes) /
+           (peak_bandwidth_bytes_per_s / static_cast<double>(channels) / kClockHz);
+  }
 };
+static_assert(std::is_empty_v<HbmConfig>, "the HBM part has no settable parameter");
+static_assert(std::has_single_bit(HbmConfig::channels) &&
+                  std::has_single_bit(HbmConfig::banks_per_channel),
+              "channels and banks per channel must be powers of two");
+static_assert(std::has_single_bit(HbmConfig::burst_bytes) &&
+                  HbmConfig::row_bytes % HbmConfig::burst_bytes == 0 &&
+                  std::has_single_bit(HbmConfig::row_bytes / HbmConfig::burst_bytes),
+              "bursts and bursts per row must be powers of two");
 
 /// Which on-chip buffer a DRAM transaction serves — the paper's energy
 /// breakdown (Fig. 14) reports DRAM traffic per buffer.
@@ -93,9 +101,9 @@ struct HbmStats {
 /// its const accessors: they settle queued accesses (see the file comment).
 class HbmModel {
  public:
-  explicit HbmModel(HbmConfig config = {});
-
-  const HbmConfig& config() const { return config_; }
+  /// HbmConfig carries no data; the parameter lets a caller build the model
+  /// from EngineConfig::hbm.
+  explicit HbmModel(HbmConfig = {});
 
   /// Starts a new overlap window; epoch_cycles() measures from here.
   void begin_epoch();
@@ -129,35 +137,23 @@ class HbmModel {
     std::uint32_t stream = 0;  // region × 2 + write
   };
   static constexpr std::size_t kMaxPending = 256;  // 6 KiB: the queue stays in L1
-
-  /// Charges the queued accesses to their channels (see the file comment).
-  void settle() const;
-
-  HbmConfig config_;
-  // Geometry as shifts and masks, and the three per-burst service times
-  // (row hit, streaming miss, jump miss), fixed at construction.
-  unsigned burst_shift_ = 0;        // log2(burst_bytes)
-  unsigned channel_shift_ = 0;      // log2(channels)
-  unsigned row_shift_ = 0;          // log2(bursts per row)
-  unsigned bank_shift_ = 0;         // log2(banks_per_channel)
-  std::uint32_t channel_mask_ = 0;  // channels - 1
-  std::uint32_t bank_mask_ = 0;     // banks_per_channel - 1
-  double hit_cycles_ = 0.0;
-  double streaming_miss_cycles_ = 0.0;
-  double jump_miss_cycles_ = 0.0;
-  // Everything settle() updates is mutable: the const accessors settle the
-  // queue before they answer.
-  mutable std::vector<PendingAccess> pending_;
-  mutable std::uint64_t pending_bursts_ = 0;
-  mutable std::vector<Bank> banks_;           // channels × banks_per_channel
-  mutable std::vector<double> channel_busy_;  // cycles within current epoch
   /// Streaming detection per (channel, address region): the memory-access
   /// scheduler (§III) batches requests per stream, so interleaved traffic
   /// from different regions (properties, adjacency, outputs …) does not
   /// break each stream's row locality. Regions follow DramLayout's 2^36
   /// spacing.
   static constexpr std::size_t kStreamSlots = 16;  // 8 regions × {read, write}
-  mutable std::vector<std::uint64_t> last_channel_burst_;
+
+  /// Charges the queued accesses to their channels (see the file comment).
+  void settle() const;
+
+  // Everything settle() updates is mutable: the const accessors settle the
+  // queue before they answer.
+  mutable std::vector<PendingAccess> pending_;
+  mutable std::uint64_t pending_bursts_ = 0;
+  mutable std::array<Bank, HbmConfig::channels * HbmConfig::banks_per_channel> banks_{};
+  mutable std::array<double, HbmConfig::channels> channel_busy_{};  // cycles this epoch
+  mutable std::array<std::uint64_t, HbmConfig::channels * kStreamSlots> last_channel_burst_;
   mutable HbmStats stats_;
 };
 

@@ -34,12 +34,6 @@ Cluster::Cluster(const CompiledModel& reference, FleetSpec spec)
   const EngineConfig& ref = model_.config();
   config_models_.reserve(spec_.configs.size());
   for (const FleetDieConfig& cfg : spec_.configs) {
-    // The clock is the simulation's one virtual-cycle domain: every die
-    // counts its service in reference cycles, so a die design cannot bring
-    // its own clock (the engine also counts DRAM cycles in HbmConfig's
-    // clock, which a rescale would leave behind).
-    GNNIE_REQUIRE(cfg.engine.clock_hz == ref.clock_hz,
-                  "fleet configs must match the reference clock_hz");
     // Warmth enablement and the coalescing width are serving-protocol
     // knobs, not die properties — a fleet mixing them would change what a
     // "service slot" means per die and silently skew comparisons.
@@ -199,7 +193,6 @@ class SimState {
     const std::size_t die_count = dies_.size();
     report_.dies = die_count;
     report_.scheduler = scheduler.name();
-    report_.clock_hz = cluster.model().config().clock_hz;
     report_.die_busy_cycles.assign(die_count, 0);
     report_.warmth_enabled = warmth_on_;
     report_.die_requests.assign(die_count, 0);

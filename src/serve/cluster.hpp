@@ -4,11 +4,11 @@
 // Each die is an independent engine instance sharing the immutable compiled
 // state of its config's CompiledModel (runs are stateless by construction,
 // so dies never interfere). The simulation is entirely in *modeled* time,
-// in one clock domain: every die runs at the reference config's clock_hz
-// (the fleet constructor rejects any other), so a request's service time is
-// its InferenceReport::total_cycles — the same number a lone run() on its
-// die's config would report — and queueing delay accrues in those cycles
-// between its open-loop arrival and its service start.
+// in one clock domain: every die and its HBM run at kClockHz
+// (common/units.hpp), so a request's service time is its
+// InferenceReport::total_cycles — the same number a lone run() on its die's
+// config would report — and queueing delay accrues in those cycles between
+// its open-loop arrival and its service start.
 //
 // Event loop. Each simulate() call builds one SimState (private to
 // cluster.cpp) that owns the call's state and names the loop's operations:
@@ -121,10 +121,10 @@
 // compiled model built that plan, and re-plans the request's graph
 // otherwise; sampled (GraphSAGE) plans cannot be re-planned (sampling is
 // fresh per plan() call), so they serve on the homogeneous constructor
-// only. The clock, warmth enablement, max_coalesce, pipeline enablement,
-// and the plan-variant widths must match the reference config across the
-// fleet (they define the time base and what a service slot means, not a
-// die's design), so one variant family serves every die; residency budgets
+// only. Warmth enablement, max_coalesce, pipeline enablement and the
+// plan-variant widths must match the reference config across the fleet
+// (they define what a service slot means, not a die's design), so one
+// variant family serves every die; residency budgets
 // may differ per die, and the plan-swap penalty and variant setup are
 // fixed constants. A homogeneous FleetSpec over the reference config is
 // bit-exact with the Cluster(model, dies) constructor.
@@ -180,9 +180,8 @@ class Cluster {
   /// Engine does not propagate to fleet configs. Sampled (GraphSAGE) plans
   /// are rejected at simulate() time with std::invalid_argument.
   /// Throws unless the spec validates and every config matches the
-  /// reference's clock_hz (the simulation's one clock domain), warmth
-  /// enablement, max_coalesce, pipeline enablement, and plan-variant widths
-  /// (all serving-protocol knobs).
+  /// reference's warmth enablement, max_coalesce, pipeline enablement, and
+  /// plan-variant widths (all serving-protocol knobs).
   Cluster(const CompiledModel& reference, FleetSpec spec);
 
   std::size_t die_count() const { return die_count_; }

@@ -40,8 +40,8 @@ namespace gnnie::serve {
 /// warm-discounted charge — warm fractions vary per service and are applied
 /// outside the cache (cost.warm_total(f) at service start), so warm and
 /// cold services of the same request are charged differently even though
-/// they share this entry. All cycles are at the config's clock_hz, which a
-/// serving fleet pins to the reference clock.
+/// they share this entry. All cycles are at kClockHz, the one clock of
+/// every die.
 struct CostEntry {
   /// The plan the costed run used: the request's own plan when the config's
   /// compiled model built it, else the per-config re-plan of its graph

@@ -10,11 +10,12 @@
 // can share a handful of configs without duplicating them.
 //
 // The cluster compiles the model once per distinct config and keys its
-// service memo by (config, plan fingerprint, features): the same request
-// costs differently per die design, which is exactly what the schedulers'
-// per-(die, request) RequestEstimate vector carries. Every config runs at
-// the reference model's clock_hz (the cluster rejects any other), so the
-// simulation stays in one virtual-cycle domain.
+// service memo by (config, plan address, features address)
+// (serve/cost_cache.hpp): the same request costs differently per die
+// design, which is exactly what the schedulers' per-(die, request)
+// RequestEstimate vector carries. Two plans of one graph are two keys, so
+// they are costed twice. Every die runs at kClockHz (common/units.hpp), so
+// the simulation stays in one virtual-cycle domain.
 //
 // The homogeneous Cluster(model, dies) constructor is itself a one-config
 // fleet (FleetSpec::homogeneous); a homogeneous FleetSpec over the

@@ -652,6 +652,7 @@ TEST(Aggregation, ReportsMatchRecordedValues) {
     AggregationEngine(c.config, &hbm).run(task, &rep);
     const std::vector<std::uint64_t> got = counters_of(rep, hbm.stats());
     EXPECT_EQ(got, c.want) << c.name << " now reports " << test::brace_list(got);
+    EXPECT_EQ(rep.macs, rep.accum_ops * hw.cols()) << c.name;
     swept = swept || rep.livelock_sweep;
     escalations += rep.gamma_escalations;
     spills += rep.partial_spills;

@@ -3,6 +3,9 @@
 // counts, feature sparsity, heavy-tailed degrees, determinism).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "datasets/spec.hpp"
 #include "datasets/synthetic.hpp"
 #include "graph/stats.hpp"
@@ -194,6 +197,44 @@ TEST(Generate, FeatureNnzIsBimodal) {
   EXPECT_GT(region_a, region_b);          // A is the bigger mode (2/3 weight)
   EXPECT_GT(region_b, 0);                 // B exists
   EXPECT_LT(between, region_a + region_b);  // valley between modes
+}
+
+// FNV-1a over every row's nonzero count, indices and value bits.
+std::uint64_t features_fingerprint(const SparseMatrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  for (std::size_t r = 0; r < m.row_count(); ++r) {
+    const SparseRow& row = m.row(r);
+    mix(row.nnz());
+    for (std::uint32_t i : row.indices()) mix(i);
+    for (float x : row.values()) mix(std::bit_cast<std::uint32_t>(x));
+  }
+  return h;
+}
+
+// Pins feature synthesis across commits, the way
+// GraphsMatchRecordedFingerprints pins the graphs: a change to the nnz
+// mixture, the index draw or the value draw fails here.
+TEST(Generate, FeaturesMatchRecordedFingerprints) {
+  struct Case {
+    DatasetId id;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {DatasetId::kCora, 0x086109f031073a05ull},   {DatasetId::kCiteseer, 0xbb8e92b7807d8a77ull},
+      {DatasetId::kPubmed, 0x411ee3a3d9cded4eull}, {DatasetId::kPpi, 0xb78e3fe4a39096c0ull},
+      {DatasetId::kReddit, 0x3e47e80556da7fd2ull},
+  };
+  for (const Case& c : cases) {
+    const DatasetSpec spec = spec_of(c.id).scaled(0.01);
+    EXPECT_EQ(features_fingerprint(generate_features(spec, 1)), c.fingerprint)
+        << spec.short_name << " now hashes to 0x" << std::hex
+        << features_fingerprint(generate_features(spec, 1));
+  }
 }
 
 TEST(Generate, FeaturesDeterministicInSeed) {

@@ -126,6 +126,32 @@ TEST(Engine, DiffPoolReportsEmbedPoolAndCoarsen) {
   EXPECT_EQ(res.output.rows(), f.model.pool_clusters);
 }
 
+// total_macs counts each aggregation at the width it ran: DiffPool's last
+// pool layer and its coarsening pass aggregate pool_clusters-wide rows,
+// narrower than the 128-wide output.
+TEST(Engine, DiffPoolCountsEachAggregationAtItsOwnWidth) {
+  const Dataset d = generate_dataset(DatasetId::kCora, 1.0, 1);
+  ModelConfig model;
+  model.kind = GnnKind::kDiffPool;
+  model.input_dim = d.spec.feature_length;
+  model.pool_clusters = 32;
+  const InferenceReport rep =
+      test::run_once(Engine(EngineConfig::paper_default(false)), model,
+                     init_weights(model, 42), d.graph, d.features)
+          .report;
+  // 2 embed + 2 pool + 1 coarsen; the last two aggregate 32 wide.
+  const std::uint64_t widths[] = {128, 128, 128, 32, 32};
+  ASSERT_EQ(rep.layers.size(), std::size(widths));
+  std::uint64_t stages = 0;
+  for (std::size_t l = 0; l < rep.layers.size(); ++l) {
+    const LayerReport& lr = rep.layers[l];
+    stages += lr.weighting.macs + (lr.mlp2 ? lr.mlp2->macs : 0) +
+              lr.aggregation.accum_ops * widths[l];
+  }
+  EXPECT_EQ(rep.total_macs, stages);
+  EXPECT_EQ(rep.total_macs, 58'829'984u);
+}
+
 TEST(Engine, OptimizationsReduceInferenceCycles) {
   ModelFixture f(GnnKind::kGcn, 0.15, 64);
   EngineConfig all_on = EngineConfig::paper_default(false);

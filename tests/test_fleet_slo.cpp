@@ -143,13 +143,6 @@ TEST(FleetCluster, RejectsMismatchedServingKnobsAndSampledPlans) {
   FleetSpec batched = FleetSpec::homogeneous(EngineConfig::paper_default(false), 2);
   batched.configs[0].engine.batching.max_coalesce = 4;
   EXPECT_THROW(Cluster(f.compiled, batched), std::invalid_argument);
-  // One clock domain: a die design cannot bring its own clock, even one
-  // whose HBM model runs at that clock too (a valid config on its own).
-  FleetSpec fast = FleetSpec::homogeneous(EngineConfig::paper_default(false), 2);
-  fast.configs[0].engine.clock_hz = 2.6e9;  // reference runs at 1.3e9
-  fast.configs[0].engine.hbm.clock_hz = 2.6e9;
-  EXPECT_NO_THROW(fast.validate());
-  EXPECT_THROW(Cluster(f.compiled, fast), std::invalid_argument);
 }
 
 // --- Deadline traces ---

@@ -90,7 +90,6 @@ ServingReport make_serving_report() {
   ServingReport rep;
   rep.dies = 2;
   rep.scheduler = "fifo";
-  rep.clock_hz = 1.3e9;
   rep.makespan = 400;
   rep.die_busy_cycles = {300, 100};
   for (std::size_t i = 0; i < 3; ++i) {

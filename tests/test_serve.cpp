@@ -419,7 +419,6 @@ TEST(ServeCluster, FleetSpecClusterRejectsSampledGraphSagePlans) {
 TEST(ServeReport, RollupMathIsExact) {
   ServingReport rep;
   rep.dies = 2;
-  rep.clock_hz = 1e9;
   rep.die_busy_cycles = {60, 20};
   rep.makespan = 100;
   // Four requests: latencies 10, 20, 30, 40; queueing 0, 5, 10, 15.
@@ -440,7 +439,7 @@ TEST(ServeReport, RollupMathIsExact) {
   EXPECT_DOUBLE_EQ(rep.mean_queue_depth(), (0.0 + 5.0 + 10.0 + 15.0) / 100.0);
   EXPECT_DOUBLE_EQ(rep.die_utilization(0), 0.6);
   EXPECT_DOUBLE_EQ(rep.die_utilization(1), 0.2);
-  EXPECT_DOUBLE_EQ(rep.throughput_per_second(), 4.0 / (100.0 / 1e9));
+  EXPECT_DOUBLE_EQ(rep.throughput_per_second(), 4.0 / (100.0 / kClockHz));
   EXPECT_THROW(rep.latency_percentile(0.0), std::invalid_argument);
   EXPECT_THROW(rep.die_utilization(2), std::invalid_argument);
 

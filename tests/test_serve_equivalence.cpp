@@ -72,13 +72,11 @@ class ReferenceCluster {
       : model_(reference), die_count_(dies) {
     spec_ = FleetSpec::homogeneous(model_.config(), dies);
     die_config_.assign(dies, 0);
-    config_scale_.assign(1, 1.0);
   }
 
   ReferenceCluster(const CompiledModel& reference, FleetSpec spec)
       : model_(reference), die_count_(spec.die_count()), spec_(std::move(spec)) {
     spec_.validate();
-    const EngineConfig& ref = model_.config();
     for (const FleetDieConfig& cfg : spec_.configs) {
       std::shared_ptr<const CachePolicy> policy;
       if (cfg.cache_policy.has_value()) {
@@ -86,7 +84,6 @@ class ReferenceCluster {
       }
       config_models_.push_back(
           Engine(cfg.engine, std::move(policy)).compile(model_.model(), model_.weights()));
-      config_scale_.push_back(ref.clock_hz / cfg.engine.clock_hz);
     }
     die_config_ = spec_.assignment;
   }
@@ -116,7 +113,6 @@ class ReferenceCluster {
   FleetSpec spec_;
   std::vector<CompiledModel> config_models_;
   std::vector<std::size_t> die_config_;
-  std::vector<double> config_scale_;
 };
 
 ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
@@ -131,7 +127,6 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
   ServingReport report;
   report.dies = die_count_;
   report.scheduler = scheduler.name();
-  report.clock_hz = config.clock_hz;
   report.die_busy_cycles.assign(die_count_, 0);
   report.warmth_enabled = wcfg.enabled;
   report.die_requests.assign(die_count_, 0);
@@ -152,11 +147,6 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
     report.requests[i].deadline = arrivals[i].deadline;
   }
 
-  auto scale_cycles = [&](Cycles cycles, std::size_t cfg) -> Cycles {
-    const double s = config_scale_[cfg];
-    if (s == 1.0) return cycles;
-    return static_cast<Cycles>(std::llround(static_cast<double>(cycles) * s));
-  };
   auto config_engine = [&](std::size_t cfg) -> const EngineConfig& {
     return fleet ? spec_.configs[cfg].engine : config;
   };
@@ -214,13 +204,10 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
         RequestEstimate est;
         est.fingerprint = fp;
         est.working_set_bytes = cost.working_set;
-        est.cost.cold_cycles = scale_cycles(cost.cold, cfg);
-        est.cost.warm_cycles =
-            wcfg.enabled ? scale_cycles(cost.warm_full, cfg) : est.cost.cold_cycles;
-        est.cost.swap_penalty_cycles =
-            wcfg.enabled ? scale_cycles(kPlanSwapPenaltyCycles, cfg) : 0;
-        est.cost.batch_saving_cycles =
-            max_coalesce > 1 ? scale_cycles(cost.follower_saving, cfg) : 0;
+        est.cost.cold_cycles = cost.cold;
+        est.cost.warm_cycles = wcfg.enabled ? cost.warm_full : est.cost.cold_cycles;
+        est.cost.swap_penalty_cycles = wcfg.enabled ? kPlanSwapPenaltyCycles : 0;
+        est.cost.batch_saving_cycles = max_coalesce > 1 ? cost.follower_saving : 0;
         config_estimates[cfg] = est;
         config_ready[cfg] = 1;
       }
@@ -315,13 +302,13 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
       if (i > 0) {
         const Cycles charged =
             batch_member_charge(service, cost.follower_saving, /*follower=*/true);
-        report.weighting_cycles_saved += scale_cycles(service - charged, cfg);
+        report.weighting_cycles_saved += service - charged;
         service = charged;
       }
       ++report.die_requests[d];
       rec.die = d;
       rec.start = at;
-      rec.finish = at + scale_cycles(service, cfg);
+      rec.finish = at + service;
       rec.group_size = static_cast<std::uint32_t>(group.size());
       at = rec.finish;
     }
