@@ -267,15 +267,75 @@ class Ledger {
   std::vector<std::uint64_t> cpe_load_;
 };
 
+/// Subgraph mode's edge discovery, one slot per CSR entry. `processed`
+/// flags an entry once its edge is done. Undirected tasks process an edge
+/// once for both of its entries and find the second through `mirror`: for
+/// the entry u→w, u's index in w's list. Each vertex keeps the local indices
+/// of its entries still pending at its last walk, ascending, in
+/// live[offset(v), offset(v) + live_len[v]), so a walk rescans only those.
+struct EdgeDiscovery {
+  std::vector<std::uint8_t> processed;
+  std::vector<std::uint32_t> mirror;
+  std::vector<std::uint32_t> live;
+  std::vector<std::uint32_t> live_len;
+
+  EdgeDiscovery(const Csr& g, bool directed)
+      : processed(g.edge_count(), 0), live(g.edge_count()), live_len(g.vertex_count()) {
+    const auto off = g.offsets();
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      std::iota(live.begin() + static_cast<std::ptrdiff_t>(off[v]),
+                live.begin() + static_cast<std::ptrdiff_t>(off[v + 1]), std::uint32_t{0});
+      live_len[v] = g.degree(v);
+    }
+    if (directed) return;
+    // Sources are visited in ascending order, so on a symmetric adjacency
+    // with ascending lists they fill each list in order, one cursor per
+    // vertex; the pass checks that the list holds them there. A self-loop
+    // would be its own mirror and count twice against one α slot.
+    const auto nbr = g.neighbor_array();
+    mirror.resize(g.edge_count());
+    std::vector<std::uint32_t> cursor(g.vertex_count(), 0);
+    for (VertexId u = 0; u < g.vertex_count(); ++u) {
+      for (EdgeId e = off[u]; e < off[u + 1]; ++e) {
+        const VertexId w = nbr[e];
+        const std::uint32_t pos = cursor[w]++;
+        GNNIE_REQUIRE(w != u && pos < g.degree(w) && nbr[off[w] + pos] == u,
+                      "undirected aggregation needs a symmetric adjacency with ascending "
+                      "neighbor lists and no self-loops");
+        mirror[e] = pos;
+      }
+    }
+  }
+
+  /// Audit-only: every live list is strictly ascending and lists each
+  /// entry of its vertex that is not yet processed.
+  [[maybe_unused]] bool live_lists_hold(const Csr& g) const {
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      const EdgeId base = g.offsets()[v];
+      std::uint32_t k = 0;
+      for (std::uint32_t i = 0; i < g.degree(v); ++i) {
+        if (k < live_len[v] && live[base + k] == i) {
+          ++k;
+        } else if (processed[base + i] == 0) {
+          return false;
+        }
+      }
+      if (k != live_len[v]) return false;
+    }
+    return true;
+  }
+};
+
 /// Audit-only (GNNIE_AUDIT): the subgraph bookkeeping matches a recount —
 /// Σα and Σ block_remaining equal the remaining edge work, set occupancy
-/// matches the cached vertices, and neither buffer's slots overflow.
+/// matches the cached vertices, neither buffer's slots overflow, and no
+/// live list has lost a pending entry.
 [[maybe_unused]] bool subgraph_bookkeeping_holds(
     const std::vector<std::uint32_t>& alpha, const std::vector<std::uint64_t>& block_remaining,
     std::uint64_t remaining_edge_work, const std::vector<VertexId>& cached,
     const std::vector<std::uint32_t>& set_count, const std::vector<VertexId>& position,
     bool set_associative, std::uint64_t capacity, std::uint64_t partials_on_chip,
-    std::uint64_t partial_slots) {
+    std::uint64_t partial_slots, const EdgeDiscovery& edges, const Csr& g) {
   std::vector<std::uint32_t> recount(set_count.size(), 0);
   if (set_associative) {
     for (VertexId v : cached) ++recount[(position[v] / kCacheBlockVertices) % recount.size()];
@@ -283,7 +343,8 @@ class Ledger {
   return std::accumulate(alpha.begin(), alpha.end(), std::uint64_t{0}) == remaining_edge_work &&
          std::accumulate(block_remaining.begin(), block_remaining.end(), std::uint64_t{0}) ==
              remaining_edge_work &&
-         recount == set_count && cached.size() <= capacity && partials_on_chip <= partial_slots;
+         recount == set_count && cached.size() <= capacity && partials_on_chip <= partial_slots &&
+         edges.live_lists_hold(g);
 }
 
 }  // namespace
@@ -362,6 +423,7 @@ Matrix AggregationEngine::run(const AggregationTask& task, AggregationReport* re
   GNNIE_REQUIRE(task.graph != nullptr && task.hw != nullptr, "task needs graph and features");
   GNNIE_REQUIRE(task.hw->rows() == task.graph->vertex_count(),
                 "feature rows must match vertex count");
+  GNNIE_REQUIRE(task.hw->cols() > 0, "features need at least one column");
   if (task.kind == AggKind::kGatSoftmax) {
     const std::size_t want =
         static_cast<std::size_t>(task.graph->vertex_count()) * task.gat_heads;
@@ -399,6 +461,7 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
                                      FunctionalState& state, AggregationReport& rep) {
   const Csr& g = *task.graph;
   const VertexId v_count = g.vertex_count();
+  EdgeDiscovery edges(g, task.directed);
 
   // Preprocessing (§VI): the DRAM layout order comes from the cache policy
   // — descending-degree-bin order for CP, plain ID order for the §VIII-E
@@ -441,7 +504,6 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
   std::vector<std::uint64_t> block_remaining(block_count, 0);
   for (VertexId v = 0; v < v_count; ++v) block_remaining[position[v] / block_v] += alpha[v];
 
-  std::vector<bool> edge_processed(g.edge_count(), false);
   std::vector<bool> in_cache(v_count, false);
   std::vector<bool> spilled(v_count, false);
   std::vector<bool> partial_held_on_chip(v_count, false);  // evicted, partial retained
@@ -601,7 +663,7 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
           GNNIE_AUDIT_ASSERT(
               subgraph_bookkeeping_holds(alpha, block_remaining, remaining_edge_work, cached,
                                          set_count, position, assoc > 0, n, partials_on_chip,
-                                         partial_slots),
+                                         partial_slots, edges, g),
               "subgraph bookkeeping diverged from a recount at a Round boundary");
         }
         return v;
@@ -621,24 +683,31 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
 
   // Processes every unprocessed edge at u whose other endpoint `admit`
   // accepts: the main loop admits cached endpoints, the livelock sweep
-  // pulls each one on demand.
+  // pulls each one on demand. u's live list keeps, in order, the entries
+  // `admit` rejected and drops the rest.
+  const auto offsets = g.offsets();
+  const auto neighbors = g.neighbor_array();
   auto walk_edges = [&](VertexId u, auto&& admit) {
-    const EdgeId base = g.offsets()[u];
-    auto nb = g.neighbors(u);
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const VertexId w = nb[i];
-      const EdgeId eid = base + static_cast<EdgeId>(i);
-      if (edge_processed[eid] || !admit(w)) continue;
-      edge_processed[eid] = true;
+    const EdgeId base = offsets[u];
+    std::uint32_t* pending = edges.live.data() + base;
+    const std::uint32_t len = edges.live_len[u];
+    std::uint32_t kept = 0;
+    for (std::uint32_t k = 0; k < len; ++k) {
+      const std::uint32_t i = pending[k];
+      const EdgeId eid = base + i;
+      if (edges.processed[eid] != 0) continue;
+      const VertexId w = neighbors[eid];
+      if (!admit(w)) {
+        pending[kept++] = i;
+        continue;
+      }
+      edges.processed[eid] = 1;
       // u→w in CSR means w feeds u; undirected, it feeds both ways.
       state.contribute(task, u, w);
       ledger.accumulate(u);
       if (!task.directed) {
         // Mark the mirrored entry so the pair is processed once.
-        auto wn = g.neighbors(w);
-        const auto rit = std::lower_bound(wn.begin(), wn.end(), u);
-        GNNIE_ASSERT(rit != wn.end() && *rit == u, "undirected graph must be symmetric");
-        edge_processed[g.offsets()[w] + static_cast<EdgeId>(rit - wn.begin())] = true;
+        edges.processed[offsets[w] + edges.mirror[eid]] = 1;
         state.contribute(task, w, u);
         ledger.accumulate(w);
       }
@@ -646,13 +715,14 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
       decrement_alpha(u);
       decrement_alpha(w);
     }
+    edges.live_len[u] = kept;
     if (task.directed) {
       // Edges x→u discovered from u's side via the reverse adjacency.
       for (EdgeId ri = rev->offsets[u]; ri < rev->offsets[u + 1]; ++ri) {
         const VertexId x = rev->sources[ri];
         const EdgeId eid = rev->forward_index[ri];
-        if (edge_processed[eid] || !admit(x)) continue;
-        edge_processed[eid] = true;
+        if (edges.processed[eid] != 0 || !admit(x)) continue;
+        edges.processed[eid] = 1;
         state.contribute(task, x, u);
         ledger.accumulate(x);
         ++rep.edges_processed;
@@ -686,6 +756,7 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
   std::uint64_t prev_rounds = rep.rounds;
   std::uint64_t round_progress = 0;
   bool livelocked = false;
+  std::vector<VertexId> candidates;
 
   while (remaining_edge_work > 0 && !livelocked) {
     GNNIE_ASSERT(rep.iterations < max_iterations, "aggregation failed to converge");
@@ -715,16 +786,20 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
       // vertices (α = 0) are dead weight and leave first; in-progress
       // candidates (0 < α < γ) follow, each tier in dictionary order.
       // Livelock at pathological γ is handled by the relief pulses and the
-      // fallback sweep. ---
-      std::vector<VertexId> candidates;
+      // fallback sweep. Ids are unique, so the first r of a partial sort
+      // are the first r of a full one. ---
+      candidates.clear();
       for (VertexId v : cached) {
         if (alpha[v] < gamma) candidates.push_back(v);
       }
-      std::sort(candidates.begin(), candidates.end(), [&](VertexId a, VertexId b) {
-        const bool a_done = alpha[a] == 0;
-        const bool b_done = alpha[b] == 0;
-        return a_done != b_done ? a_done : a < b;
-      });
+      const std::size_t r = std::min<std::size_t>(r_max, candidates.size());
+      std::partial_sort(candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(r),
+                        candidates.end(), [&](VertexId a, VertexId b) {
+                          const bool a_done = alpha[a] == 0;
+                          const bool b_done = alpha[b] == 0;
+                          return a_done != b_done ? a_done : a < b;
+                        });
+      candidates.resize(r);
       if (candidates.empty() && edges_this_iteration == 0) {
         // Deadlock (§VI): no evictable vertex and no progress.
         ++rep.gamma_escalations;
@@ -746,7 +821,6 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
         }
         rep.final_gamma = std::max(rep.final_gamma, gamma);
       } else {
-        if (candidates.size() > r_max) candidates.resize(r_max);
         for (VertexId v : candidates) evict_vertex(v);
         std::erase_if(cached, [&](VertexId v) { return !in_cache[v]; });
 
@@ -762,7 +836,7 @@ void AggregationEngine::run_subgraph(const AggregationTask& task, const CachePol
   }
   GNNIE_AUDIT_ASSERT(subgraph_bookkeeping_holds(alpha, block_remaining, remaining_edge_work,
                                                 cached, set_count, position, assoc > 0, n,
-                                                partials_on_chip, partial_slots),
+                                                partials_on_chip, partial_slots, edges, g),
                      "subgraph bookkeeping diverged from a recount at loop exit");
 
   if (remaining_edge_work > 0) {

@@ -16,6 +16,19 @@
 // through the same edge walk, pulling each endpoint on demand instead of
 // requiring it cached (random DRAM reads, reported as such).
 //
+// Edge discovery in subgraph mode: a walk of vertex u visits only u's
+// *live list*, the CSR entries still pending at u's last walk (ascending),
+// drops those it finds processed and keeps those whose other endpoint is
+// not cached, so a refetched vertex rescans only its pending work. An
+// undirected edge is processed once, from whichever endpoint is walked
+// first, and its second CSR entry is marked through a per-run mirror
+// index (for the entry u→w, u's index in w's list). Undirected subgraph
+// tasks therefore need a symmetric adjacency with ascending neighbor
+// lists and no self-loops (the engine adds each vertex's self term
+// itself); the run checks this while building the index and throws
+// std::invalid_argument otherwise. Directed tasks discover x→u from u's
+// side through the ReverseAdjacency.
+//
 // On-demand mode (on-demand, dual-cache and belady-oracle policies):
 // vertices are processed in ID order and each vertex pulls its neighbors' ηw
 // on demand through a cache::ReplacementBuffer built from the policy's

@@ -86,15 +86,10 @@ Matrix WeightingEngine::run(const SparseMatrix& h, const Matrix& w, WeightingRep
   grid.k = geom.k;
   grid.blocks_per_vertex = geom.blocks_per_vertex;
   grid.vertices = h.row_count();
-  grid.z.resize(grid.vertices * grid.blocks_per_vertex);
+  grid.z.assign(grid.vertices * grid.blocks_per_vertex, 0);
   for (std::size_t v = 0; v < grid.vertices; ++v) {
-    const SparseRow& row = h.row(v);
-    for (std::uint32_t b = 0; b < grid.blocks_per_vertex; ++b) {
-      const std::uint32_t lo = b * grid.k;
-      const std::uint32_t hi =
-          std::min<std::uint32_t>(lo + grid.k, static_cast<std::uint32_t>(f_in));
-      grid.z[v * grid.blocks_per_vertex + b] = row.nnz_in_range(lo, hi);
-    }
+    std::uint32_t* z = grid.z.data() + v * grid.blocks_per_vertex;
+    for (std::uint32_t idx : h.row(v).indices()) ++z[idx / grid.k];
   }
 
   const std::uint64_t nnz = h.total_nnz();

@@ -4,6 +4,13 @@
 // (per-vertex start into the coordinate array) and a coordinate array
 // (neighbor lists). The property array (weighted vertex features ηw, plus
 // {e_i1, e_i2} for GATs) lives with the engine, not here.
+//
+// The constructor checks the offsets and the id range only. GraphBuilder
+// (and read_edge_list, which builds through it) emits each neighbor list
+// sorted ascending without duplicates, and a symmetric adjacency when
+// asked to symmetrize; read_binary takes the arrays as stored and checks
+// neither order nor symmetry. Undirected subgraph aggregation needs both,
+// and no self-loops, and rejects a graph without them.
 #pragma once
 
 #include <cstdint>

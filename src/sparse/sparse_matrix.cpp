@@ -1,6 +1,6 @@
 #include "sparse/sparse_matrix.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/require.hpp"
 
@@ -37,12 +37,6 @@ std::vector<float> SparseRow::to_dense() const {
 double SparseRow::sparsity() const {
   if (length_ == 0) return 1.0;
   return 1.0 - static_cast<double>(nnz()) / static_cast<double>(length_);
-}
-
-std::uint32_t SparseRow::nnz_in_range(std::uint32_t lo, std::uint32_t hi) const {
-  auto first = std::lower_bound(indices_.begin(), indices_.end(), lo);
-  auto last = std::lower_bound(indices_.begin(), indices_.end(), hi);
-  return static_cast<std::uint32_t>(last - first);
 }
 
 SparseMatrix::SparseMatrix(std::vector<SparseRow> rows, std::uint32_t cols)

@@ -26,11 +26,6 @@ class SparseRow {
   std::span<const std::uint32_t> indices() const { return indices_; }
   std::span<const float> values() const { return values_; }
 
-  /// Nonzeros with index in [lo, hi) — the per-block workload that the
-  /// weighting scheduler bins (§IV-C). Indices are sorted so this is a
-  /// binary-search range count.
-  std::uint32_t nnz_in_range(std::uint32_t lo, std::uint32_t hi) const;
-
  private:
   std::vector<std::uint32_t> indices_;  // strictly increasing
   std::vector<float> values_;

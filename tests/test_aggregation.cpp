@@ -5,6 +5,7 @@
 // the sequential-vs-random DRAM contrast against the ID-order baseline.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -389,6 +390,26 @@ TEST(Aggregation, RejectsMissingInputs) {
   AggregationTask task;  // null graph/hw
   EXPECT_THROW(eng.run(task), std::invalid_argument);
   EXPECT_THROW(AggregationEngine(cfg, nullptr), std::invalid_argument);
+
+  // Zero-width features: no partial has a size to budget the output
+  // buffer by.
+  const Csr g = GraphBuilder(4).add_edge(0, 1).add_edge(1, 2).add_edge(2, 3).symmetrize().build();
+  const Matrix empty_rows(4, 0);
+  task.graph = &g;
+  task.hw = &empty_rows;
+  EXPECT_THROW(eng.run(task), std::invalid_argument);
+
+  // Undirected subgraph aggregation needs a symmetric adjacency with
+  // ascending lists and no self-loops: a one-way edge 0→1, a descending
+  // list at 0, a self-loop at 0.
+  const Matrix hw = random_dense(3, 4, 7);
+  for (const Csr& bad : {Csr({0, 1, 2, 3}, {1, 2, 1}), Csr({0, 2, 3, 4}, {2, 1, 0, 0}),
+                         Csr({0, 2, 3, 3}, {0, 1, 0})}) {
+    AggregationTask t;
+    t.graph = &bad;
+    t.hw = &hw;
+    EXPECT_THROW(eng.run(t), std::invalid_argument);
+  }
 }
 
 TEST(Aggregation, GatRequiresAttentionPartials) {
@@ -526,11 +547,23 @@ std::vector<std::uint64_t> counters_of(const AggregationReport& r, const HbmStat
           s.accesses};
 }
 
+// FNV-1a over the bits of every float of `m`, row-major.
+std::uint64_t float_bits_hash(const Matrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (float x : m.data()) {
+    const auto bits = std::bit_cast<std::uint32_t>(x);
+    for (int byte = 0; byte < 4; ++byte) h = (h ^ ((bits >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
 // Pins the modeled output of every cache mode and of each branch the
 // cycle and DRAM accounting takes (GAT's SFU work, directed edges, the
 // per-CPE charge without load balancing, γ relief, set conflicts and the
 // livelock sweep they lead to, spilled partials) to values recorded from
-// the engine, so a refactor of the accounting must keep every number.
+// the engine, so a refactor of the accounting must keep every number. The
+// output hash pins the float bits of the aggregated matrix too, so the
+// order in which contributions reach each row must hold as well.
 TEST(Aggregation, ReportsMatchRecordedValues) {
   const Dataset d = tiny_cora();
   const VertexId v_count = d.graph.vertex_count();
@@ -576,69 +609,89 @@ TEST(Aggregation, ReportsMatchRecordedValues) {
     const EngineConfig& config;
     CachePolicyKind policy;
     std::vector<std::uint64_t> want;
+    std::uint64_t output_bits;  // float_bits_hash of the aggregated matrix
   };
   const Case cases[] = {
       {"gcn degree-aware", gcn, base, CachePolicyKind::kDegreeAware,
        {109, 4509, 4509, 29, 2, 791, 1582, 0, 1556, 0, 115712, 68288, 336, 70, 0, 0, 0, 0, 0, 0,
-        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556}},
+        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556},
+       0xaf3e23444892378dull},
       {"gcn id-order", gcn, base, CachePolicyKind::kIdOrder,
        {176, 5227, 5227, 41, 3, 791, 1582, 0, 1988, 0, 138756, 90756, 480, 214, 0, 0, 0, 0, 0, 0,
-        0, 5, 100, 1, 3, 543, 161984, 76800, 3731, 2591, 1140, 192704, 46080, 0, 1988}},
+        0, 5, 100, 1, 3, 543, 161984, 76800, 3731, 2591, 1140, 192704, 46080, 0, 1988},
+       0x96ec0e719412cf61ull},
       {"gcn on-demand", gcn, base, CachePolicyKind::kOnDemand,
        {69, 8500, 8500, 5, 1, 1582, 1582, 0, 2974, 954, 260688, 208720, 0, 0, 1988, 704, 0, 0, 0,
-        0, 0, 0, 100, 2, 0, 0, 356224, 51968, 6378, 3672, 2706, 356224, 51968, 0, 2974}},
+        0, 0, 0, 100, 2, 0, 0, 356224, 51968, 6378, 3672, 2706, 356224, 51968, 0, 2974},
+       0x7f8096a8be54c9a3ull},
       {"gcn set-aware", gcn, base, CachePolicyKind::kSetAware,
        {161, 5093, 5093, 34, 2, 791, 1582, 0, 1742, 0, 125492, 77828, 396, 133, 0, 0, 0, 0, 0, 0,
-        0, 5, 100, 3, 2, 574, 138432, 71424, 3279, 2182, 1097, 163776, 46080, 0, 1742}},
+        0, 5, 100, 3, 2, 574, 138432, 71424, 3279, 2182, 1097, 163776, 46080, 0, 1742},
+       0xd5e9f80f5467bc51ull},
       {"gcn dual-cache", gcn, base, CachePolicyKind::kDualCache,
        {69, 6843, 6843, 5, 1, 1582, 1582, 0, 2346, 564, 200128, 148160, 0, 0, 1988, 1118, 0, 100,
-        0, 0, 0, 0, 100, 4, 0, 0, 259904, 51968, 4873, 2511, 2362, 259904, 51968, 0, 2346}},
+        0, 0, 0, 0, 100, 4, 0, 0, 259904, 51968, 4873, 2511, 2362, 259904, 51968, 0, 2346},
+       0x7f8096a8be54c9a3ull},
       {"gcn belady-oracle", gcn, base, CachePolicyKind::kBeladyOracle,
        {69, 5905, 5905, 5, 1, 1582, 1582, 0, 1924, 507, 169620, 117652, 0, 0, 1988, 1229, 0, 0, 0,
-        0, 0, 0, 100, 5, 0, 0, 204224, 51968, 4003, 2005, 1998, 204224, 51968, 0, 1924}},
+        0, 0, 0, 100, 5, 0, 0, 204224, 51968, 4003, 2005, 1998, 204224, 51968, 0, 1924},
+       0x7f8096a8be54c9a3ull},
       {"gat 2 heads", gat, base, CachePolicyKind::kDegreeAware,
        {583, 5289, 5289, 36, 2, 791, 1582, 14684, 1685, 0, 126044, 78424, 385, 110, 0, 0, 0, 0, 0,
-        0, 0, 5, 95, 0, 2, 744, 136192, 70720, 3233, 2093, 1140, 160832, 46080, 0, 1685}},
+        0, 0, 5, 95, 0, 2, 744, 136192, 70720, 3233, 2093, 1140, 160832, 46080, 0, 1685},
+       0xa77a1d4a7ce3e8a5ull},
       {"gat 2 heads on-demand", gat, base, CachePolicyKind::kOnDemand,
        {522, 8630, 8630, 5, 1, 1582, 1582, 16156, 3020, 973, 275500, 223532, 0, 0, 1988, 681, 0,
-        0, 0, 0, 0, 0, 95, 2, 0, 0, 374336, 51968, 6661, 3993, 2668, 374336, 51968, 0, 3020}},
+        0, 0, 0, 0, 0, 95, 2, 0, 0, 374336, 51968, 6661, 3993, 2668, 374336, 51968, 0, 3020},
+       0x339def2cd11d76a3ull},
       {"gin plain sum", gin, base, CachePolicyKind::kDegreeAware,
        {109, 4509, 4509, 29, 2, 791, 1582, 0, 1556, 0, 115712, 68288, 336, 70, 0, 0, 0, 0, 0, 0,
-        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556}},
+        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556},
+       0x3250b38e3a07b715ull},
       {"sage directed max", sage, base, CachePolicyKind::kDegreeAware,
        {84, 4266, 4266, 28, 2, 1064, 1064, 0, 1526, 0, 111572, 64196, 324, 61, 0, 0, 0, 0, 0, 0,
-        0, 5, 103, 0, 2, 1042, 115328, 66816, 2846, 1923, 923, 136064, 46080, 0, 1526}},
+        0, 5, 103, 0, 2, 1042, 115328, 66816, 2846, 1923, 923, 136064, 46080, 0, 1526},
+       0xb62f42fe6fe2e828ull},
       {"sage directed max on-demand", sage, base, CachePolicyKind::kOnDemand,
        {42, 7084, 7084, 4, 1, 1064, 1064, 0, 2348, 636, 200768, 148800, 0, 0, 1470, 499, 0, 0, 0,
-        0, 0, 0, 103, 2, 0, 0, 259328, 51968, 4864, 2517, 2347, 259328, 51968, 0, 2348}},
+        0, 0, 0, 103, 2, 0, 0, 259328, 51968, 4864, 2517, 2347, 259328, 51968, 0, 2348},
+       0xb62f42fe6fe2e828ull},
       {"no load balance", gcn, no_lb, CachePolicyKind::kDegreeAware,
        {775, 4509, 4573, 29, 2, 791, 1582, 0, 1556, 0, 115712, 68288, 336, 70, 0, 0, 0, 0, 0, 0,
-        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556}},
+        0, 5, 100, 0, 2, 764, 120768, 67584, 2943, 1891, 1052, 142272, 46080, 0, 1556},
+       0xaf3e23444892378dull},
       {"no load balance on-demand", gcn, no_lb, CachePolicyKind::kOnDemand,
        {989, 8500, 8500, 5, 1, 1582, 1582, 0, 2974, 954, 260688, 208720, 0, 0, 1988, 704, 0, 0, 0,
-        0, 0, 0, 100, 2, 0, 0, 356224, 51968, 6378, 3672, 2706, 356224, 51968, 0, 2974}},
+        0, 0, 0, 100, 2, 0, 0, 356224, 51968, 6378, 3672, 2706, 356224, 51968, 0, 2974},
+       0x7f8096a8be54c9a3ull},
       {"gamma 1", gin, gamma1, CachePolicyKind::kDegreeAware,
        {160, 4932, 4945, 57, 2, 791, 1582, 0, 1488, 0, 111668, 64340, 312, 48, 0, 0, 0, 0, 0, 4,
-        0, 2, 100, 0, 2, 713, 114432, 66048, 2820, 1736, 1084, 134400, 46080, 0, 1488}},
+        0, 2, 100, 0, 2, 713, 114432, 66048, 2820, 1736, 1084, 134400, 46080, 0, 1488},
+       0x046aa0b785828c2eull},
       {"associativity 4", gcn, assoc4, CachePolicyKind::kDegreeAware,
        {81, 18582, 18587, 422, 6, 791, 1582, 0, 6367, 671, 422640, 369456, 1776, 1420, 0, 0, 96,
         0, 0, 4, 1, 15, 100, 0, 6, 389, 627328, 159744, 12298, 9788, 2510, 740992, 46080, 0,
-        6367}},
+        6367},
+       0x5a6cbb8f99477181ull},
       {"associativity 4 gat", gat, assoc4, CachePolicyKind::kIdOrder,
        {670, 13460, 13475, 381, 5, 791, 1582, 14684, 5323, 785, 393040, 341400, 1390, 1034, 0, 0,
         91, 0, 0, 8, 1, 20, 95, 1, 5, 253, 561344, 135040, 10881, 8973, 1908, 650304, 46080, 0,
-        5323}},
+        5323},
+       0x3cc5306729878a21ull},
       {"associativity 4 directed", sage, assoc4, CachePolicyKind::kDegreeAware,
        {116, 16042, 16045, 354, 5, 1064, 1064, 0, 5312, 792, 367156, 315540, 1384, 1028, 0, 0, 99,
         0, 0, 6, 1, 10, 103, 0, 5, 598, 531904, 134656, 10415, 8286, 2129, 620480, 46080, 0,
-        5312}},
+        5312},
+       0xb62f42fe6fe2e828ull},
       {"associativity 4 no load balance", gcn, assoc4_no_lb, CachePolicyKind::kSetAware,
        {682, 11372, 11467, 262, 4, 791, 1582, 0, 4259, 768, 316888, 266644, 1041, 685, 0, 0, 96,
         0, 0, 8, 1, 15, 100, 3, 4, 337, 440576, 112704, 8645, 6982, 1663, 507200, 46080, 0,
-        4259}},
+        4259},
+       0x3ed51c7f0287c3b9ull},
       {"small output buffer", gcn, small_out, CachePolicyKind::kDegreeAware,
        {109, 5292, 5292, 29, 2, 791, 1582, 0, 1696, 0, 133632, 77248, 336, 70, 0, 0, 0, 0, 70, 0,
-        0, 5, 100, 0, 2, 764, 129728, 76544, 3223, 1856, 1367, 142272, 64000, 0, 1696}},
+        0, 5, 100, 0, 2, 764, 129728, 76544, 3223, 1856, 1367, 142272, 64000, 0, 1696},
+       0xaf3e23444892378dull},
   };
 
   bool swept = false;
@@ -649,9 +702,11 @@ TEST(Aggregation, ReportsMatchRecordedValues) {
     task.policy = policy.get();
     HbmModel hbm;
     AggregationReport rep;
-    AggregationEngine(c.config, &hbm).run(task, &rep);
+    const Matrix out = AggregationEngine(c.config, &hbm).run(task, &rep);
     const std::vector<std::uint64_t> got = counters_of(rep, hbm.stats());
     EXPECT_EQ(got, c.want) << c.name << " now reports " << test::brace_list(got);
+    EXPECT_EQ(float_bits_hash(out), c.output_bits)
+        << c.name << " output now hashes to 0x" << std::hex << float_bits_hash(out);
     EXPECT_EQ(rep.macs, rep.accum_ops * hw.cols()) << c.name;
     swept = swept || rep.livelock_sweep;
     escalations += rep.gamma_escalations;

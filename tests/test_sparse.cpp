@@ -1,5 +1,4 @@
-// Unit tests for src/sparse: sparse row/matrix invariants and block nnz
-// counting.
+// Unit tests for src/sparse: sparse row/matrix invariants.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -29,16 +28,6 @@ TEST(SparseRow, RejectsUnsortedOrOutOfRangeIndices) {
   EXPECT_THROW(SparseRow({1, 1}, {1.0f, 2.0f}, 5), std::invalid_argument);
   EXPECT_THROW(SparseRow({7}, {1.0f}, 5), std::invalid_argument);
   EXPECT_THROW(SparseRow({1}, {1.0f, 2.0f}, 5), std::invalid_argument);
-}
-
-TEST(SparseRow, NnzInRangeMatchesBlocks) {
-  // nnz at indices 0, 3, 4, 9.
-  SparseRow r({0, 3, 4, 9}, {1, 1, 1, 1}, 12);
-  EXPECT_EQ(r.nnz_in_range(0, 4), 2u);
-  EXPECT_EQ(r.nnz_in_range(4, 8), 1u);
-  EXPECT_EQ(r.nnz_in_range(8, 12), 1u);
-  EXPECT_EQ(r.nnz_in_range(10, 12), 0u);
-  EXPECT_EQ(r.nnz_in_range(0, 12), 4u);
 }
 
 TEST(SparseMatrix, TotalsAndDense) {
