@@ -14,7 +14,8 @@
 // residency budget = one plan's working set, so competing plans displace
 // each other). Emits warm-vs-cold knee curves — p99 plus warm-hit-rate,
 // plan swaps, and the warm/cold latency split — which is where
-// graph-affinity and warmth-aware routing separate from FIFO.
+// graph-affinity and slo-aware (earliest predicted completion on this
+// deadline-free trace) routing separate from FIFO.
 //
 // Emits the whole run as one JSON object (stdout by default, --json=PATH
 // for a file) and exits non-zero if the emitted JSON is malformed, so CI
@@ -311,7 +312,7 @@ int main(int argc, char** argv) {
     setup.plan = pipe_compiled.plan(heavy.data.graph);
     const ServiceCost pipe_cost = pipe_compiled.cost({setup.plan, &heavy.data.features});
     setup.service = pipe_cost.total_cycles;
-    pipe_weighting = pipe_cost.head.weighting_cycles;
+    pipe_weighting = pipe_cost.weighting_cycles;
     setup.cluster = std::make_unique<serve::Cluster>(pipe_compiled, pipe_dies);
     pipe_setups.push_back(std::move(setup));
   }

@@ -134,7 +134,8 @@ int main() {
       "them out. Graph-affinity consolidates each tenant on dies whose plan\n"
       "state matches — locality bought with some of shortest-queue's balance.\n"
       "With warmth modeled, that locality shows up in the metrics: affinity\n"
-      "and warmth-aware routing keep dies warm (high hit rate, few swaps)\n"
-      "where FIFO and shortest-queue keep paying cold-start refills.\n");
+      "and slo-aware routing (earliest predicted completion, warm dies priced\n"
+      "warm) keep dies warm (high hit rate, few swaps) where FIFO and\n"
+      "shortest-queue keep paying cold-start refills.\n");
   return 0;
 }

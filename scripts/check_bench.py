@@ -7,10 +7,11 @@ itself:
 
   * bench_serve_latency_vs_load (baseline bench/baseline_serve.json):
     gates p99 latency per curve — sweep 1's per-die-count queueing knee,
-    sweep 3's per-max_coalesce coalescing curves, and sweep 4's pipeline
-    on/off curves. Sweep 4 also carries a baseline-free pin: the
-    pipelined p99 at rho ~ 1.1 must beat serial by >= 5% on the
-    weight-stream-heavy scenario.
+    sweep 2's per-scheduler warmth curves (warmth off and on), sweep 3's
+    per-max_coalesce coalescing curves, and sweep 4's pipeline on/off
+    curves. Sweep 4 also carries a baseline-free pin: the pipelined p99 at
+    rho ~ 1.1 must beat serial by >= 5% on the weight-stream-heavy
+    scenario.
   * bench_serve_slo_vs_cost (top-level "fleets" key; baseline
     bench/baseline_slo.json): gates SLO attainment per fleet mix — an
     absolute drop beyond --slo-threshold fails — plus the same relative
@@ -74,6 +75,9 @@ def curves_of(report):
         return
     for curve in report.get("curves", []):
         yield f"{curve['dies']} die(s)", curve["points"]
+    for curve in report.get("warmth", {}).get("curves", []):
+        yield (f"warmth {curve['scheduler']} {'on' if curve['warmth'] else 'off'}",
+               curve["points"])
     for curve in report.get("batching", {}).get("curves", []):
         yield f"max_coalesce {curve['max_coalesce']}", curve["points"]
     for curve in report.get("pipeline", {}).get("curves", []):

@@ -927,11 +927,16 @@ void AggregationEngine::run_on_demand(const AggregationTask& task, const CachePo
   for (VertexId v : buffer.preloads()) fetch(v, /*random=*/false);
 
   // Process vertices in ID order; account cycles per window of n targets.
+  // The engine adds each vertex's self term itself, so an undirected
+  // self-loop would count it twice; the subgraph policies' mirror pass
+  // rejects the same graph.
   std::uint64_t window_targets = 0;
   for (VertexId v = 0; v < v_count; ++v) {
     ensure_cached(v, /*random=*/false);  // ID-order walk is sequential
     auto nb = g.neighbors(v);
     for (VertexId w : nb) {
+      GNNIE_REQUIRE(task.directed || w != v,
+                    "undirected aggregation needs an adjacency without self-loops");
       ensure_cached(w, /*random=*/true);  // a neighbor miss is a random pull
       state.contribute(task, v, w);
     }

@@ -150,7 +150,7 @@ struct AggregationReport {
   /// DRAM bytes *read* to fill the input working set (properties, adjacency
   /// slices, spilled-partial reloads); the rest of dram_bytes is write-back
   /// traffic. This is the component a warm residency skips (see
-  /// warmth_stage_of in core/report.hpp).
+  /// ServiceCost in core/serving.hpp).
   Bytes input_fetch_bytes = 0;
   std::uint64_t evictions = 0;
   std::uint64_t refetches = 0;             ///< vertices fetched after round 1

@@ -75,7 +75,7 @@ inline constexpr Cycles kPlanSwapPenaltyCycles = 1000;
 /// the cached feature working sets of recently serviced plans (LRU within a
 /// byte budget), and a request whose plan is resident skips that share of
 /// the aggregation stages' exposed DRAM-fetch time (see
-/// warm_total_cycles in core/report.hpp); a plan swap costs
+/// ServiceCost::warm_total in core/serving.hpp); a plan swap costs
 /// kPlanSwapPenaltyCycles. Default-off: with enabled=false every request is
 /// charged the cold cost and the simulator is bit-exact with the
 /// warmth-unaware one.

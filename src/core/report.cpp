@@ -186,78 +186,4 @@ double ServingReport::die_slo_attainment(std::size_t die) const {
   return static_cast<double>(met) / static_cast<double>(with_slo);
 }
 
-// ---------------------------------------------------------------------------
-// Warm-run cycle model
-
-WarmthStage warmth_stage_of(const AggregationReport& agg) {
-  WarmthStage stage;
-  if (agg.dram_bytes == 0) return stage;  // nothing to skip: discounts 0
-  // Exposed memory time: total = Σ_iters max(compute, memory) ≥ Σ compute,
-  // and ≤ compute + memory, so this is in [0, memory_cycles].
-  stage.exposed_cycles =
-      agg.total_cycles > agg.compute_cycles ? agg.total_cycles - agg.compute_cycles : 0;
-  stage.fetch_share = std::min(1.0, static_cast<double>(agg.input_fetch_bytes) /
-                                        static_cast<double>(agg.dram_bytes));
-  return stage;
-}
-
-Cycles warmth_stage_discount(const WarmthStage& stage, double warm_fraction) {
-  GNNIE_REQUIRE(warm_fraction >= 0.0 && warm_fraction <= 1.0,
-                "warm fraction must be in [0, 1]");
-  if (warm_fraction <= 0.0) return 0;
-  return static_cast<Cycles>(warm_fraction * static_cast<double>(stage.exposed_cycles) *
-                             stage.fetch_share);
-}
-
-std::vector<WarmthStage> warmth_stages_of(const InferenceReport& rep) {
-  std::vector<WarmthStage> stages;
-  stages.reserve(rep.layers.size());
-  for (const LayerReport& lr : rep.layers) {
-    if (lr.aggregation.dram_bytes == 0) continue;  // discount is identically 0
-    stages.push_back(warmth_stage_of(lr.aggregation));
-  }
-  return stages;
-}
-
-Cycles weighting_stage_cycles(const InferenceReport& rep) {
-  Cycles cycles = 0;
-  for (const LayerReport& lr : rep.layers) {
-    cycles += lr.weighting.total_cycles;
-    if (lr.mlp2) cycles += lr.mlp2->total_cycles;
-  }
-  return cycles;
-}
-
-Cycles warm_total_cycles(const InferenceReport& rep, double warm_fraction) {
-  Cycles total = rep.total_cycles;
-  for (const LayerReport& lr : rep.layers) {
-    total -= warmth_stage_discount(warmth_stage_of(lr.aggregation), warm_fraction);
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// Coalesced-batch cycle model
-
-Cycles batching_discount_cycles(const WeightingReport& w) {
-  if (w.dram_stream_bytes == 0) return 0;
-  // Exposed memory time of the stage: total = Σ_passes max(compute, memory)
-  // ≥ compute, and ≤ compute + memory, so this lands in [0, memory_cycles].
-  const Cycles exposed =
-      w.total_cycles > w.compute_cycles ? w.total_cycles - w.compute_cycles : 0;
-  const double weight_share =
-      std::min(1.0, static_cast<double>(w.weight_stream_bytes) /
-                        static_cast<double>(w.dram_stream_bytes));
-  return static_cast<Cycles>(static_cast<double>(exposed) * weight_share);
-}
-
-Cycles batch_follower_saved_cycles(const InferenceReport& rep) {
-  Cycles saved = 0;
-  for (const LayerReport& lr : rep.layers) {
-    saved += batching_discount_cycles(lr.weighting);
-    if (lr.mlp2) saved += batching_discount_cycles(*lr.mlp2);
-  }
-  return saved;
-}
-
 }  // namespace gnnie

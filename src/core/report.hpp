@@ -207,90 +207,4 @@ struct ServingReport {
 /// Returns 0 for an empty sample.
 Cycles percentile_of_sorted(const std::vector<Cycles>& sorted, double pct);
 
-// ---------------------------------------------------------------------------
-// Warm-run cycle model (EngineConfig::warmth).
-//
-// A run on a die where fraction `warm_fraction` of the plan's cached
-// working set is already resident skips that share of each aggregation
-// stage's *exposed* DRAM-fetch time: the memory cycles not hidden behind
-// compute (total − compute), scaled by the read share of the stage's DRAM
-// traffic (input_fetch_bytes / dram_bytes — write-backs still happen warm).
-// The discount is 0 at warm_fraction 0 (cold runs are bit-exact with the
-// warmth-unaware model), monotone in warm_fraction, and can never push a
-// stage below its compute time — warm cost ≤ cold cost always.
-
-/// One aggregation stage's warmth surface: the stage's exposed DRAM-fetch
-/// time and the read share of its traffic — all the discount needs, so
-/// warm costs can be re-priced without holding the full InferenceReport
-/// (serve::ServiceCostCache memo entries store these instead of the cold
-/// report).
-struct WarmthStage {
-  Cycles exposed_cycles = 0;
-  double fetch_share = 0.0;
-};
-
-/// The warmth surface of one aggregation stage; a stage without DRAM
-/// traffic yields the zero surface (it discounts 0 at every fraction).
-WarmthStage warmth_stage_of(const AggregationReport& agg);
-
-/// Cycles one stage saves at the given warm fraction — the one encoding of
-/// the warmth formula (warm_total_cycles and ServiceCost::warm_total both
-/// subtract exactly this per stage).
-Cycles warmth_stage_discount(const WarmthStage& stage, double warm_fraction);
-
-/// The run's aggregation-stage warmth surfaces, cold-report layer order.
-/// Stages that can never discount (no DRAM traffic) are skipped — their
-/// discount is exactly 0 at every fraction.
-std::vector<WarmthStage> warmth_stages_of(const InferenceReport& rep);
-
-/// The run's weighting-stage share: Σ over layers of the weighting (and
-/// GIN-mlp2 / DiffPool-coarsening matmul) stage totals — the cycles a
-/// serving die spends streaming weights and multiplying features through
-/// them. The remainder (total − this) is the aggregation-stage share
-/// (aggregation + attention + activation), the part that cannot overlap the
-/// next slot's weight streaming. The batching discount touches only the
-/// weighting share and the warmth discount only the aggregation share, so
-/// the split is stable under both.
-Cycles weighting_stage_cycles(const InferenceReport& rep);
-
-/// Total cycles of the run described by `rep` at the given warm fraction
-/// (rep itself stays cold/unmodified); warm_fraction must be in [0, 1].
-Cycles warm_total_cycles(const InferenceReport& rep, double warm_fraction);
-
-// ---------------------------------------------------------------------------
-// Coalesced-batch cycle model (EngineConfig::batching).
-//
-// A group of same-plan requests serviced in one die slot streams each
-// weighting pass's weight columns from DRAM once — the weight-stationary
-// array already holds them when a follower's features stream through — and
-// the per-plan setup (weighting geometry, FM bin boundaries over the
-// z-histogram) is charged once for the slot. Followers therefore skip the
-// weight-stream share of each weighting stage's *exposed* memory time (the
-// memory cycles not hidden behind compute), while aggregation, attention,
-// and activation remain per request: GNNIE's aggregation is graph- and
-// value-dependent, so it cannot batch. The saving is ≥ 0 and never exceeds
-// the stage's exposed memory time, so a batched slot is ≤ the serial sum of
-// its members by construction. It also touches only weighting stages —
-// disjoint from the warmth discount, which touches only aggregation stages
-// — so the two discounts compose without interaction.
-
-/// Cycles one coalesced follower saves on one weighting stage.
-Cycles batching_discount_cycles(const WeightingReport& w);
-
-/// Cycles one coalesced follower saves relative to serial service of the
-/// run described by `rep` (summed over the run's weighting stages,
-/// including GIN's second linear and DiffPool's coarsening matmuls).
-Cycles batch_follower_saved_cycles(const InferenceReport& rep);
-
-/// Charge of one slot member given its (already warmth-discounted) serial
-/// cost and its follower saving: the head pays serial, followers subtract
-/// the saving, clamped so a slot is never longer than serial service. The
-/// single encoding of the member-charge rule the serving cluster prices
-/// slots with.
-inline Cycles batch_member_charge(Cycles serial_cycles, Cycles follower_saving,
-                                  bool follower) {
-  if (!follower) return serial_cycles;
-  return serial_cycles - (follower_saving < serial_cycles ? follower_saving : serial_cycles);
-}
-
 }  // namespace gnnie

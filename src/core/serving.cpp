@@ -27,10 +27,52 @@ std::vector<PlanVariant> plan_variant_family(const EngineConfig& config) {
   return family;
 }
 
+// ---------------------------------------------------------------------------
+// The serving cost model (described next to ServiceCost in serving.hpp)
+
+namespace {
+
+/// The warmth surface of one aggregation stage with DRAM traffic.
+WarmthStage warmth_stage_of(const AggregationReport& agg) {
+  WarmthStage stage;
+  // Exposed memory time: total = Σ_iters max(compute, memory) ≥ Σ compute,
+  // and ≤ compute + memory, so this is in [0, memory_cycles].
+  stage.exposed_cycles =
+      agg.total_cycles > agg.compute_cycles ? agg.total_cycles - agg.compute_cycles : 0;
+  stage.fetch_share = std::min(1.0, static_cast<double>(agg.input_fetch_bytes) /
+                                        static_cast<double>(agg.dram_bytes));
+  return stage;
+}
+
+/// Cycles one stage saves at the given warm fraction: exposed fetch time ×
+/// read share × fraction, so 0 at fraction 0 and never above the stage's
+/// memory time.
+Cycles warmth_stage_discount(const WarmthStage& stage, double warm_fraction) {
+  if (warm_fraction <= 0.0) return 0;
+  return static_cast<Cycles>(warm_fraction * static_cast<double>(stage.exposed_cycles) *
+                             stage.fetch_share);
+}
+
+/// Cycles one coalesced follower saves on one weighting stage: the weight
+/// share of the stage's exposed memory time.
+Cycles batching_discount_cycles(const WeightingReport& w) {
+  if (w.dram_stream_bytes == 0) return 0;
+  // Exposed memory time of the stage: total = Σ_passes max(compute, memory)
+  // ≥ compute, and ≤ compute + memory, so this lands in [0, memory_cycles].
+  const Cycles exposed =
+      w.total_cycles > w.compute_cycles ? w.total_cycles - w.compute_cycles : 0;
+  const double weight_share =
+      std::min(1.0, static_cast<double>(w.weight_stream_bytes) /
+                        static_cast<double>(w.dram_stream_bytes));
+  return static_cast<Cycles>(static_cast<double>(exposed) * weight_share);
+}
+
+}  // namespace
+
 Cycles ServiceCost::warm_total(double warm_fraction) const {
   GNNIE_REQUIRE(warm_fraction >= 0.0 && warm_fraction <= 1.0,
                 "warm fraction must be in [0, 1]");
-  Cycles total = head.cold_cycles;
+  Cycles total = total_cycles;
   for (const WarmthStage& stage : warm_stages) {
     total -= warmth_stage_discount(stage, warm_fraction);
   }
@@ -521,12 +563,18 @@ ServiceCost CompiledModel::cost(const RunRequest& request) const {
   const InferenceReport cold = run(request).report;
   ServiceCost cost;
   cost.total_cycles = cold.total_cycles;
-  cost.head.cold_cycles = cold.total_cycles;
-  cost.head.warm_cycles = warm_total_cycles(cold, 1.0);
-  cost.head.batch_saving_cycles = batch_follower_saved_cycles(cold);
-  cost.head.weighting_cycles = weighting_stage_cycles(cold);
-  cost.head.aggregation_cycles = cold.total_cycles - cost.head.weighting_cycles;
-  cost.warm_stages = warmth_stages_of(cold);
+  for (const LayerReport& lr : cold.layers) {
+    cost.weighting_cycles += lr.weighting.total_cycles;
+    cost.batch_saving_cycles += batching_discount_cycles(lr.weighting);
+    if (lr.mlp2) {
+      cost.weighting_cycles += lr.mlp2->total_cycles;
+      cost.batch_saving_cycles += batching_discount_cycles(*lr.mlp2);
+    }
+    if (lr.aggregation.dram_bytes != 0) {
+      cost.warm_stages.push_back(warmth_stage_of(lr.aggregation));
+    }
+  }
+  cost.warm_cycles = cost.warm_total(1.0);
   return cost;
 }
 

@@ -4,7 +4,7 @@
 //   CompiledModel model = engine.compile(model_config, weights);
 //   GraphPlanPtr plan = model.plan(graph);         // keep it: one per graph
 //   InferenceResult r = model.run({plan, &features});
-//   ServiceCost c = model.cost({plan, &features}); // cold service surface
+//   ServiceCost c = model.cost({plan, &features}); // serving cost record
 //
 // The lifecycle splits GNNIE's per-graph planning work (§IV-C weighting
 // bins, §VI degree-aware cache layout) from per-request execution. A
@@ -21,11 +21,11 @@
 //     builds its accelerator state (HbmModel) fresh, so runs are stateless
 //     by construction: back-to-back runs report identical stats. Batches
 //     of requests are served by serve::Cluster (serve/cluster.hpp).
-//   * CompiledModel::cost runs one request and returns its cold service
-//     surface (ServiceCost): the cold and fully-warm totals, the follower
-//     saving, the §IV weighting / §V aggregation split, and the per-stage
-//     warmth surface. The serving cluster memoizes one per (config, plan,
-//     features) and prices every service slot from it.
+//   * CompiledModel::cost runs one request and returns its ServiceCost:
+//     the cold and fully-warm totals, the §IV weighting share, the
+//     follower saving, and the per-stage warmth surface. The serving
+//     cluster memoizes one per (config, plan, features) and prices every
+//     service slot from it.
 //
 // The cache behavior is selected by a CachePolicy instance handed to the
 // Engine (core/cache_policy.hpp); a null policy means degree-aware.
@@ -188,40 +188,82 @@ struct RunRequest {
   const SparseMatrix* features = nullptr;
 };
 
-/// Scalar summary of one request's staged service cost on one engine
-/// config — the POD slice of ServiceCost that routing code copies around
-/// (serve::RequestEstimate embeds one per (die, request)). All cycles are
-/// at kClockHz.
-struct ServiceCostSummary {
-  Cycles cold_cycles = 0;           ///< lone cold service (run total)
-  Cycles warm_cycles = 0;           ///< lone fully-warm service (fraction 1)
-  Cycles swap_penalty_cycles = 0;   ///< plan-swap penalty (cluster estimates only)
-  Cycles batch_saving_cycles = 0;   ///< saving as a coalesced follower
-  Cycles weighting_cycles = 0;      ///< cold weighting-stage share (streamable)
-  Cycles aggregation_cycles = 0;    ///< cold remainder (cannot overlap a stream)
+// ---------------------------------------------------------------------------
+// The serving cost model. GNNIE runs every layer weighting-first, then
+// aggregates (§III Eq. 5), and a request's serving price follows that split:
+//
+//   * Warmth (EngineConfig::warmth). A run on a die where fraction f of the
+//     plan's cached working set is already resident skips that share of each
+//     aggregation stage's *exposed* DRAM-fetch time: the memory cycles not
+//     hidden behind compute (total − compute), scaled by the read share of
+//     the stage's DRAM traffic (input_fetch_bytes / dram_bytes — write-backs
+//     still happen warm). The discount is 0 at f = 0 (a cold run costs
+//     exactly its run() total), monotone in f, and can never push a stage
+//     below its compute time — warm cost ≤ cold cost always.
+//   * Coalescing (EngineConfig::batching). Same-plan requests serviced in
+//     one die slot stream each weighting pass's weight columns from DRAM
+//     once — the weight-stationary array already holds them when a
+//     follower's features stream through — and the per-plan setup
+//     (weighting geometry, FM bin boundaries over the z-histogram) is
+//     charged once for the slot. Followers therefore skip the weight-stream
+//     share of each weighting stage's exposed memory time, while
+//     aggregation, attention, and activation remain per request: GNNIE's
+//     aggregation is graph- and value-dependent, so it cannot batch. The
+//     saving is ≥ 0 and never exceeds the stage's exposed memory time, so a
+//     coalesced slot is never longer than the serial sum of its members.
+//   * Pipelining (EngineConfig::pipeline). A die's stream track overlaps a
+//     slot's weighting share with the previous slot's compute; the
+//     remainder (aggregation, attention, activation) cannot overlap.
+//
+// The coalescing saving touches only weighting stages and the warmth
+// discount only aggregation stages, so the two compose without interaction.
+
+/// One aggregation stage's warmth surface: its exposed DRAM-fetch time and
+/// the read share of its traffic — all the warm discount needs.
+struct WarmthStage {
+  Cycles exposed_cycles = 0;
+  double fetch_share = 0.0;
 };
 
-/// One request's service cost (CompiledModel::cost): its lone cold service
-/// time, plus the parametric surface the serving cluster prices slots from
-/// — so a memo entry re-prices the request at any warmth, as a head or a
-/// follower, without re-running the engine. Callers needing per-layer
-/// detail use run().
+/// One request's service cost on one engine config (CompiledModel::cost),
+/// built once from its cold run: it prices the request at any warmth, as a
+/// slot head or a coalesced follower, without re-running the engine. The
+/// serving cluster memoizes one per (config, plan, features); its slot
+/// pricing, schedulers, and admission read it directly. All cycles are at
+/// kClockHz. Callers needing per-layer detail use run().
 struct ServiceCost {
-  /// Lone cold service time: run(request).report.total_cycles.
+  /// Lone cold service: run(request).report.total_cycles.
   Cycles total_cycles = 0;
-  /// The request's cold surface (warmth- and policy-independent; the
-  /// cluster sets swap_penalty_cycles on its estimates, not here).
-  ServiceCostSummary head;
-  /// The per-stage warmth surface (warmth_stages_of the cold run):
-  /// warm_total(f) re-prices the lone service at any fraction, bit-exact
-  /// with warm_total_cycles on the cold report.
+  /// Lone fully-warm service, warm_total(1.0) — kept because routing reads
+  /// it on every offer.
+  Cycles warm_cycles = 0;
+  /// The weighting share of total_cycles: every weighting stage's total
+  /// (GIN's second linear and DiffPool's coarsening matmuls included) —
+  /// the part a pipelined die streams under the previous slot.
+  Cycles weighting_cycles = 0;
+  /// Cycles a coalesced follower saves against serial service, summed over
+  /// the same weighting stages.
+  Cycles batch_saving_cycles = 0;
+  /// The aggregation stages that can discount (those with DRAM traffic),
+  /// in layer order; a stage without traffic discounts 0 at every fraction.
   std::vector<WarmthStage> warm_stages;
 
-  /// head.cold_cycles discounted to warm fraction `f` (exact arithmetic
-  /// order of warm_total_cycles; f = 0 returns cold, f = 1 returns
-  /// head.warm_cycles). The one way to price a request warm.
+  /// total_cycles discounted to `warm_fraction` in [0, 1]: 0 returns
+  /// total_cycles, 1 returns warm_cycles. The one way to price a request
+  /// warm.
   Cycles warm_total(double warm_fraction) const;
 };
+
+/// Charge of one slot member given its (already warmth-discounted) serial
+/// cost and its follower saving: the head pays serial, followers subtract
+/// the saving, clamped so a slot is never longer than serial service. The
+/// single encoding of the member-charge rule the serving cluster prices
+/// slots with.
+inline Cycles batch_member_charge(Cycles serial_cycles, Cycles follower_saving,
+                                  bool follower) {
+  if (!follower) return serial_cycles;
+  return serial_cycles - (follower_saving < serial_cycles ? follower_saving : serial_cycles);
+}
 
 /// A validated (model, weights, accelerator config, cache policy) bundle.
 /// Immutable and cheaply copyable (shared state, never written after
@@ -255,9 +297,9 @@ class CompiledModel {
   /// call, so identical requests produce bit-identical outputs and reports.
   InferenceResult run(const RunRequest& request) const;
 
-  /// Runs `request` once and returns its cold service cost: total_cycles is
-  /// exactly run(request).report.total_cycles, and `head` / `warm_stages`
-  /// are its surface (ServiceCost::warm_total prices it warm). Coalesced
+  /// Runs `request` once and returns its service cost: total_cycles is
+  /// exactly run(request).report.total_cycles, and the rest is derived from
+  /// that run's report (ServiceCost::warm_total prices it warm). Coalesced
   /// slots, plan variants, and swap penalties are priced by the serving
   /// cluster (serve/cluster.hpp), not here.
   ServiceCost cost(const RunRequest& request) const;

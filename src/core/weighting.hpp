@@ -43,7 +43,7 @@ struct WeightingReport {
   /// weight_stream_bytes_per_pass) vs. the stage's whole DRAM stream
   /// (weights + features + outputs + psum spills). A coalesced same-plan
   /// follower skips the weight share of the exposed memory time (see
-  /// batching_discount_cycles in core/report.hpp).
+  /// ServiceCost::batch_saving_cycles in core/serving.hpp).
   Bytes weight_stream_bytes = 0;
   Bytes dram_stream_bytes = 0;
 

@@ -21,7 +21,6 @@ Cluster::Cluster(CompiledModel model, std::size_t dies)
   // A one-config fleet whose config 0 is the model itself, so the
   // requests' own plans (GraphSAGE's sampled ones included) price as is.
   spec_ = FleetSpec::homogeneous(model_.config(), dies);
-  spec_.configs[0].cache_policy = model_.cache_policy().kind();
   config_models_.push_back(model_);
 }
 
@@ -45,9 +44,7 @@ Cluster::Cluster(const CompiledModel& reference, FleetSpec spec)
                   "fleet configs must match the reference pipeline enablement");
     GNNIE_REQUIRE(cfg.engine.pipeline.variant_widths == ref.pipeline.variant_widths,
                   "fleet configs must match the reference plan-variant widths");
-    const CachePolicyKind policy = cfg.cache_policy.value_or(CachePolicyKind::kDegreeAware);
-    config_models_.push_back(Engine(cfg.engine, CachePolicy::make(policy))
-                                 .compile(model_.model(), model_.weights()));
+    config_models_.push_back(Engine(cfg.engine).compile(model_.model(), model_.weights()));
   }
   for (std::size_t c : spec_.assignment) {
     if (c != spec_.assignment.front()) heterogeneous_ = true;
@@ -145,7 +142,6 @@ CostEntry cost_entry(const CompiledModel& priced_on, const TraceStream& stream) 
     routed.plan = priced_on.plan(stream.plan->graph());
   }
   entry.plan = routed.plan;
-  entry.working_set = routed.plan->warm_working_set_bytes();
   entry.cost = priced_on.cost(routed);
   return entry;
 }
@@ -186,8 +182,6 @@ class SimState {
         dies_(cluster.die_count()),
         status_(cluster.die_count()),
         die_estimates_(cluster.die_count()),
-        config_estimates_(config_models.size()),
-        config_ready_(config_models.size(), 0),
         completions_(cluster.die_count()) {
     GNNIE_REQUIRE(arrivals_.size() < kNone, "trace too large for 32-bit request indices");
     const std::size_t die_count = dies_.size();
@@ -367,35 +361,26 @@ class SimState {
 
   // ---- Per-die estimates -------------------------------------------------
 
-  /// The per-(die, request) estimate vector handed to pick()/shed(): one
-  /// entry per distinct config, copied out per die with that die's
-  /// coalescing opportunity. The cluster owns the policy gates: the memo
-  /// entry is policy-independent, the estimate reflects what this
-  /// simulation will actually charge (warmth off → warm == cold, no
-  /// penalty; coalescing off → no follower saving; pipeline off → no
-  /// stream share).
+  /// The per-(die, request) estimate vector handed to pick()/shed(): each
+  /// die's entry points at the request's memoized cost on the die's config
+  /// and carries that die's coalescing opportunity. The memo entry is the
+  /// same whichever serving knobs are on; its readers apply the warmth and
+  /// coalescing knobs (estimate_die_service, shed-hopeless), and the stream
+  /// share is filled only with pipelining on.
   const std::vector<RequestEstimate>& estimates_of(std::uint32_t idx) {
     const std::uint32_t fpi = fpi_of(idx);
-    std::fill(config_ready_.begin(), config_ready_.end(), 0);
+    const std::uint64_t fingerprint = fingerprint_of(idx);
     for (std::size_t d = 0; d < dies_.size(); ++d) {
-      const std::size_t cfg = die_config_[d];
-      RequestEstimate& est = config_estimates_[cfg];
-      if (!config_ready_[cfg]) {
-        const CostEntry& entry = cost_of(cfg, idx);
-        est.fingerprint = fingerprint_of(idx);
-        est.working_set_bytes = entry.working_set;
-        est.cost = entry.cost.head;
-        if (!warmth_on_) est.cost.warm_cycles = est.cost.cold_cycles;
-        est.cost.swap_penalty_cycles = warmth_on_ ? kPlanSwapPenaltyCycles : 0;
-        if (max_coalesce_ == 1) est.cost.batch_saving_cycles = 0;
-        est.pipeline_stream_cycles = pipeline_on_ ? est.cost.weighting_cycles : 0;
-        config_ready_[cfg] = 1;
-      }
-      die_estimates_[d] = est;
+      const CostEntry& entry = cost_of(die_config_[d], idx);
+      RequestEstimate& est = die_estimates_[d];
+      est.cost = &entry.cost;
+      est.fingerprint = fingerprint;
+      est.working_set_bytes = entry.plan->warm_working_set_bytes();
+      est.pipeline_stream_cycles = pipeline_on_ ? entry.cost.weighting_cycles : 0;
       // 1 + the same-plan requests THIS die's next slot could drain (its
       // own queue + the global queue), capped at the slot width. Requests
       // queued on other dies are unreachable and deliberately not counted.
-      die_estimates_[d].coalesce_count = static_cast<std::uint32_t>(std::min<std::size_t>(
+      est.coalesce_count = static_cast<std::uint32_t>(std::min<std::size_t>(
           max_coalesce_, 1 + dies_[d].queue.waiting[fpi] + deferred_.waiting[fpi]));
     }
     return die_estimates_;
@@ -463,7 +448,7 @@ class SimState {
     double follower_fraction = 0.0;
     bool swapped = false;
     if (warmth_on_) {
-      const Bytes working_set = cost_of(cfg, head).working_set;
+      const Bytes working_set = cost_of(cfg, head).plan->warm_working_set_bytes();
       const DieWarmthModel::Touch touch = warmth_[d].touch(fingerprint_of(head), working_set);
       head_fraction = touch.warm_fraction;
       follower_fraction = warmth_[d].warm_fraction(fingerprint_of(head), working_set);
@@ -477,7 +462,7 @@ class SimState {
     member_saving_.clear();
     for (std::size_t i = 0; i < slot.size(); ++i) {
       const CostEntry& entry = cost_of(cfg, slot[i]);
-      Cycles service = entry.cost.head.cold_cycles;
+      Cycles service = entry.cost.total_cycles;
       if (warmth_on_) {
         RequestRecord& rec = report_.requests[slot[i]];
         rec.warm_fraction = i == 0 ? head_fraction : follower_fraction;
@@ -488,7 +473,7 @@ class SimState {
         report_.die_plan_swaps[d] += rec.plan_swap ? 1 : 0;
       }
       member_service_.push_back(service);
-      member_saving_.push_back(entry.cost.head.batch_saving_cycles);
+      member_saving_.push_back(entry.cost.batch_saving_cycles);
     }
 
     // Variant dispatch: the family member minimizing the slot's total
@@ -520,7 +505,7 @@ class SimState {
     const Cycles stream =
         pipeline_on_
             ? std::min(head_service,
-                       cost_of(cfg, head).cost.head.weighting_cycles + variant.setup_cycles)
+                       cost_of(cfg, head).cost.weighting_cycles + variant.setup_cycles)
             : 0;
     DieState& die = dies_[d];
     GNNIE_AUDIT_ASSERT(die.stream_free <= now && routed_time_[head] <= now,
@@ -698,8 +683,6 @@ class SimState {
   std::vector<DieStatus> status_;
   std::vector<DieWarmthModel> warmth_;  ///< per die; empty with warmth off
   std::vector<RequestEstimate> die_estimates_;
-  std::vector<RequestEstimate> config_estimates_;
-  std::vector<char> config_ready_;
   /// Per request: when it was routed to a die (the earliest its slot's
   /// weight stream may start) and the routing-time service estimate it
   /// added to that die's backlog.

@@ -74,7 +74,7 @@
 // slot is atomic — the die stays busy until every member drains — and is
 // modeled as a single weighting/setup pass plus per-request aggregation:
 // followers skip the weight-stream share of their weighting stages'
-// exposed memory time (batch_member_charge, core/report.hpp), so a slot is
+// exposed memory time (batch_member_charge, core/serving.hpp), so a slot is
 // never longer than serial service of its members. Per-request latencies
 // run from each member's own arrival; the report records the batch-size
 // histogram and the weighting-setup cycles saved. At max_coalesce = 1
@@ -153,7 +153,7 @@ namespace gnnie::serve {
 class ServiceCostCache;
 
 /// Options for Cluster::simulate, designed for designated initializers:
-/// `cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware})`.
+/// `cluster.simulate(trace, {.scheduler = SchedulerKind::kSloAware})`.
 /// The default-constructed value is FIFO scheduling with admit-all
 /// admission. The custom_* pointers override the corresponding kind when
 /// non-null (for caller-owned policy objects, e.g. a scheduler shared
@@ -175,10 +175,10 @@ class Cluster {
 
   /// A heterogeneous fleet: die d runs `spec.configs[spec.assignment[d]]`.
   /// Each distinct config gets its own compile of the reference model's
-  /// (model, weights) — with FleetDieConfig::cache_policy when set, else
-  /// the degree-aware policy; a custom CachePolicy handed to the reference
-  /// Engine does not propagate to fleet configs. Sampled (GraphSAGE) plans
-  /// are rejected at simulate() time with std::invalid_argument.
+  /// (model, weights) under the degree-aware policy; a custom CachePolicy
+  /// handed to the reference Engine does not propagate to fleet configs.
+  /// Sampled (GraphSAGE) plans are rejected at simulate() time with
+  /// std::invalid_argument.
   /// Throws unless the spec validates and every config matches the
   /// reference's warmth enablement, max_coalesce, pipeline enablement, and
   /// plan-variant widths (all serving-protocol knobs).

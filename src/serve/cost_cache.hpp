@@ -28,15 +28,13 @@
 #include <tuple>
 
 #include "common/units.hpp"
-#include "core/report.hpp"
 #include "core/serving.hpp"
 
 namespace gnnie::serve {
 
 /// Memoized per-(die config, plan, features) service data. Everything in
 /// here is WARMTH-INDEPENDENT by design: the entry stores the request's
-/// staged cost surface (gnnie::ServiceCost of a lone cold query — per-stage
-/// splits, follower saving, and the per-stage warmth surface), never a
+/// cost record (gnnie::ServiceCost of a lone cold query), never a
 /// warm-discounted charge — warm fractions vary per service and are applied
 /// outside the cache (cost.warm_total(f) at service start), so warm and
 /// cold services of the same request are charged differently even though
@@ -45,13 +43,10 @@ namespace gnnie::serve {
 struct CostEntry {
   /// The plan the costed run used: the request's own plan when the config's
   /// compiled model built it, else the per-config re-plan of its graph
-  /// (held here, so the re-plan lives as long as the entry).
+  /// (held here, so the re-plan lives as long as the entry). Its
+  /// warm_working_set_bytes() sizes the request's residency.
   GraphPlanPtr plan;
-  Bytes working_set = 0;  ///< plan->warm_working_set_bytes()
-  /// Staged surface of a lone cold service of this triple
-  /// (CompiledModel::cost on the routed request): cost.head carries
-  /// cold/warm/stage-split scalars, cost.warm_stages re-prices any warmth,
-  /// cost.head.batch_saving_cycles the follower saving.
+  /// CompiledModel::cost on the routed request.
   ServiceCost cost;
 };
 

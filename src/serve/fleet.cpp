@@ -51,7 +51,7 @@ FleetSpec FleetSpec::homogeneous(EngineConfig engine, std::size_t dies,
   GNNIE_REQUIRE(dies >= 1, "a fleet needs at least one die");
   FleetSpec spec;
   if (label.empty()) label = engine.array.name();
-  spec.configs.push_back({std::move(engine), cost, std::move(label), std::nullopt});
+  spec.configs.push_back({std::move(engine), cost, std::move(label)});
   spec.assignment.assign(dies, 0);
   return spec;
 }

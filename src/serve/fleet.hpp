@@ -1,7 +1,7 @@
 // Heterogeneous serving fleets: per-die engine configurations.
 //
 // A FleetSpec gives every die in a serving cluster its own EngineConfig —
-// mixed PE-array design points, buffer sizes, cache policies — so the
+// mixed PE-array design points, buffer sizes, residency budgets — so the
 // simulator can answer provisioning questions: is a fleet of two big dies
 // and two cheap ones enough to hold an SLO, or does the trace need four big
 // ones? Each distinct config carries a relative *cost* (provisioning spend,
@@ -9,13 +9,13 @@
 // a label for reports; `assignment` maps each die to its config, so N dies
 // can share a handful of configs without duplicating them.
 //
-// The cluster compiles the model once per distinct config and keys its
-// service memo by (config, plan address, features address)
-// (serve/cost_cache.hpp): the same request costs differently per die
-// design, which is exactly what the schedulers' per-(die, request)
-// RequestEstimate vector carries. Two plans of one graph are two keys, so
-// they are costed twice. Every die runs at kClockHz (common/units.hpp), so
-// the simulation stays in one virtual-cycle domain.
+// The cluster compiles the model once per distinct config (under the
+// degree-aware cache policy) and keys its service memo by (config, plan
+// address, features address) (serve/cost_cache.hpp): the same request
+// costs differently per die design, which is exactly what the schedulers'
+// per-(die, request) RequestEstimate vector carries. Two plans of one graph
+// are two keys, so they are costed twice. Every die runs at kClockHz
+// (common/units.hpp), so the simulation stays in one virtual-cycle domain.
 //
 // The homogeneous Cluster(model, dies) constructor is itself a one-config
 // fleet (FleetSpec::homogeneous); a homogeneous FleetSpec over the
@@ -23,11 +23,9 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/cache_policy.hpp"
 #include "core/engine_config.hpp"
 
 namespace gnnie::serve {
@@ -39,12 +37,6 @@ struct FleetDieConfig {
   EngineConfig engine;
   double cost = 1.0;
   std::string label;  ///< shown in reports; e.g. "A", "E", "big"
-  /// Cache policy the dies built from this config run. nullopt → the
-  /// degree-aware default. Setting it makes the policy a per-die
-  /// provisioning knob: a fleet can mix, say, dual-cache dies for skewed
-  /// workloads with degree-aware dies for the rest, and the cluster's
-  /// service memo prices each request per die accordingly.
-  std::optional<CachePolicyKind> cache_policy;
 };
 
 /// A cluster's die lineup: the distinct configs and each die's pick.

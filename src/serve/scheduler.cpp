@@ -11,25 +11,24 @@ namespace {
 
 /// Warmth component of the routing-time estimate (no coalescing applied).
 Cycles estimate_warmth_service(const DieStatus& die, const RequestEstimate& estimate) {
-  if (die.warmth == nullptr) return estimate.cost.cold_cycles;  // warmth disabled
+  const ServiceCost& cost = *estimate.cost;
+  if (die.warmth == nullptr) return cost.total_cycles;  // warmth disabled
   if (die.warmth->is_resident(estimate.fingerprint)) {
     // Interpolate cold → fully-warm by the resident fraction: a working
     // set larger than the die budget is truncated on load, so residency
     // can be partial and the die is slower than its fully-warm estimate.
     const double f =
         die.warmth->warm_fraction(estimate.fingerprint, estimate.working_set_bytes);
-    const Cycles saving = estimate.cost.cold_cycles - estimate.cost.warm_cycles;
-    return estimate.cost.cold_cycles -
-           static_cast<Cycles>(f * static_cast<double>(saving));
+    const Cycles saving = cost.total_cycles - cost.warm_cycles;
+    return cost.total_cycles - static_cast<Cycles>(f * static_cast<double>(saving));
   }
   // The last plan routed here will be resident by the time the queue
   // drains — treat it as warm-to-be.
-  if (die.affinity_fingerprint == estimate.fingerprint) return estimate.cost.warm_cycles;
+  if (die.affinity_fingerprint == estimate.fingerprint) return cost.warm_cycles;
   // Cold on this die; displacing resident state also costs the swap
   // penalty. (A die with spare budget may not actually swap — this is a
   // routing-time upper estimate, not the charge.)
-  return estimate.cost.cold_cycles +
-         (die.warmth->resident_bytes() > 0 ? estimate.cost.swap_penalty_cycles : 0);
+  return cost.total_cycles + (die.warmth->resident_bytes() > 0 ? kPlanSwapPenaltyCycles : 0);
 }
 
 }  // namespace
@@ -42,7 +41,7 @@ Cycles estimate_die_service(const DieStatus& die, const RequestEstimate& estimat
     // rides it as a coalesced follower, its own weighting setup amortized
     // away. Lives here — not in individual schedulers — so pick() and the
     // cluster's queued-backlog accounting price the ride identically.
-    service -= std::min(service, estimate.cost.batch_saving_cycles);
+    service -= std::min(service, estimate.cost->batch_saving_cycles);
   }
   if (estimate.pipeline_stream_cycles > 0 && (die.busy || die.queue_depth > 0)) {
     // Intra-die pipelining: a slot that starts behind other work overlaps
@@ -113,8 +112,7 @@ struct GraphAffinityScheduler final : Scheduler {
 
 /// Predicted completion of the request on die `d`: drain what the die
 /// already owes (remaining service + routed backlog), then this request at
-/// its per-die estimate. The shared drain model of the warmth-aware and
-/// slo-aware schedulers.
+/// its per-die estimate — the slo-aware scheduler's drain model.
 Cycles predicted_finish(const DieStatus& die, const RequestEstimate& estimate,
                         Cycles now) {
   const Cycles drained =
@@ -122,32 +120,6 @@ Cycles predicted_finish(const DieStatus& die, const RequestEstimate& estimate,
       die.queued_cycles_estimate;
   return drained + estimate_die_service(die, estimate);
 }
-
-struct WarmthAwareScheduler final : Scheduler {
-  SchedulerKind kind() const override { return SchedulerKind::kWarmthAware; }
-
-  std::size_t pick(const TracedRequest&, std::span<const RequestEstimate> estimates,
-                   std::span<const DieStatus> dies, Cycles now) const override {
-    // Earliest predicted completion: drain what the die already owes
-    // (remaining service + routed backlog), then this request at its
-    // warm/cold estimate against the die's residency. A warm die wins
-    // until its backlog outweighs the cold penalty elsewhere — locality
-    // that yields to load, rather than affinity's locality-at-any-cost.
-    // estimate_die_service already includes the coalescing ride discount
-    // when the die's head-of-line slot is joinable for this plan, so a
-    // matching die wins ties against an equally-loaded cold die.
-    std::size_t best = 0;
-    Cycles best_finish = std::numeric_limits<Cycles>::max();
-    for (std::size_t d = 0; d < dies.size(); ++d) {
-      const Cycles finish = predicted_finish(dies[d], estimates[d], now);
-      if (finish < best_finish) {
-        best_finish = finish;
-        best = d;
-      }
-    }
-    return best;
-  }
-};
 
 struct SloAwareScheduler final : Scheduler {
   SchedulerKind kind() const override { return SchedulerKind::kSloAware; }
@@ -160,8 +132,12 @@ struct SloAwareScheduler final : Scheduler {
     // heterogeneous fleet that degrades loose-SLO requests onto cheap dies
     // and keeps the fast ones free for tight deadlines; if no die meets the
     // deadline, minimize lateness. Deadline-free requests take the earliest
-    // predicted completion (warmth-aware's rule), so on an SLO-less trace
-    // this scheduler is pure predicted-completion load balancing.
+    // predicted completion, lowest index on ties: a warm die wins until its
+    // backlog outweighs the cold penalty elsewhere — locality that yields
+    // to load, rather than affinity's locality-at-any-cost.
+    // estimate_die_service already includes the coalescing ride discount
+    // when the die's head-of-line slot is joinable for this plan, so a
+    // matching die wins ties against an equally-loaded cold die.
     std::size_t earliest = 0;
     Cycles earliest_finish = std::numeric_limits<Cycles>::max();
     std::size_t meeting = kDefer;  // latest-finishing die with finish <= deadline
@@ -193,8 +169,6 @@ const char* to_string(SchedulerKind kind) {
       return "shortest-queue";
     case SchedulerKind::kGraphAffinity:
       return "graph-affinity";
-    case SchedulerKind::kWarmthAware:
-      return "warmth-aware";
     case SchedulerKind::kSloAware:
       return "slo-aware";
   }
@@ -204,7 +178,7 @@ const char* to_string(SchedulerKind kind) {
 const std::vector<SchedulerKind>& all_scheduler_kinds() {
   static const std::vector<SchedulerKind> kinds = {
       SchedulerKind::kFifo, SchedulerKind::kShortestQueue, SchedulerKind::kGraphAffinity,
-      SchedulerKind::kWarmthAware, SchedulerKind::kSloAware};
+      SchedulerKind::kSloAware};
   return kinds;
 }
 
@@ -216,8 +190,6 @@ std::unique_ptr<Scheduler> Scheduler::make(SchedulerKind kind) {
       return std::make_unique<ShortestQueueScheduler>();
     case SchedulerKind::kGraphAffinity:
       return std::make_unique<GraphAffinityScheduler>();
-    case SchedulerKind::kWarmthAware:
-      return std::make_unique<WarmthAwareScheduler>();
     case SchedulerKind::kSloAware:
       return std::make_unique<SloAwareScheduler>();
   }

@@ -2,7 +2,7 @@
 //
 // A Scheduler decides, for each arriving (or re-offered) request, which die
 // queue it joins — or defers it to the cluster's global arrival-order queue
-// to wait for a free die. Five policies ship:
+// to wait for a free die. Four policies ship:
 //
 //   * FIFO — one global queue: a request is dispatched only when a die is
 //     idle, so service starts cluster-wide in arrival order. On one die
@@ -15,18 +15,17 @@
 //     dies' plan/cache state matches the request's graph, the DGI/DCI-style
 //     locality argument. Falls back to an untouched die, then to the least
 //     loaded one.
-//   * warmth-aware — route to the die with the earliest *predicted
-//     completion*: remaining busy time + the queued-work backlog + this
-//     request's warm/cold service estimate against the die's residency
-//     state (estimate_die_service). With the warmth model disabled it
-//     degenerates to pure predicted-completion-time load balancing.
 //   * slo-aware — route by predicted *slack* against the request's deadline
 //     over the per-die estimate vector (heterogeneous fleets give every die
 //     its own service estimate, serve/fleet.hpp): among dies predicted to
 //     meet the deadline, pick the slowest-finishing one — degrading to a
 //     cheaper die keeps the fast dies free for requests that need them.
-//     When no die can meet the deadline it minimizes lateness, and
-//     deadline-free requests fall back to earliest predicted completion.
+//     When no die can meet the deadline it minimizes lateness. A
+//     deadline-free request goes to the die with the earliest *predicted
+//     completion*: remaining busy time + the queued-work backlog + this
+//     request's warm/cold service estimate against the die's residency
+//     state (estimate_die_service) — warmth-aware routing, which with the
+//     warmth model disabled is pure predicted-completion load balancing.
 //
 // pick() receives one RequestEstimate per die: on a heterogeneous fleet the
 // same request costs differently per die design, so estimates are a
@@ -55,7 +54,6 @@ enum class SchedulerKind {
   kFifo,
   kShortestQueue,
   kGraphAffinity,
-  kWarmthAware,
   kSloAware,
 };
 
@@ -95,21 +93,20 @@ struct DieStatus {
 };
 
 /// Cluster-computed service-cost estimate handed to pick() alongside each
-/// request: the request's staged ServiceCostSummary on the estimated die's
-/// config plus the routing metadata (plan identity, per-die coalescing
-/// opportunity) the summary cannot know. The cluster owns the policy
-/// gates when it fills the summary: with the warmth model disabled
-/// cost.warm_cycles == cost.cold_cycles and the swap penalty is 0; with
-/// coalescing off cost.batch_saving_cycles is 0.
+/// request: the request's cost record on the estimated die's config plus
+/// the routing metadata (plan identity, working set, per-die coalescing
+/// opportunity) the record cannot know. The record is the same whichever
+/// serving knobs are on; each reader applies them itself
+/// (estimate_die_service prices the cold cost on a die without a warmth
+/// model, and the ride discount only when coalesce_count > 1).
 struct RequestEstimate {
-  /// Staged per-request cost on this die's config (gnnie::ServiceCostSummary
-  /// — cold/warm/swap/stage split/follower saving), in the cluster's one
-  /// clock domain. Schedulers read costs from here instead of recomputing
-  /// discounts.
-  ServiceCostSummary cost;
+  /// The request's ServiceCost on this die's config — the cluster's
+  /// memoized entry, valid for the whole simulate() call.
+  const ServiceCost* cost = nullptr;
   /// The request's plan fingerprint (GraphPlan::fingerprint), the same on
   /// every die: the identity affinity routing and coalescing key on.
   std::uint64_t fingerprint = 0;
+  /// GraphPlan::warm_working_set_bytes of the plan this die's config prices.
   Bytes working_set_bytes = 0;
   /// The same-plan backlog THIS die's next slot could actually drain: 1 +
   /// the same-plan requests waiting in this die's own queue plus the
@@ -129,17 +126,18 @@ struct RequestEstimate {
   Cycles pipeline_stream_cycles = 0;
 };
 
-/// Routing-time service estimate of a request on one die: the warm cost if
-/// the die's residency (or its last routed plan — it will be resident by
-/// the time the queue drains) matches, else the cold cost plus the swap
-/// penalty when the die holds some other plan's state; minus the
-/// coalescing ride discount (RequestEstimate::cost.batch_saving_cycles)
-/// when the die's head-of-line slot is joinable for this plan; minus the
-/// pipelined stream share (RequestEstimate::pipeline_stream_cycles) when
-/// the request would start behind other work. The cluster uses the same
-/// estimate to maintain DieStatus::queued_cycles_estimate, so the
-/// warmth-aware scheduler's predicted completions are self-consistent —
-/// including the ride discount.
+/// Routing-time service estimate of a request on one die: the cold cost on
+/// a die without a warmth model; else the warm cost if the die's residency
+/// (or its last routed plan — it will be resident by the time the queue
+/// drains) matches, else the cold cost plus kPlanSwapPenaltyCycles when the
+/// die holds some other plan's state; minus the coalescing ride discount
+/// (ServiceCost::batch_saving_cycles) when the die's head-of-line slot is
+/// joinable for this plan; minus the pipelined stream share
+/// (RequestEstimate::pipeline_stream_cycles) when the request would start
+/// behind other work. The cluster uses the same estimate to maintain
+/// DieStatus::queued_cycles_estimate, so the slo-aware scheduler's
+/// predicted completions are self-consistent — including the ride
+/// discount.
 Cycles estimate_die_service(const DieStatus& die, const RequestEstimate& estimate);
 
 class Scheduler {

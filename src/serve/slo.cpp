@@ -22,14 +22,18 @@ struct ShedHopelessPolicy final : AdmissionPolicy {
 
   bool shed(const TracedRequest& request,
             std::span<const RequestEstimate> estimates,
-            std::span<const DieStatus>, Cycles now) const override {
+            std::span<const DieStatus> dies, Cycles now) const override {
     if (!request.has_slo()) return false;
-    // Best case anywhere in the fleet: the fastest die's fully-warm service,
-    // as if that die were idle right now. Only a request that loses even
-    // this race is hopeless; finishing exactly on the deadline still meets
-    // it, so zero-slack requests are admitted.
+    // Best case anywhere in the fleet: the fastest die's fully-warm service
+    // (its cold service on a die without a warmth model), as if that die
+    // were idle right now. Only a request that loses even this race is
+    // hopeless; finishing exactly on the deadline still meets it, so
+    // zero-slack requests are admitted.
     Cycles best = std::numeric_limits<Cycles>::max();
-    for (const RequestEstimate& e : estimates) best = std::min(best, e.cost.warm_cycles);
+    for (std::size_t d = 0; d < estimates.size(); ++d) {
+      const ServiceCost& cost = *estimates[d].cost;
+      best = std::min(best, dies[d].warmth != nullptr ? cost.warm_cycles : cost.total_cycles);
+    }
     return now + best > request.deadline;
   }
 };

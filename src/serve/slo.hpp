@@ -16,7 +16,8 @@
 //     is bit-exact with the admission-unaware simulator, deadline or not.
 //   * shed-hopeless — sheds a deadline-carrying request iff its *best-case*
 //     completion already violates the deadline: the fastest die's
-//     fully-warm service estimate, assuming the die were idle right now.
+//     fully-warm service estimate (cold with warmth disabled), assuming the
+//     die were idle right now.
 //     This is deliberately conservative — a request is only dropped when no
 //     scheduling decision could save it — so admit-worthy requests are
 //     never sacrificed to a heuristic. Deadline-free requests are always

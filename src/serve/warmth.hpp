@@ -8,7 +8,7 @@
 // when the die's modeled on-chip budget (EngineConfig::warmth_die_budget)
 // is exceeded. The cluster touches the model at every service start; the
 // observed warm fraction discounts the request's service time
-// (warmth_stage_discount, core/report.hpp) and displacing another plan's
+// (ServiceCost::warm_total, core/serving.hpp) and displacing another plan's
 // resident state charges the plan-swap penalty (kPlanSwapPenaltyCycles).
 //
 // The model is deterministic by construction (pure LRU over the service

@@ -1,9 +1,11 @@
 // Shared fixture for the serving-cluster tests (test_serve.cpp,
 // test_warmth.cpp): two small graphs ("tenants") served by one compiled
-// GCN, with the engine config adjustable per test (the serving knobs), and
-// the per-request run() cycles a one-die batch must reproduce.
+// GCN, with the engine config adjustable per test (the serving knobs), the
+// per-request run() cycles a one-die batch must reproduce, and reference
+// copies of the serving cost model's warm and follower-saving formulas.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "core/serving.hpp"
@@ -56,6 +58,45 @@ inline std::vector<Cycles> sequential_run_cycles(const CompiledModel& compiled,
     cycles.push_back(compiled.run({stream.plan, stream.features}).report.total_cycles);
   }
   return cycles;
+}
+
+// Reference copies of the serving cost model (core/serving.hpp), written
+// over a run()'s report independently of CompiledModel::cost, so tests check
+// the cost record and the cluster's charges against separate arithmetic.
+
+/// The run's total at warm fraction `f`: each aggregation stage with DRAM
+/// traffic gives up f × its exposed time × the read share of its traffic.
+inline Cycles reference_warm_total(const InferenceReport& rep, double f) {
+  Cycles total = rep.total_cycles;
+  for (const LayerReport& lr : rep.layers) {
+    const AggregationReport& agg = lr.aggregation;
+    if (f <= 0.0 || agg.dram_bytes == 0) continue;
+    const Cycles exposed =
+        agg.total_cycles > agg.compute_cycles ? agg.total_cycles - agg.compute_cycles : 0;
+    const double share = std::min(1.0, static_cast<double>(agg.input_fetch_bytes) /
+                                           static_cast<double>(agg.dram_bytes));
+    total -= static_cast<Cycles>(f * static_cast<double>(exposed) * share);
+  }
+  return total;
+}
+
+/// What a coalesced follower saves: each weighting stage's exposed time ×
+/// the weight share of its DRAM stream.
+inline Cycles reference_follower_saving(const InferenceReport& rep) {
+  auto saving = [](const WeightingReport& w) -> Cycles {
+    if (w.dram_stream_bytes == 0) return 0;
+    const Cycles exposed =
+        w.total_cycles > w.compute_cycles ? w.total_cycles - w.compute_cycles : 0;
+    const double share = std::min(1.0, static_cast<double>(w.weight_stream_bytes) /
+                                           static_cast<double>(w.dram_stream_bytes));
+    return static_cast<Cycles>(static_cast<double>(exposed) * share);
+  };
+  Cycles saved = 0;
+  for (const LayerReport& lr : rep.layers) {
+    saved += saving(lr.weighting);
+    if (lr.mlp2) saved += saving(*lr.mlp2);
+  }
+  return saved;
 }
 
 }  // namespace gnnie::test

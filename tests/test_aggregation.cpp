@@ -403,12 +403,25 @@ TEST(Aggregation, RejectsMissingInputs) {
   // ascending lists and no self-loops: a one-way edge 0→1, a descending
   // list at 0, a self-loop at 0.
   const Matrix hw = random_dense(3, 4, 7);
+  const Csr self_loop({0, 2, 3, 3}, {0, 1, 0});
   for (const Csr& bad : {Csr({0, 1, 2, 3}, {1, 2, 1}), Csr({0, 2, 3, 4}, {2, 1, 0, 0}),
-                         Csr({0, 2, 3, 3}, {0, 1, 0})}) {
+                         self_loop}) {
     AggregationTask t;
     t.graph = &bad;
     t.hw = &hw;
     EXPECT_THROW(eng.run(t), std::invalid_argument);
+  }
+  // The engine adds the self term itself, so every policy — the on-demand
+  // family included — rejects an undirected self-loop rather than counting
+  // it twice.
+  for (CachePolicyKind kind : all_cache_policy_kinds()) {
+    const auto policy = CachePolicy::make(kind);
+    AggregationTask t;
+    t.graph = &self_loop;
+    t.hw = &hw;
+    t.kind = AggKind::kPlainSum;
+    t.policy = policy.get();
+    EXPECT_THROW(eng.run(t), std::invalid_argument) << to_string(kind);
   }
 }
 

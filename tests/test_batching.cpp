@@ -5,8 +5,8 @@
 // than features, the acceptance criterion that max_coalesce = 8 strictly
 // improves p99 and makespan over serial service on a single-graph Poisson
 // trace at 4 dies), interaction with cache warmth (one residency touch per
-// slot), coalescing across two plans of one graph, and the warmth-aware
-// scheduler's head-of-line plan preference.
+// slot), coalescing across two plans of one graph, and the earliest-
+// completion routing's head-of-line plan preference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,8 +160,8 @@ TEST(BatchingCluster, FifoCoalescesFromTheGlobalQueue) {
     EXPECT_EQ(rep.requests[i].start, rep.requests[i - 1].finish);
   }
   const ServiceCost cost = f.compiled.cost({f.plan_a, &f.a.features});
-  const Cycles c = cost.head.cold_cycles;
-  const Cycles s = cost.head.batch_saving_cycles;
+  const Cycles c = cost.total_cycles;
+  const Cycles s = cost.batch_saving_cycles;
   ASSERT_GT(s, 0u);  // followers actually save on this fixture
   ASSERT_LT(s, c);
   EXPECT_EQ(rep.requests[0].service_cycles(), c);
@@ -188,14 +188,11 @@ TEST(BatchingCluster, SlotsCoalesceByPlanNotByFeatures) {
 
   const ServiceCost own = f.compiled.cost({f.plan_a, &f.a.features});
   const ServiceCost other = f.compiled.cost({f.plan_a, &other_features});
-  ASSERT_NE(own.head.cold_cycles, other.head.cold_cycles);  // the test discriminates
-  EXPECT_EQ(rep.requests[1].service_cycles(), other.head.cold_cycles);
-  EXPECT_EQ(rep.requests[2].service_cycles(),
-            own.head.cold_cycles - own.head.batch_saving_cycles);
-  EXPECT_EQ(rep.requests[3].service_cycles(),
-            other.head.cold_cycles - other.head.batch_saving_cycles);
-  EXPECT_EQ(rep.weighting_cycles_saved,
-            own.head.batch_saving_cycles + other.head.batch_saving_cycles);
+  ASSERT_NE(own.total_cycles, other.total_cycles);  // the test discriminates
+  EXPECT_EQ(rep.requests[1].service_cycles(), other.total_cycles);
+  EXPECT_EQ(rep.requests[2].service_cycles(), own.total_cycles - own.batch_saving_cycles);
+  EXPECT_EQ(rep.requests[3].service_cycles(), other.total_cycles - other.batch_saving_cycles);
+  EXPECT_EQ(rep.weighting_cycles_saved, own.batch_saving_cycles + other.batch_saving_cycles);
 }
 
 TEST(BatchingCluster, CapLargerThanQueueDepthDrainsWhatIsThere) {
@@ -236,7 +233,7 @@ TEST(BatchingCluster, WarmthAndCoalescingComposeWithOneTouchPerSlot) {
   config.warmth.die_budget_bytes = 48 << 10;  // holds exactly one fixture plan
   ServeFixture f(config);
   const InferenceReport cold = f.compiled.run({f.plan_a, &f.a.features}).report;
-  const Cycles follower_saving = batch_follower_saved_cycles(cold);
+  const Cycles follower_saving = test::reference_follower_saving(cold);
   ASSERT_GT(follower_saving, 0u);
 
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 5, 0);
@@ -247,7 +244,7 @@ TEST(BatchingCluster, WarmthAndCoalescingComposeWithOneTouchPerSlot) {
   // weighting saving.
   EXPECT_DOUBLE_EQ(rep.requests[0].warm_fraction, 0.0);
   EXPECT_EQ(rep.requests[0].service_cycles(), cold.total_cycles);
-  const Cycles full_warm = warm_total_cycles(cold, 1.0);
+  const Cycles full_warm = test::reference_warm_total(cold, 1.0);
   EXPECT_DOUBLE_EQ(rep.requests[1].warm_fraction, 1.0);
   EXPECT_EQ(rep.requests[1].service_cycles(), full_warm);
   for (std::size_t i = 2; i < 5; ++i) {
@@ -281,13 +278,18 @@ TEST(BatchingCluster, SimulationStaysDeterministicWithCoalescing) {
 // --- The scheduler sees the opportunity. ---
 
 TEST(BatchingScheduler, WarmthAwarePrefersTheDieWhoseHeadOfLinePlanMatches) {
-  auto sched = Scheduler::make(SchedulerKind::kWarmthAware);
-  TracedRequest request;  // warmth-aware ignores the request itself
+  // slo-aware routes a deadline-free request to the earliest predicted
+  // completion — the warmth-aware rule.
+  auto sched = Scheduler::make(SchedulerKind::kSloAware);
+  TracedRequest request;
+  ASSERT_FALSE(request.has_slo());
+  ServiceCost cost;
+  cost.total_cycles = 1000;
+  cost.warm_cycles = 1000;
+  cost.batch_saving_cycles = 200;
   RequestEstimate est;
+  est.cost = &cost;
   est.fingerprint = 42;
-  est.cost.cold_cycles = 1000;
-  est.cost.warm_cycles = 1000;
-  est.cost.batch_saving_cycles = 200;
 
   std::vector<DieStatus> dies(2);
   for (DieStatus& d : dies) {
@@ -347,7 +349,7 @@ TEST(BatchingScheduler, EstimateCarriesTheDrainableOpportunity) {
     std::size_t pick(const TracedRequest&, std::span<const RequestEstimate> ests,
                      std::span<const DieStatus> dies, Cycles) const override {
       max_seen = std::max(max_seen, ests[0].coalesce_count);
-      saving_seen = std::max(saving_seen, ests[0].cost.batch_saving_cycles);
+      saving_seen = std::max(saving_seen, ests[0].cost->batch_saving_cycles);
       for (std::size_t d = 0; d < dies.size(); ++d) {
         if (!dies[d].busy && dies[d].queue_depth == 0) return d;
       }
@@ -395,11 +397,13 @@ TEST(BatchingScheduler, NoRideDiscountWithoutADrainableWaiter) {
   // holds no drainable same-plan waiter (count 1 — the old cluster-wide
   // count could still exceed 1 via other dies' queues) must be priced at
   // full service: the discount would be a phantom saving.
+  ServiceCost cost;
+  cost.total_cycles = 1000;
+  cost.warm_cycles = 1000;
+  cost.batch_saving_cycles = 200;
   RequestEstimate est;
+  est.cost = &cost;
   est.fingerprint = 77;
-  est.cost.cold_cycles = 1000;
-  est.cost.warm_cycles = 1000;
-  est.cost.batch_saving_cycles = 200;
   DieStatus die;
   die.queue_head_fingerprint = 77;
   est.coalesce_count = 1;

@@ -2,7 +2,7 @@
 // the access-trace recorder, the replacement buffer and its trace replays,
 // the Belady oracle's optimality bound, the dual-cache split search, the
 // layout invariants every CachePolicy must hold, and the serving-layer
-// wiring (per-plan dual-split artifact, per-die fleet policy knob).
+// wiring (the per-plan dual-split artifact).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,9 +23,6 @@
 #include "datasets/synthetic.hpp"
 #include "graph/reorder.hpp"
 #include "nn/layers.hpp"
-#include "serve/cluster.hpp"
-#include "serve/fleet.hpp"
-#include "serve_test_util.hpp"
 
 namespace gnnie {
 namespace {
@@ -464,93 +461,6 @@ TEST(SetAwareLayout, ReducesDramTrafficOnConflictHeavyWorkload) {
   EXPECT_LT(set_aware.dram_bytes, degree.dram_bytes);
   EXPECT_GT(set_aware.set_conflict_evictions, 0u)
       << "workload too small to exercise the conflict model";
-}
-
-// ---- Serving fleet: per-die cache policy ------------------------------------
-
-TEST(FleetCachePolicy, ExplicitDefaultKindIsBitExactWithDerivedDefault) {
-  test::ServeFixture f;
-  const std::size_t dies = 2;
-  serve::FleetSpec derived = serve::FleetSpec::homogeneous(f.engine.config(), dies);
-  serve::FleetSpec explicit_kind = derived;
-  for (auto& cfg : explicit_kind.configs) {
-    cfg.cache_policy = CachePolicyKind::kDegreeAware;  // the derived default
-  }
-  serve::Cluster plain(f.compiled, dies);
-  serve::Cluster fleet_derived(f.compiled, derived);
-  serve::Cluster fleet_explicit(f.compiled, std::move(explicit_kind));
-
-  const serve::RequestTrace trace =
-      serve::RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 12, 40000);
-  const ServingReport want = plain.simulate(trace, {.scheduler = serve::SchedulerKind::kFifo});
-  for (const serve::Cluster* cluster : {&fleet_derived, &fleet_explicit}) {
-    const ServingReport got = cluster->simulate(trace, {.scheduler = serve::SchedulerKind::kFifo});
-    ASSERT_EQ(got.requests.size(), want.requests.size());
-    for (std::size_t i = 0; i < want.requests.size(); ++i) {
-      EXPECT_EQ(got.requests[i].die, want.requests[i].die) << i;
-      EXPECT_EQ(got.requests[i].start, want.requests[i].start) << i;
-      EXPECT_EQ(got.requests[i].finish, want.requests[i].finish) << i;
-    }
-  }
-}
-
-TEST(FleetCachePolicy, PerDiePolicyPricesServiceByThatPolicy) {
-  // A die with an explicit cache policy must service requests at exactly
-  // the cost a standalone engine compiled with that policy reports.
-  test::ServeFixture f;
-  serve::FleetSpec spec;
-  spec.configs.push_back({f.engine.config(), 1.0, "ref", std::nullopt});
-  spec.configs.push_back({f.engine.config(), 1.0, "od", CachePolicyKind::kOnDemand});
-  spec.assignment = {0, 1};
-  serve::Cluster cluster(f.compiled, std::move(spec));
-  EXPECT_TRUE(cluster.heterogeneous());
-
-  // A wide gap serializes requests onto die 0 then die 1 alternately under
-  // shortest-queue, so both configs get exercised; simpler and stronger: a
-  // single-stream trace and per-die service-cost checks.
-  const serve::RequestTrace trace =
-      serve::RequestTrace::fixed_interval({f.stream_a()}, 8, 1);
-  const ServingReport report = cluster.simulate(
-      trace, {.scheduler = serve::SchedulerKind::kShortestQueue});
-
-  Engine od_engine(f.engine.config(), shared_policy(CachePolicyKind::kOnDemand));
-  CompiledModel od_compiled = test::ServeFixture::make_compiled(od_engine, f.a);
-  const Cycles od_cost =
-      od_compiled.cost({od_compiled.plan(f.a.graph), &f.a.features}).total_cycles;
-  const Cycles ref_cost =
-      f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
-  ASSERT_NE(od_cost, ref_cost) << "policies cost identically; test is vacuous";
-
-  bool saw_die1 = false;
-  for (const auto& r : report.requests) {
-    EXPECT_EQ(r.service_cycles(), r.die == 1 ? od_cost : ref_cost) << "die " << r.die;
-    saw_die1 |= (r.die == 1);
-  }
-  EXPECT_TRUE(saw_die1) << "trace never reached the on-demand die";
-}
-
-TEST(FleetCachePolicy, DualCacheDieServesThroughPlanArtifact) {
-  // End-to-end: a dual-cache die re-plans per config, the plan carries the
-  // split artifact, and simulation completes deterministically.
-  test::ServeFixture f;
-  serve::FleetSpec spec;
-  spec.configs.push_back({f.engine.config(), 1.0, "ref", std::nullopt});
-  spec.configs.push_back({f.engine.config(), 1.2, "dc", CachePolicyKind::kDualCache});
-  spec.assignment = {0, 1};
-  serve::Cluster cluster(f.compiled, std::move(spec));
-
-  const serve::RequestTrace trace =
-      serve::RequestTrace::fixed_interval({f.stream_a(), f.stream_b()}, 10, 1);
-  const ServingReport first = cluster.simulate(
-      trace, {.scheduler = serve::SchedulerKind::kShortestQueue});
-  const ServingReport second = cluster.simulate(
-      trace, {.scheduler = serve::SchedulerKind::kShortestQueue});
-  ASSERT_EQ(first.requests.size(), 10u);
-  for (std::size_t i = 0; i < first.requests.size(); ++i) {
-    EXPECT_GT(first.requests[i].finish, first.requests[i].start) << i;
-    EXPECT_EQ(first.requests[i].die, second.requests[i].die) << i;
-    EXPECT_EQ(first.requests[i].finish, second.requests[i].finish) << i;
-  }
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ struct CellGrid {
   explicit CellGrid(ServeFixture& f) {
     for (SchedulerKind kind :
          {SchedulerKind::kFifo, SchedulerKind::kShortestQueue,
-          SchedulerKind::kGraphAffinity, SchedulerKind::kWarmthAware}) {
+          SchedulerKind::kGraphAffinity, SchedulerKind::kSloAware}) {
       schedulers.push_back(Scheduler::make(kind));
     }
     traces.push_back(

@@ -23,7 +23,7 @@ Key key_of(std::size_t config) { return Key{config, nullptr, nullptr}; }
 /// A CostEntry carrying `tag` so a hit is distinguishable from a recompute.
 CostEntry cost_with(Cycles tag) {
   CostEntry e;
-  e.cost.head.cold_cycles = tag;
+  e.cost.total_cycles = tag;
   return e;
 }
 
@@ -42,7 +42,7 @@ TEST(CostCache, EntryPointersStayStableAcrossGrowth) {
   // inserts still hold their values and are what lookups return today —
   // the guarantee simulate()'s per-run raw-pointer resolution leans on.
   for (std::size_t c = 0; c < early.size(); ++c) {
-    EXPECT_EQ(early[c]->cost.head.cold_cycles, static_cast<Cycles>(c));
+    EXPECT_EQ(early[c]->cost.total_cycles, static_cast<Cycles>(c));
     EXPECT_EQ(early[c], &cache.get(key_of(c), [&] { return cost_with(0); }));
   }
 }
@@ -79,7 +79,7 @@ TEST(CostCache, ConcurrentDuplicateKeyFillComputesEachKeyOnce) {
     for (std::size_t t = 1; t < kThreads; ++t) {
       EXPECT_EQ(seen[t][c], seen[0][c]) << "threads saw different entries for key " << c;
     }
-    EXPECT_EQ(seen[0][c]->cost.head.cold_cycles, static_cast<Cycles>(c));
+    EXPECT_EQ(seen[0][c]->cost.total_cycles, static_cast<Cycles>(c));
   }
 }
 

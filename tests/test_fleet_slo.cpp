@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <span>
 
 #include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
@@ -234,8 +235,8 @@ TEST(SloCluster, AdmitAllOverloadIsBitExactWithTheTwoArgSimulate) {
 
 TEST(SloCluster, DeadlinesDoNotPerturbDeadlineBlindSchedulers) {
   // Under admit-all, stamping SLOs onto a trace must not change what FIFO /
-  // shortest-queue / graph-affinity / warmth-aware do — deadlines only add
-  // accounting. (The slo-aware scheduler is deadline-driven by design.)
+  // shortest-queue / graph-affinity do — deadlines only add accounting.
+  // (The slo-aware scheduler is deadline-driven by design.)
   ServeFixture f;
   TraceStream with_slo = f.stream_a();
   with_slo.slo_cycles = 100000;
@@ -245,8 +246,7 @@ TEST(SloCluster, DeadlinesDoNotPerturbDeadlineBlindSchedulers) {
       RequestTrace::poisson({with_slo, f.stream_b()}, 50, 2000.0, /*seed=*/13);
   Cluster cluster(f.compiled, 3);
   for (SchedulerKind kind :
-       {SchedulerKind::kFifo, SchedulerKind::kShortestQueue,
-        SchedulerKind::kGraphAffinity, SchedulerKind::kWarmthAware}) {
+       {SchedulerKind::kFifo, SchedulerKind::kShortestQueue, SchedulerKind::kGraphAffinity}) {
     ServingReport a = cluster.simulate(plain_trace, {.scheduler = kind});
     ServingReport b = cluster.simulate(slo_trace, {.scheduler = kind});
     EXPECT_EQ(a.slo_request_count(), 0u);
@@ -319,21 +319,47 @@ TEST(SloCluster, SheddingEverythingLeavesZeroPercentilesNotACrash) {
 // --- The slack-aware scheduler ---
 
 TEST(SloScheduler, FallsBackToEarliestCompletionWithoutDeadlines) {
-  // On an SLO-less trace the slo-aware scheduler is pure
-  // predicted-completion load balancing — identical to warmth-aware.
-  ServeFixture f;
-  RequestTrace trace =
-      RequestTrace::poisson({f.stream_a(), f.stream_b()}, 60, 1500.0, /*seed=*/21);
-  Cluster cluster(f.compiled, 3);
-  ServingReport wa =
-      cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware});
-  ServingReport slo =
-      cluster.simulate(trace, {.scheduler = SchedulerKind::kSloAware});
-  ASSERT_EQ(wa.requests.size(), slo.requests.size());
-  for (std::size_t i = 0; i < wa.requests.size(); ++i) {
-    EXPECT_EQ(wa.requests[i].die, slo.requests[i].die);
-    EXPECT_EQ(wa.requests[i].start, slo.requests[i].start);
-    EXPECT_EQ(wa.requests[i].finish, slo.requests[i].finish);
+  // On an SLO-less trace the slo-aware scheduler is pure predicted-
+  // completion load balancing: it routes exactly like a scheduler that
+  // drains each die's remaining service and backlog, adds the request's
+  // estimate_die_service, and takes the earliest finish, lowest index on
+  // ties — with the warmth model off and on.
+  struct EarliestCompletion final : Scheduler {
+    SchedulerKind kind() const override { return SchedulerKind::kSloAware; }
+    std::size_t pick(const serve::TracedRequest&,
+                     std::span<const serve::RequestEstimate> estimates,
+                     std::span<const serve::DieStatus> dies, Cycles now) const override {
+      std::size_t best = 0;
+      Cycles best_finish = std::numeric_limits<Cycles>::max();
+      for (std::size_t d = 0; d < dies.size(); ++d) {
+        const Cycles drained =
+            (dies[d].busy && dies[d].busy_until > now ? dies[d].busy_until : now) +
+            dies[d].queued_cycles_estimate;
+        const Cycles finish = drained + serve::estimate_die_service(dies[d], estimates[d]);
+        if (finish < best_finish) {
+          best_finish = finish;
+          best = d;
+        }
+      }
+      return best;
+    }
+  } earliest;
+  EngineConfig warm = EngineConfig::paper_default(false);
+  warm.warmth.enabled = true;
+  warm.warmth.die_budget_bytes = 48 << 10;  // holds one fixture plan
+  for (const EngineConfig& config : {EngineConfig::paper_default(false), warm}) {
+    ServeFixture f(config);
+    RequestTrace trace =
+        RequestTrace::poisson({f.stream_a(), f.stream_b()}, 60, 1500.0, /*seed=*/21);
+    Cluster cluster(f.compiled, 3);
+    ServingReport want = cluster.simulate(trace, {.custom_scheduler = &earliest});
+    ServingReport slo = cluster.simulate(trace, {.scheduler = SchedulerKind::kSloAware});
+    ASSERT_EQ(want.requests.size(), slo.requests.size());
+    for (std::size_t i = 0; i < want.requests.size(); ++i) {
+      EXPECT_EQ(want.requests[i].die, slo.requests[i].die);
+      EXPECT_EQ(want.requests[i].start, slo.requests[i].start);
+      EXPECT_EQ(want.requests[i].finish, slo.requests[i].finish);
+    }
   }
 }
 

@@ -84,30 +84,36 @@ TEST(CostQuery, MatchesTheRunReportAtEveryWarmFraction) {
   ServeFixture f;
   const RunRequest request{f.plan_a, &f.a.features};
   const InferenceReport cold = f.compiled.run(request).report;
-  const ServiceCost staged = f.compiled.cost(request);
-  EXPECT_EQ(staged.total_cycles, cold.total_cycles);
-  EXPECT_EQ(staged.head.cold_cycles, cold.total_cycles);
-  // The parametric surface reprices exactly like warm_total_cycles at
-  // every fraction.
+  const ServiceCost cost = f.compiled.cost(request);
+  EXPECT_EQ(cost.total_cycles, cold.total_cycles);
+  // The record reprices exactly like the reference warm formula over the
+  // run's report at every fraction, and caches the fully-warm price.
   for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    EXPECT_EQ(staged.warm_total(fraction), warm_total_cycles(cold, fraction));
+    EXPECT_EQ(cost.warm_total(fraction), test::reference_warm_total(cold, fraction));
   }
+  EXPECT_EQ(cost.warm_cycles, cost.warm_total(1.0));
+  EXPECT_EQ(cost.batch_saving_cycles, test::reference_follower_saving(cold));
 }
 
 TEST(CostQuery, StagesPartitionTheSlotAndStreamIsTheWeightingShare) {
   ServeFixture f(pipeline_config(true));
   const RunRequest request{f.plan_a, &f.a.features};
   const ServiceCost cost = f.compiled.cost(request);
-  EXPECT_EQ(cost.head.weighting_cycles + cost.head.aggregation_cycles, cost.total_cycles);
-  EXPECT_GT(cost.head.weighting_cycles, 0u);
-  EXPECT_GT(cost.head.aggregation_cycles, 0u);
+  // The weighting share is the run's weighting stages; the rest of the
+  // slot (aggregation, activation) cannot stream.
+  Cycles weighting = 0;
+  for (const LayerReport& lr : f.compiled.run(request).report.layers) {
+    weighting += lr.weighting.total_cycles + (lr.mlp2 ? lr.mlp2->total_cycles : 0);
+  }
+  EXPECT_EQ(cost.weighting_cycles, weighting);
+  EXPECT_GT(cost.weighting_cycles, 0u);
+  EXPECT_LT(cost.weighting_cycles, cost.total_cycles);
   // No variant family: a lone pipelined slot's stream track carries exactly
   // the request's cold weighting share.
   const ServingReport rep =
       Cluster(f.compiled, 1).simulate(RequestTrace::fixed_interval({f.stream_a()}, 1, 0));
   ASSERT_EQ(rep.die_stream_cycles.size(), 1u);
-  EXPECT_EQ(rep.die_stream_cycles[0], cost.head.weighting_cycles);
-  EXPECT_LT(cost.head.weighting_cycles, cost.total_cycles);
+  EXPECT_EQ(rep.die_stream_cycles[0], cost.weighting_cycles);
 }
 
 // --- The SimulateOptions entry point. ---
@@ -202,7 +208,7 @@ TEST(Pipelining, StrictlyImprovesTailLatencyAndMakespanWhenWeightHeavy) {
   // The fixture GCN streams most of its service as weights — the scenario
   // the pipeline targets (assert so a model change cannot quietly turn
   // this into a vacuous win).
-  ASSERT_GT(cost.head.weighting_cycles * 5, cost.total_cycles)
+  ASSERT_GT(cost.weighting_cycles * 5, cost.total_cycles)
       << "fixture is no longer weight-stream-heavy";
   const double mean_gap = static_cast<double>(cost.total_cycles) / 6.0;
   RequestTrace off_trace =
@@ -225,8 +231,8 @@ TEST(VariantDispatch, PicksTheCheapestWidthAndChargesSetupToTheHead) {
   config.batching.max_coalesce = 4;
   ServeFixture f(config);
   const ServiceCost cost = f.compiled.cost({f.plan_a, &f.a.features});
-  const Cycles c = cost.head.cold_cycles;
-  const Cycles s = cost.head.batch_saving_cycles;
+  const Cycles c = cost.total_cycles;
+  const Cycles s = cost.batch_saving_cycles;
   // Width 4 beats width 1 on a full slot only if three followers' savings
   // outweigh its 3·kVariantSetupCycles setup; assert it so the pick below
   // is a real choice.

@@ -289,13 +289,12 @@ TEST(ServeCluster, ShortestQueueTieBreaksDeterministicallyByLowestIndex) {
   ServeFixture f;
   // Eight identical zero-gap requests on four dies: every dispatch decision
   // is a tie (equal in-flight counts), so the lowest-index rule must
-  // produce exactly the round-robin sequence 0,1,2,3,0,1,2,3. The
-  // warmth-aware scheduler degenerates to the same predicted-completion
-  // ties (warmth disabled ⇒ warm == cold), so it must match — and so must
-  // slo-aware on a deadline-free trace (earliest-completion fallback).
+  // produce exactly the round-robin sequence 0,1,2,3,0,1,2,3. slo-aware on
+  // a deadline-free trace routes by earliest predicted completion, which
+  // ties the same way (warmth disabled ⇒ every die prices the cold cost),
+  // so it must match.
   RequestTrace trace = RequestTrace::fixed_interval({f.stream_a()}, 8, 0);
-  for (SchedulerKind kind : {SchedulerKind::kShortestQueue,
-                             SchedulerKind::kWarmthAware, SchedulerKind::kSloAware}) {
+  for (SchedulerKind kind : {SchedulerKind::kShortestQueue, SchedulerKind::kSloAware}) {
     ServingReport rep = Cluster(f.compiled, 4).simulate(trace, {.scheduler = kind});
     ASSERT_EQ(rep.requests.size(), 8u);
     for (std::size_t i = 0; i < rep.requests.size(); ++i) {

@@ -7,7 +7,7 @@
 // cluster used to run (O(dies) completion scan, O(queued) fingerprint
 // scans, std::map cost memo, std::deque queues), ported against the public
 // API only — and pins the two record-for-record bit-exact across the full
-// serving matrix: all five schedulers × warmth on/off × max_coalesce
+// serving matrix: all four schedulers × warmth on/off × max_coalesce
 // {1, 8} × homogeneous/EEAA fleet × admit-all/shed-hopeless, on Poisson
 // and bursty traces. Two independently written loops agreeing on every
 // field of every record is the strongest cheap evidence the indexed loop
@@ -16,6 +16,11 @@
 // The reference implements the POST-BUGFIX semantics: RequestEstimate::
 // coalesce_count counts the same-plan waiters one die's slot can actually
 // drain (its own queue + the global queue), not the cluster-wide backlog.
+// It prices requests with its own copies of the warm and follower-saving
+// formulas over run()'s report (serve_test_util.hpp), and gates its
+// estimate records itself (warm == cold with warmth off, no follower saving
+// at max_coalesce 1) where the production loop leaves the gates to the
+// estimate's readers.
 //
 // A 1M-request determinism smoke rides along: production-scale traces must
 // replay to identical reports, quickly enough to live under the ctest
@@ -78,12 +83,7 @@ class ReferenceCluster {
       : model_(reference), die_count_(spec.die_count()), spec_(std::move(spec)) {
     spec_.validate();
     for (const FleetDieConfig& cfg : spec_.configs) {
-      std::shared_ptr<const CachePolicy> policy;
-      if (cfg.cache_policy.has_value()) {
-        policy = std::shared_ptr<const CachePolicy>(CachePolicy::make(*cfg.cache_policy));
-      }
-      config_models_.push_back(
-          Engine(cfg.engine, std::move(policy)).compile(model_.model(), model_.weights()));
+      config_models_.push_back(Engine(cfg.engine).compile(model_.model(), model_.weights()));
     }
     die_config_ = spec_.assignment;
   }
@@ -101,11 +101,8 @@ class ReferenceCluster {
 
   struct CostEntry {
     GraphPlanPtr plan;
-    Bytes working_set = 0;
     InferenceReport cold_report;
-    Cycles cold = 0;
-    Cycles warm_full = 0;
-    Cycles follower_saving = 0;
+    ServiceCost estimate;  ///< what the request's estimates point at
   };
 
   const CompiledModel& model_;
@@ -166,11 +163,12 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
         routed.plan = config_models_[cfg].plan(request.plan->graph());
       }
       entry.plan = routed.plan;
-      entry.working_set = routed.plan->warm_working_set_bytes();
       InferenceReport cold = (fleet ? config_models_[cfg] : model_).run(routed).report;
-      entry.cold = cold.total_cycles;
-      entry.warm_full = wcfg.enabled ? warm_total_cycles(cold, 1.0) : cold.total_cycles;
-      entry.follower_saving = max_coalesce > 1 ? batch_follower_saved_cycles(cold) : 0;
+      entry.estimate.total_cycles = cold.total_cycles;
+      entry.estimate.warm_cycles =
+          wcfg.enabled ? test::reference_warm_total(cold, 1.0) : cold.total_cycles;
+      entry.estimate.batch_saving_cycles =
+          max_coalesce > 1 ? test::reference_follower_saving(cold) : 0;
       if (wcfg.enabled) entry.cold_report = std::move(cold);
       it = service_memo.emplace(key, std::move(entry)).first;
     }
@@ -202,12 +200,9 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
       if (!config_ready[cfg]) {
         const CostEntry& cost = cost_of(cfg, idx);
         RequestEstimate est;
+        est.cost = &cost.estimate;
         est.fingerprint = fp;
-        est.working_set_bytes = cost.working_set;
-        est.cost.cold_cycles = cost.cold;
-        est.cost.warm_cycles = wcfg.enabled ? cost.warm_full : est.cost.cold_cycles;
-        est.cost.swap_penalty_cycles = wcfg.enabled ? kPlanSwapPenaltyCycles : 0;
-        est.cost.batch_saving_cycles = max_coalesce > 1 ? cost.follower_saving : 0;
+        est.working_set_bytes = cost.plan->warm_working_set_bytes();
         config_estimates[cfg] = est;
         config_ready[cfg] = 1;
       }
@@ -277,7 +272,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
     double follower_fraction = 0.0;
     bool swapped = false;
     if (wcfg.enabled) {
-      const Bytes working_set = cost_of(cfg, head).working_set;
+      const Bytes working_set = cost_of(cfg, head).plan->warm_working_set_bytes();
       const DieWarmthModel::Touch touch = warmth[d].touch(fp, working_set);
       head_fraction = touch.warm_fraction;
       follower_fraction = warmth[d].warm_fraction(fp, working_set);
@@ -289,10 +284,10 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
       const std::size_t idx = group[i];
       const CostEntry& cost = cost_of(cfg, idx);
       RequestRecord& rec = report.requests[idx];
-      Cycles service = cost.cold;
+      Cycles service = cost.estimate.total_cycles;
       if (wcfg.enabled) {
         const double fraction = i == 0 ? head_fraction : follower_fraction;
-        service = warm_total_cycles(cost.cold_report, fraction);
+        service = test::reference_warm_total(cost.cold_report, fraction);
         if (i == 0 && swapped) service += kPlanSwapPenaltyCycles;
         rec.warm_fraction = fraction;
         rec.plan_swap = i == 0 && swapped;
@@ -301,7 +296,7 @@ ServingReport ReferenceCluster::simulate(const RequestTrace& trace,
       }
       if (i > 0) {
         const Cycles charged =
-            batch_member_charge(service, cost.follower_saving, /*follower=*/true);
+            batch_member_charge(service, cost.estimate.batch_saving_cycles, /*follower=*/true);
         report.weighting_cycles_saved += service - charged;
         service = charged;
       }
@@ -448,7 +443,7 @@ EngineConfig matrix_config(bool warmth, std::uint32_t max_coalesce) {
 }
 
 /// One (warmth, coalesce, fleet?) cell of the matrix: both traces × all
-/// five schedulers × both admission policies, production vs reference.
+/// four schedulers × both admission policies, production vs reference.
 void run_matrix_cell(bool warmth, std::uint32_t max_coalesce, bool fleet) {
   ServeFixture f(matrix_config(warmth, max_coalesce));
 

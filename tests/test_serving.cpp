@@ -2,9 +2,14 @@
 // (bit-identical to a fresh compile → plan → run), pure planning (two
 // plans of one graph agree on everything but identity), the shape guard
 // against a plan whose graph was reassigned, cache-policy
-// selection through the CachePolicy interface, and compile/plan/run
-// validation.
+// selection through the CachePolicy interface, compile/plan/run
+// validation, and the cost record CompiledModel::cost builds, pinned to
+// recorded values.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "core/serving.hpp"
 #include "engine_test_util.hpp"
@@ -244,6 +249,63 @@ TEST(Serving, GraphSagePlanBindsSampledAdjacencies) {
   gone.clear();
   InferenceResult res = compiled.run({plan, &f.data.features});
   EXPECT_GT(res.report.total_cycles, 0u);
+}
+
+/// The cost record as a counter list: total, warm, weighting, follower
+/// saving, stage count, each stage's exposed cycles and the bits of its
+/// fetch share, then warm_total at 0.25 and 0.5.
+std::vector<std::uint64_t> cost_record(const ServiceCost& c) {
+  std::vector<std::uint64_t> v = {c.total_cycles, c.warm_cycles, c.weighting_cycles,
+                                  c.batch_saving_cycles, c.warm_stages.size()};
+  for (const WarmthStage& stage : c.warm_stages) {
+    v.push_back(stage.exposed_cycles);
+    v.push_back(std::bit_cast<std::uint64_t>(stage.fetch_share));
+  }
+  v.push_back(c.warm_total(0.25));
+  v.push_back(c.warm_total(0.5));
+  return v;
+}
+
+TEST(Serving, CostMatchesRecordedValues) {
+  // Pins CompiledModel::cost for every GNN kind on two design points; a
+  // model change that moves a serving price fails here with the line to
+  // paste.
+  constexpr std::uint64_t kShareA = 4603143521809356479ull;  // bits of the fetch shares
+  constexpr std::uint64_t kShareB = 4603141649999836998ull;
+  constexpr std::uint64_t kShareC = 4603253628047020098ull;
+  constexpr std::uint64_t kShareD = 4603521293929730076ull;
+  struct Case {
+    char design;
+    GnnKind kind;
+    std::vector<std::uint64_t> want;
+  };
+  const Case cases[] = {
+      {'A', GnnKind::kGcn, {2175, 1461, 801, 186, 2, 637, kShareA, 659, kShareA, 1998, 1819}},
+      {'A', GnnKind::kGraphSage, {2008, 1404, 832, 185, 2, 538, kShareB, 560, kShareB, 1857, 1706}},
+      {'A', GnnKind::kGat, {2588, 1984, 804, 186, 2, 537, kShareC, 537, kShareC, 2438, 2286}},
+      {'A', GnnKind::kGinConv, {2854, 2140, 1446, 191, 2, 637, kShareA, 659, kShareA, 2677, 2498}},
+      {'A', GnnKind::kDiffPool,
+       {5184, 3437, 1816, 411, 5, 637, kShareA, 659, kShareA, 659, kShareA, 565, kShareD, 565,
+        kShareD, 4751, 4313}},
+      {'E', GnnKind::kGcn, {2335, 1617, 961, 187, 2, 640, kShareA, 662, kShareA, 2156, 1977}},
+      {'E', GnnKind::kGraphSage,
+       {2196, 1588, 1020, 185, 2, 541, kShareB, 563, kShareB, 2045, 1892}},
+      {'E', GnnKind::kGat, {2750, 2146, 966, 187, 2, 537, kShareC, 537, kShareC, 2600, 2448}},
+      {'E', GnnKind::kGinConv, {3290, 2572, 1882, 190, 2, 640, kShareA, 662, kShareA, 3111, 2932}},
+      {'E', GnnKind::kDiffPool,
+       {5419, 3664, 2051, 409, 5, 640, kShareA, 662, kShareA, 662, kShareA, 567, kShareD, 567,
+        kShareD, 4981, 4543}},
+  };
+  for (const Case& c : cases) {
+    ModelFixture f(c.kind, 0.05);
+    const CompiledModel compiled =
+        Engine(EngineConfig::design_point(c.design, false)).compile(f.model, f.weights);
+    const ServiceCost cost =
+        compiled.cost({compiled.plan(f.data.graph, f.sampled), &f.data.features});
+    const std::vector<std::uint64_t> got = cost_record(cost);
+    EXPECT_EQ(got, c.want) << "design " << c.design << ", kind " << static_cast<int>(c.kind)
+                           << ": now " << test::brace_list(got);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Property tests for the serving-layer cache-warmth model: the warm-cost
-// discount (core/report.hpp), the per-die residency set (serve/warmth.hpp),
-// the warmth-charging cluster, and the end-to-end acceptance criterion —
-// with warmth enabled, locality-aware schedulers measurably beat FIFO on a
-// skewed two-graph trace; with warmth disabled, the simulator is bit-exact
-// with the warmth-unaware one (a one-die FIFO cluster on a zero-gap trace
-// services each request in exactly its run() cycles).
+// discount (ServiceCost, core/serving.hpp), the per-die residency set
+// (serve/warmth.hpp), the warmth-charging cluster, and the end-to-end
+// acceptance criterion — with warmth enabled, locality-aware schedulers
+// measurably beat FIFO on a skewed two-graph trace; with warmth disabled,
+// the simulator is bit-exact with the warmth-unaware one (a one-die FIFO
+// cluster on a zero-gap trace services each request in exactly its run()
+// cycles).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,20 +73,29 @@ TEST(WarmthCost, WarmCostNeverExceedsColdAndIsMonotoneInWarmFraction) {
 
 TEST(WarmthCost, ZeroWarmFractionReproducesRunCostBitExactly) {
   WarmthFixture f;
-  for (const RunRequest request :
+  for (const RunRequest& request :
        {RunRequest{f.plan_a, &f.a.features}, RunRequest{f.plan_b, &f.b_features}}) {
     const InferenceReport cold = f.compiled.run(request).report;
-    // Every stage discounts exactly 0 at fraction 0, and even a fully warm
-    // stage never discounts more than its memory time.
-    for (const LayerReport& lr : cold.layers) {
-      const WarmthStage stage = warmth_stage_of(lr.aggregation);
-      EXPECT_EQ(warmth_stage_discount(stage, 0.0), 0u);
-      EXPECT_LE(warmth_stage_discount(stage, 1.0), lr.aggregation.memory_cycles);
-    }
-    EXPECT_EQ(warm_total_cycles(cold, 0.0), cold.total_cycles);
     const ServiceCost cost = f.compiled.cost(request);
     EXPECT_EQ(cost.total_cycles, cold.total_cycles);
     EXPECT_EQ(cost.warm_total(0.0), cold.total_cycles);
+    // One warmth stage per aggregation stage with DRAM traffic, in layer
+    // order; even a fully warm stage never discounts more than its memory
+    // time.
+    std::size_t k = 0;
+    Cycles memory = 0;
+    for (const LayerReport& lr : cold.layers) {
+      if (lr.aggregation.dram_bytes == 0) continue;
+      ASSERT_LT(k, cost.warm_stages.size());
+      const WarmthStage& stage = cost.warm_stages[k++];
+      EXPECT_GE(stage.fetch_share, 0.0);
+      EXPECT_LE(stage.fetch_share, 1.0);
+      EXPECT_LE(static_cast<double>(stage.exposed_cycles) * stage.fetch_share,
+                static_cast<double>(lr.aggregation.memory_cycles));
+      memory += lr.aggregation.memory_cycles;
+    }
+    EXPECT_EQ(k, cost.warm_stages.size());
+    EXPECT_LE(cost.total_cycles - cost.warm_cycles, memory);
   }
 }
 
@@ -179,7 +189,7 @@ TEST(WarmthCluster, ServiceChargesMatchTheWarmCostModelExactly) {
       EXPECT_EQ(r.service_cycles(), cold_a.total_cycles);
     } else {
       EXPECT_DOUBLE_EQ(r.warm_fraction, 1.0);
-      EXPECT_EQ(r.service_cycles(), warm_total_cycles(cold_a, 1.0));
+      EXPECT_EQ(r.service_cycles(), test::reference_warm_total(cold_a, 1.0));
     }
   }
   EXPECT_EQ(warm_rep.total_plan_swaps(), 0u);
@@ -217,7 +227,7 @@ TEST(WarmthCluster, EvictionAndChargingAreDeterministicPerSeed) {
 TEST(WarmthCluster, MemoizedCostIsColdAndWarmFractionAppliesPerService) {
   WarmthFixture f(tight_warmth_config());
   const InferenceReport cold = f.compiled.run({f.plan_a, &f.a.features}).report;
-  const Cycles full_warm = warm_total_cycles(cold, 1.0);
+  const Cycles full_warm = test::reference_warm_total(cold, 1.0);
   ASSERT_LT(full_warm, cold.total_cycles) << "the workload must have a warm discount";
 
   // One die, the same (plan, features) request three times, gaps wide
@@ -294,7 +304,9 @@ TEST(WarmthCluster, AffinityAndWarmthAwareStrictlyBeatFifoOnSkewedTwoGraphTrace)
   // Skewed two-graph Poisson traffic (4:1) over 4 dies. FIFO concentrates
   // on the lowest-index idle die and keeps alternating plans across it —
   // paying swap after swap — while locality-aware schedulers give each
-  // graph a warm home.
+  // graph a warm home. On this deadline-free trace slo-aware routes by
+  // earliest predicted completion against each die's residency: the
+  // warmth-aware rule.
   TraceStream heavy_a = f.stream_a();
   heavy_a.weight = 4.0;
   RequestTrace trace =
@@ -307,7 +319,7 @@ TEST(WarmthCluster, AffinityAndWarmthAwareStrictlyBeatFifoOnSkewedTwoGraphTrace)
   ServingReport affinity =
       cluster.simulate(trace, {.scheduler = SchedulerKind::kGraphAffinity});
   ServingReport warmth_aware =
-      cluster.simulate(trace, {.scheduler = SchedulerKind::kWarmthAware});
+      cluster.simulate(trace, {.scheduler = SchedulerKind::kSloAware});
 
   EXPECT_LT(affinity.p99_latency_cycles(), fifo.p99_latency_cycles());
   EXPECT_LT(warmth_aware.p99_latency_cycles(), fifo.p99_latency_cycles());
