@@ -1,7 +1,9 @@
 #include "core/report.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/require.hpp"
 
@@ -24,56 +26,131 @@ Cycles percentile_of_sorted(const std::vector<Cycles>& sorted, double pct) {
   return sorted[std::max<std::size_t>(rank, 1) - 1];
 }
 
-std::vector<Cycles> ServingReport::sorted_latencies() const {
+namespace {
+
+/// Sorts `keys` ascending: an LSD radix sort on byte digits. One pass counts
+/// every byte position; a position whose byte all keys share is skipped,
+/// and each other one is a stable scatter.
+void sort_cycles(std::vector<Cycles>& keys) {
+  if (keys.size() < 2) return;
+  constexpr std::size_t kDigits = sizeof(Cycles);
+  std::array<std::array<std::size_t, 256>, kDigits> counts{};
+  for (const Cycles k : keys) {
+    for (std::size_t d = 0; d < kDigits; ++d) ++counts[d][(k >> (8 * d)) & 0xff];
+  }
+  std::vector<Cycles> scattered(keys.size());
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    std::array<std::size_t, 256>& slot = counts[d];
+    if (slot[(keys[0] >> (8 * d)) & 0xff] == keys.size()) continue;
+    std::size_t offset = 0;
+    for (std::size_t& c : slot) offset += std::exchange(c, offset);
+    for (const Cycles k : keys) scattered[slot[(k >> (8 * d)) & 0xff]++] = k;
+    keys.swap(scattered);
+  }
+}
+
+}  // namespace
+
+std::vector<Cycles> LatencySplit::merged() const {
+  std::vector<Cycles> all(warm.size() + cold.size());
+  std::merge(warm.begin(), warm.end(), cold.begin(), cold.end(), all.begin());
+  return all;
+}
+
+LatencySplit ServingReport::latency_split() const {
   // Shed requests never completed — they have no end-to-end latency, and
   // with aggressive shedding a whole class (or the whole trace) can be shed,
   // leaving an empty sample; percentile_of_sorted returns 0 for those.
-  std::vector<Cycles> latencies;
-  latencies.reserve(requests.size());
+  LatencySplit split;
   for (const RequestRecord& r : requests) {
-    if (!r.shed) latencies.push_back(r.latency_cycles());
+    if (!r.shed) (r.warm_hit() ? split.warm : split.cold).push_back(r.latency_cycles());
   }
-  std::sort(latencies.begin(), latencies.end());
-  return latencies;
+  sort_cycles(split.warm);
+  sort_cycles(split.cold);
+  return split;
+}
+
+std::vector<Cycles> ServingReport::sorted_latencies() const {
+  return latency_split().merged();
 }
 
 Cycles ServingReport::latency_percentile(double pct) const {
   return percentile_of_sorted(sorted_latencies(), pct);
 }
 
-double ServingReport::mean_queue_depth() const {
-  if (makespan == 0) return 0.0;
-  double waiting_integral = 0.0;
+Cycles ServingReport::warm_latency_percentile(double pct) const {
+  return percentile_of_sorted(latency_split().warm, pct);
+}
+
+Cycles ServingReport::cold_latency_percentile(double pct) const {
+  return percentile_of_sorted(latency_split().cold, pct);
+}
+
+ServingTally ServingReport::tally() const {
+  ServingTally t;
+  t.requests = requests.size();
+  t.stream_slo.resize(streams);
+  t.die_slo.resize(dies);
+  t.makespan = makespan;
+  t.groups = total_groups();
+  auto count = [](SloCount& c, const RequestRecord& r) {
+    ++c.requests;
+    c.met += r.slo_met() ? 1 : 0;
+  };
   for (const RequestRecord& r : requests) {
-    // Shed requests are excluded (the same rule sorted_latencies applies):
-    // a shed record's start is stamped at the shed time, so counting its
-    // queue_cycles would charge the queue for a request that was dropped,
-    // not served — shed-heavy runs would report deep queues they never had.
-    if (r.shed) continue;
-    waiting_integral += static_cast<double>(r.queue_cycles());
+    t.shed += r.shed ? 1 : 0;
+    t.warm_hits += r.warm_hit() ? 1 : 0;
+    t.coalesced += r.group_size > 1 ? 1 : 0;
+    // Shed requests are excluded from the waiting integral (the same rule
+    // latency_split applies): a shed record's start is stamped at the shed
+    // time, so counting its queue_cycles would charge the queue for a
+    // request that was dropped, not served — shed-heavy runs would report
+    // deep queues they never had.
+    if (!r.shed) t.waiting_cycles += static_cast<double>(r.queue_cycles());
+    if (!r.has_slo()) continue;
+    count(t.slo, r);
+    if (r.stream < streams) count(t.stream_slo[r.stream], r);
+    // Shed requests are never attributed to a die.
+    if (!r.shed && r.die < dies) count(t.die_slo[r.die], r);
   }
-  return waiting_integral / static_cast<double>(makespan);
+  return t;
+}
+
+double SloCount::attainment() const {
+  if (requests == 0) return 1.0;  // vacuously met
+  return static_cast<double>(met) / static_cast<double>(requests);
+}
+
+double ServingTally::mean_queue_depth() const {
+  if (makespan == 0) return 0.0;
+  return waiting_cycles / static_cast<double>(makespan);
+}
+
+double ServingTally::throughput_per_second() const {
+  // Shed requests were never served, so they are not throughput.
+  if (completed() == 0 || makespan == 0) return 0.0;
+  return static_cast<double>(completed()) / cycles_to_seconds(makespan);
+}
+
+double ServingTally::warm_hit_rate() const {
+  if (completed() == 0) return 0.0;
+  return static_cast<double>(warm_hits) / static_cast<double>(completed());
+}
+
+double ServingTally::coalesce_rate() const {
+  if (completed() == 0) return 0.0;
+  return static_cast<double>(coalesced) / static_cast<double>(completed());
+}
+
+double ServingTally::mean_batch_size() const {
+  if (groups == 0) return completed() == 0 ? 0.0 : 1.0;
+  return static_cast<double>(completed()) / static_cast<double>(groups);
 }
 
 double ServingReport::die_utilization(std::size_t die) const {
   GNNIE_REQUIRE(die < die_busy_cycles.size(), "die index out of range");
   if (makespan == 0) return 0.0;
   return static_cast<double>(die_busy_cycles[die]) / static_cast<double>(makespan);
-}
-
-double ServingReport::throughput_per_second() const {
-  // Shed requests were never served, so they are not throughput.
-  const std::uint64_t completed = completed_count();
-  if (completed == 0 || makespan == 0) return 0.0;
-  return static_cast<double>(completed) / makespan_seconds();
-}
-
-double ServingReport::warm_hit_rate() const {
-  const std::uint64_t completed = completed_count();
-  if (completed == 0) return 0.0;
-  std::uint64_t hits = 0;
-  for (const RequestRecord& r : requests) hits += r.warm_hit() ? 1 : 0;
-  return static_cast<double>(hits) / static_cast<double>(completed);
 }
 
 double ServingReport::die_warm_hit_rate(std::size_t die) const {
@@ -89,101 +166,23 @@ std::uint64_t ServingReport::total_plan_swaps() const {
   return swaps;
 }
 
-namespace {
-
-Cycles class_latency_percentile(const std::vector<RequestRecord>& requests, bool warm,
-                                double pct) {
-  std::vector<Cycles> latencies;
-  for (const RequestRecord& r : requests) {
-    if (!r.shed && r.warm_hit() == warm) latencies.push_back(r.latency_cycles());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  // Shedding can empty a whole class; percentile_of_sorted returns 0 then.
-  return percentile_of_sorted(latencies, pct);
-}
-
-}  // namespace
-
-Cycles ServingReport::warm_latency_percentile(double pct) const {
-  return class_latency_percentile(requests, /*warm=*/true, pct);
-}
-
-Cycles ServingReport::cold_latency_percentile(double pct) const {
-  return class_latency_percentile(requests, /*warm=*/false, pct);
-}
-
 std::uint64_t ServingReport::total_groups() const {
   std::uint64_t groups = 0;
   for (std::uint64_t c : batch_size_counts) groups += c;
   return groups;
 }
 
-double ServingReport::coalesce_rate() const {
-  const std::uint64_t completed = completed_count();
-  if (completed == 0) return 0.0;
-  std::uint64_t coalesced = 0;
-  for (const RequestRecord& r : requests) coalesced += r.group_size > 1 ? 1 : 0;
-  return static_cast<double>(coalesced) / static_cast<double>(completed);
-}
-
-double ServingReport::mean_batch_size() const {
-  const std::uint64_t groups = total_groups();
-  if (groups == 0) return completed_count() == 0 ? 0.0 : 1.0;
-  return static_cast<double>(completed_count()) / static_cast<double>(groups);
-}
-
 // ---------------------------------------------------------------------------
 // SLO accounting
 
-std::uint64_t ServingReport::shed_count() const {
-  std::uint64_t shed = 0;
-  for (const RequestRecord& r : requests) shed += r.shed ? 1 : 0;
-  return shed;
-}
-
-std::uint64_t ServingReport::completed_count() const {
-  return requests.size() - shed_count();
-}
-
-std::uint64_t ServingReport::slo_request_count() const {
-  std::uint64_t n = 0;
-  for (const RequestRecord& r : requests) n += r.has_slo() ? 1 : 0;
-  return n;
-}
-
-std::uint64_t ServingReport::slo_met_count() const {
-  std::uint64_t n = 0;
-  for (const RequestRecord& r : requests) n += r.slo_met() ? 1 : 0;
-  return n;
-}
-
-double ServingReport::slo_attainment() const {
-  const std::uint64_t with_slo = slo_request_count();
-  if (with_slo == 0) return 1.0;  // vacuously met
-  return static_cast<double>(slo_met_count()) / static_cast<double>(with_slo);
-}
-
 double ServingReport::stream_slo_attainment(std::size_t stream) const {
-  std::uint64_t with_slo = 0, met = 0;
-  for (const RequestRecord& r : requests) {
-    if (r.stream != stream || !r.has_slo()) continue;
-    ++with_slo;
-    met += r.slo_met() ? 1 : 0;
-  }
-  if (with_slo == 0) return 1.0;
-  return static_cast<double>(met) / static_cast<double>(with_slo);
+  GNNIE_REQUIRE(stream < streams, "stream index out of range");
+  return tally().stream_slo[stream].attainment();
 }
 
 double ServingReport::die_slo_attainment(std::size_t die) const {
   GNNIE_REQUIRE(die < dies, "die index out of range");
-  std::uint64_t with_slo = 0, met = 0;
-  for (const RequestRecord& r : requests) {
-    if (r.shed || r.die != die || !r.has_slo()) continue;
-    ++with_slo;
-    met += r.slo_met() ? 1 : 0;
-  }
-  if (with_slo == 0) return 1.0;
-  return static_cast<double>(met) / static_cast<double>(with_slo);
+  return tally().die_slo[die].attainment();
 }
 
 }  // namespace gnnie

@@ -86,6 +86,49 @@ struct RequestRecord {
   bool slo_met() const { return has_slo() && !shed && finish <= deadline; }
 };
 
+/// Deadline-carrying requests and how many of them met their deadline.
+struct SloCount {
+  std::uint64_t requests = 0;
+  std::uint64_t met = 0;
+  /// met / requests; 1.0 when no request had a deadline (an empty contract
+  /// is vacuously met).
+  double attainment() const;
+};
+
+/// Every record-derived count of a ServingReport, from one scan of its
+/// records (ServingReport::tally), and the statistics defined on them. The
+/// report's accessors of the same names and serving_report_to_json read
+/// these, so each statistic has one definition; the accessors document them.
+struct ServingTally {
+  std::uint64_t requests = 0;   ///< records, shed or not
+  std::uint64_t shed = 0;
+  std::uint64_t warm_hits = 0;  ///< warm_hit() records
+  std::uint64_t coalesced = 0;  ///< records in a slot shared with another
+  SloCount slo;                 ///< over all records
+  std::vector<SloCount> stream_slo;  ///< per trace stream
+  std::vector<SloCount> die_slo;     ///< per die, over served records
+  /// Σ queue_cycles over served records, summed in record order.
+  double waiting_cycles = 0.0;
+  Cycles makespan = 0;
+  std::uint64_t groups = 0;  ///< service slots (ServingReport::total_groups)
+
+  std::uint64_t completed() const { return requests - shed; }
+  double mean_queue_depth() const;
+  double throughput_per_second() const;
+  double warm_hit_rate() const;
+  double coalesce_rate() const;
+  double mean_batch_size() const;
+};
+
+/// Served latencies split by warmth class (ServingReport::latency_split),
+/// each class ascending.
+struct LatencySplit {
+  std::vector<Cycles> warm;  ///< warm_hit() records
+  std::vector<Cycles> cold;
+  /// Both classes merged: every served latency, ascending.
+  std::vector<Cycles> merged() const;
+};
+
 /// Aggregate of one serve::Cluster::simulate() call: per-request records in
 /// trace order, rolled up into tail latency, queue depth, per-die
 /// utilization, and throughput: the open-loop serving view — the
@@ -137,9 +180,23 @@ struct ServingReport {
   double fleet_cost = 0.0;
   std::vector<std::string> die_labels;  ///< per-die config label
 
+  // Every record-derived statistic below is computed from the records on
+  // each call, so hand-built reports work too: the statistics read one
+  // tally() scan, the percentiles one latency_split(). A caller that reads
+  // several takes the tally or the split once.
+
+  /// One scan of the records: every count the statistics below read.
+  ServingTally tally() const;
+  /// One scan splits the served latencies into the warm and the cold class,
+  /// and each class is sorted once. The sort is an LSD radix sort on the
+  /// integer latencies (integers have one sorted order, so it answers as
+  /// std::sort would): linear in the sample, where a comparison sort of a
+  /// 200,000-request trace costs more than the scan.
+  LatencySplit latency_split() const;
+
   /// Nearest-rank latency percentile over all requests; pct in (0, 100].
-  /// Sorts per call — batch callers should sort once (sorted_latencies)
-  /// and use percentile_of_sorted.
+  /// Splits and sorts per call — batch callers should sort once
+  /// (sorted_latencies or latency_split) and use percentile_of_sorted.
   Cycles latency_percentile(double pct) const;
   /// All request latencies, ascending.
   std::vector<Cycles> sorted_latencies() const;
@@ -153,16 +210,16 @@ struct ServingReport {
   /// summed over served requests only — shed requests never reach service,
   /// so they are excluded here exactly as they are from every latency
   /// percentile.
-  double mean_queue_depth() const;
+  double mean_queue_depth() const { return tally().mean_queue_depth(); }
   /// Fraction of [0, makespan] die `die` spent servicing requests.
   double die_utilization(std::size_t die) const;
   Seconds makespan_seconds() const { return cycles_to_seconds(makespan); }
   /// Served inferences per second of cluster virtual time.
-  double throughput_per_second() const;
+  double throughput_per_second() const { return tally().throughput_per_second(); }
 
   /// Fraction of all requests serviced with any of their plan's working set
   /// resident (0 with the warmth model disabled or an empty trace).
-  double warm_hit_rate() const;
+  double warm_hit_rate() const { return tally().warm_hit_rate(); }
   /// The same rate for one die (0 if the die serviced nothing).
   double die_warm_hit_rate(std::size_t die) const;
   /// Total plan swaps charged across all dies.
@@ -172,22 +229,22 @@ struct ServingReport {
   Cycles warm_latency_percentile(double pct) const;
   Cycles cold_latency_percentile(double pct) const;
 
-  // SLO accounting (all computed from the records, so hand-built reports
-  // work too). Shed requests count toward attainment denominators — a shed
-  // deadline is a missed deadline — but never toward latency percentiles.
+  // SLO accounting. Shed requests count toward attainment denominators — a
+  // shed deadline is a missed deadline — but never toward latency
+  // percentiles.
   /// Requests the admission policy shed instead of servicing.
-  std::uint64_t shed_count() const;
+  std::uint64_t shed_count() const { return tally().shed; }
   /// Requests actually serviced (size() − shed_count()).
-  std::uint64_t completed_count() const;
+  std::uint64_t completed_count() const { return tally().completed(); }
   /// Requests carrying a deadline (shed or not).
-  std::uint64_t slo_request_count() const;
+  std::uint64_t slo_request_count() const { return tally().slo.requests; }
   /// Deadline-carrying requests that finished at or before their deadline.
-  std::uint64_t slo_met_count() const;
+  std::uint64_t slo_met_count() const { return tally().slo.met; }
   /// slo_met_count / slo_request_count; 1.0 when no request had a deadline
   /// (an empty contract is vacuously met).
-  double slo_attainment() const;
+  double slo_attainment() const { return tally().slo.attainment(); }
   /// Attainment over one trace stream's requests (1.0 when the stream had
-  /// no deadline-carrying requests).
+  /// no deadline-carrying requests); `stream` must be below `streams`.
   double stream_slo_attainment(std::size_t stream) const;
   /// Attainment over the requests serviced on one die. Shed requests are
   /// never attributed to a die, so this is service quality, not admission.
@@ -198,9 +255,9 @@ struct ServingReport {
   std::uint64_t total_groups() const;
   /// Fraction of all requests serviced in a slot shared with at least one
   /// other request (0 with coalescing off or an empty trace).
-  double coalesce_rate() const;
+  double coalesce_rate() const { return tally().coalesce_rate(); }
   /// Mean requests per service slot (1.0 with coalescing off).
-  double mean_batch_size() const;
+  double mean_batch_size() const { return tally().mean_batch_size(); }
 };
 
 /// Nearest-rank percentile over an ascending-sorted sample; pct in (0, 100].

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/require.hpp"
+
 namespace gnnie {
 namespace {
 
@@ -74,6 +76,7 @@ class JsonOut {
   }
 
   void reserve(std::size_t bytes) { text_.reserve(bytes); }
+  std::size_t size() const { return text_.size(); }
   std::string take() { return std::move(text_); }
 
  private:
@@ -155,13 +158,19 @@ std::string report_to_json(const InferenceReport& report) {
 }
 
 std::string serving_report_to_json(const ServingReport& report) {
-  const std::vector<Cycles> latencies = report.sorted_latencies();  // sort once
+  // One scan of the records for every statistic, one sorted sample per
+  // warmth class for every percentile, then one pass writes the records.
+  const ServingTally tally = report.tally();
+  const LatencySplit split = report.latency_split();
+  const std::vector<Cycles> latencies = split.merged();
   JsonOut out;
-  // A record's text never exceeds 300 bytes (most take about 180); 16
-  // records' worth leaves room for the rollup ahead of them. Reserving
-  // that bound up front writes the JSON into one allocation: growing by
-  // doubling would copy it and briefly hold two buffers, while reserved
-  // pages that are never written take no resident memory.
+  // A record's text never exceeds 300 bytes (most take about 180; the
+  // longest possible one, with every integer at 20 digits, takes 293), and
+  // the loop asserts it. 16 records' worth leaves room for the rollup
+  // ahead of them. Reserving that bound up front writes the JSON into one
+  // allocation: growing by doubling would copy it and briefly hold two
+  // buffers, while reserved pages that are never written take no resident
+  // memory.
   constexpr std::size_t kRecordBytesBound = 300;
   out.reserve(kRecordBytesBound * (report.requests.size() + 16));
   out << "{\"schema_version\":4,\"dies\":" << report.dies
@@ -169,32 +178,32 @@ std::string serving_report_to_json(const ServingReport& report) {
       << ",\"requests\":" << report.requests.size() << ",\"clock_hz\":" << kClockHz
       << ",\"makespan_cycles\":" << report.makespan
       << ",\"makespan_seconds\":" << report.makespan_seconds()
-      << ",\"throughput_per_second\":" << report.throughput_per_second()
+      << ",\"throughput_per_second\":" << tally.throughput_per_second()
       << ",\"p50_latency_cycles\":" << percentile_of_sorted(latencies, 50.0)
       << ",\"p95_latency_cycles\":" << percentile_of_sorted(latencies, 95.0)
       << ",\"p99_latency_cycles\":" << percentile_of_sorted(latencies, 99.0)
       << ",\"max_latency_cycles\":" << percentile_of_sorted(latencies, 100.0)
-      << ",\"mean_queue_depth\":" << report.mean_queue_depth() << ",\"die_utilization\":";
+      << ",\"mean_queue_depth\":" << tally.mean_queue_depth() << ",\"die_utilization\":";
   out.list(report.die_busy_cycles.size(),
            [&](std::size_t d) { return report.die_utilization(d); });
   out << ",\"fleet_cost\":" << report.fleet_cost << ",\"die_labels\":";
   out.list(report.die_labels.size(),
            [&](std::size_t d) { return JsonString{report.die_labels[d]}; });
   out << ",\"warmth_enabled\":" << json_bool(report.warmth_enabled)
-      << ",\"warm_hit_rate\":" << report.warm_hit_rate()
+      << ",\"warm_hit_rate\":" << tally.warm_hit_rate()
       << ",\"plan_swaps\":" << report.total_plan_swaps()
-      << ",\"warm_p50_latency_cycles\":" << report.warm_latency_percentile(50.0)
-      << ",\"warm_p99_latency_cycles\":" << report.warm_latency_percentile(99.0)
-      << ",\"cold_p50_latency_cycles\":" << report.cold_latency_percentile(50.0)
-      << ",\"cold_p99_latency_cycles\":" << report.cold_latency_percentile(99.0)
+      << ",\"warm_p50_latency_cycles\":" << percentile_of_sorted(split.warm, 50.0)
+      << ",\"warm_p99_latency_cycles\":" << percentile_of_sorted(split.warm, 99.0)
+      << ",\"cold_p50_latency_cycles\":" << percentile_of_sorted(split.cold, 50.0)
+      << ",\"cold_p99_latency_cycles\":" << percentile_of_sorted(split.cold, 99.0)
       << ",\"die_warm_hit_rate\":";
   out.list(report.die_warm_hits.size(),
            [&](std::size_t d) { return report.die_warm_hit_rate(d); });
   out << ",\"die_plan_swaps\":" << report.die_plan_swaps
       << ",\"max_coalesce\":" << report.max_coalesce
-      << ",\"coalesce_rate\":" << report.coalesce_rate()
-      << ",\"service_groups\":" << report.total_groups()
-      << ",\"mean_batch_size\":" << report.mean_batch_size()
+      << ",\"coalesce_rate\":" << tally.coalesce_rate()
+      << ",\"service_groups\":" << tally.groups
+      << ",\"mean_batch_size\":" << tally.mean_batch_size()
       << ",\"weighting_cycles_saved\":" << report.weighting_cycles_saved
       << ",\"batch_size_counts\":" << report.batch_size_counts
       << ",\"pipeline_enabled\":" << json_bool(report.pipeline_enabled)
@@ -204,23 +213,24 @@ std::string serving_report_to_json(const ServingReport& report) {
     out << (v == 0 ? "" : ",") << "{\"width\":" << report.variant_counts[v].first
         << ",\"slots\":" << report.variant_counts[v].second << "}";
   }
-  out << "],\"shed_requests\":" << report.shed_count()
-      << ",\"slo_requests\":" << report.slo_request_count()
-      << ",\"slo_attainment\":" << report.slo_attainment() << ",\"stream_slo_attainment\":";
-  out.list(report.streams, [&](std::size_t s) { return report.stream_slo_attainment(s); });
+  out << "],\"shed_requests\":" << tally.shed << ",\"slo_requests\":" << tally.slo.requests
+      << ",\"slo_attainment\":" << tally.slo.attainment() << ",\"stream_slo_attainment\":";
+  out.list(report.streams, [&](std::size_t s) { return tally.stream_slo[s].attainment(); });
   out << ",\"die_slo_attainment\":";
-  out.list(report.dies, [&](std::size_t d) { return report.die_slo_attainment(d); });
+  out.list(report.dies, [&](std::size_t d) { return tally.die_slo[d].attainment(); });
   out << ",\"records\":[";
   for (std::size_t i = 0; i < report.requests.size(); ++i) {
     // deadline 0 = this request carries no SLO. A shed record's start and
     // finish both hold the shed time and its die is unattributed (0).
     const RequestRecord& r = report.requests[i];
+    const std::size_t begin = out.size();
     out << (i == 0 ? "" : ",") << "{\"stream\":" << r.stream << ",\"die\":" << r.die
         << ",\"arrival\":" << r.arrival << ",\"start\":" << r.start
         << ",\"finish\":" << r.finish << ",\"warm_fraction\":" << r.warm_fraction
         << ",\"plan_swap\":" << json_bool(r.plan_swap) << ",\"group_size\":" << r.group_size
         << ",\"variant_width\":" << r.variant_width << ",\"deadline\":" << r.deadline
         << ",\"shed\":" << json_bool(r.shed) << "}";
+    GNNIE_ASSERT(out.size() - begin <= kRecordBytesBound, "a record overran its JSON bound");
   }
   out << "]}";
   return out.take();

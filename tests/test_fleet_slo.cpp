@@ -290,6 +290,9 @@ TEST(SloCluster, ShedHopelessDropsOnlyDoomedRequests) {
   EXPECT_DOUBLE_EQ(rep.slo_attainment(), 0.0);
   EXPECT_DOUBLE_EQ(rep.stream_slo_attainment(0), 0.0);  // shed = missed
   EXPECT_DOUBLE_EQ(rep.stream_slo_attainment(1), 1.0);  // vacuous: no SLOs
+  // A stream or die past the trace's is a caller error, not a vacuous 1.0.
+  EXPECT_THROW(rep.stream_slo_attainment(2), std::invalid_argument);
+  EXPECT_THROW(rep.die_slo_attainment(2), std::invalid_argument);
 }
 
 TEST(SloCluster, SheddingEverythingLeavesZeroPercentilesNotACrash) {

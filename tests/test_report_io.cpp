@@ -4,9 +4,14 @@
 // independence from the global locale.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <locale>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/report_io.hpp"
@@ -426,6 +431,187 @@ TEST(ServingJson, KnobsOffAndKnobsOnClusterReportsShareOneShape) {
   EXPECT_NE(on_json.find("\"pipeline_enabled\":true,"), std::string::npos);
   EXPECT_NE(on_json.find("\"variant_counts\":[{\"width\":1,"), std::string::npos);
   EXPECT_GT(on.slo_request_count(), 0u);
+}
+
+// --- Recorded serving output ----------------------------------------------
+
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// A report's serving JSON (length and FNV-1a) and every rollup accessor,
+/// by name: integers as they are, doubles by their bits.
+using Pins = std::vector<std::pair<std::string, std::uint64_t>>;
+
+Pins pin_serving_output(const ServingReport& rep) {
+  Pins pins;
+  auto pin = [&pins](std::string name, std::uint64_t value) {
+    pins.emplace_back(std::move(name), value);
+  };
+  auto pin_double = [&pin](std::string name, double value) {
+    pin(std::move(name), std::bit_cast<std::uint64_t>(value));
+  };
+  const std::string json = serving_report_to_json(rep);
+  pin("json_bytes", json.size());
+  pin("json_fnv1a", fnv1a(json));
+  const std::vector<Cycles> sorted = rep.sorted_latencies();
+  pin("served", sorted.size());
+  pin("sorted_fnv1a", fnv1a({reinterpret_cast<const char*>(sorted.data()),
+                             sorted.size() * sizeof(Cycles)}));
+  for (const double pct : {50.0, 95.0, 99.0, 100.0}) {
+    const std::string p = std::to_string(static_cast<int>(pct));
+    pin("p" + p, rep.latency_percentile(pct));
+  }
+  for (const double pct : {50.0, 99.0, 100.0}) {
+    const std::string p = std::to_string(static_cast<int>(pct));
+    pin("warm_p" + p, rep.warm_latency_percentile(pct));
+    pin("cold_p" + p, rep.cold_latency_percentile(pct));
+  }
+  pin_double("mean_queue_depth", rep.mean_queue_depth());
+  pin_double("throughput_per_second", rep.throughput_per_second());
+  pin_double("warm_hit_rate", rep.warm_hit_rate());
+  pin("total_plan_swaps", rep.total_plan_swaps());
+  pin("shed_count", rep.shed_count());
+  pin("completed_count", rep.completed_count());
+  pin("slo_request_count", rep.slo_request_count());
+  pin("slo_met_count", rep.slo_met_count());
+  pin_double("slo_attainment", rep.slo_attainment());
+  pin("total_groups", rep.total_groups());
+  pin_double("coalesce_rate", rep.coalesce_rate());
+  pin_double("mean_batch_size", rep.mean_batch_size());
+  for (std::size_t s = 0; s < rep.streams; ++s) {
+    pin_double("stream_slo_attainment" + std::to_string(s), rep.stream_slo_attainment(s));
+  }
+  for (std::size_t d = 0; d < rep.dies; ++d) {
+    const std::string die = std::to_string(d);
+    pin_double("die_utilization" + die, rep.die_utilization(d));
+    pin_double("die_warm_hit_rate" + die, rep.die_warm_hit_rate(d));
+    pin_double("die_slo_attainment" + die, rep.die_slo_attainment(d));
+  }
+  return pins;
+}
+
+/// A pin as a literal of the recorded table: counts and cycles in decimal,
+/// hashes and double bits in hex.
+std::string pin_literal(const std::pair<std::string, std::uint64_t>& pin) {
+  std::ostringstream os;
+  os << "{\"" << pin.first << "\", ";
+  if (pin.second >> 32 == 0) {
+    os << pin.second << "}";
+  } else {
+    os << "0x" << std::hex << pin.second << "ull}";
+  }
+  return os.str();
+}
+
+/// Compares `rep`'s pins with recorded ones. A mismatch prints the pin, and
+/// a different pin count the whole table, as literals.
+void expect_pins(const ServingReport& rep, const Pins& recorded) {
+  const Pins pins = pin_serving_output(rep);
+  std::string table;
+  for (const auto& pin : pins) table += pin_literal(pin) + ",\n";
+  ASSERT_EQ(pins.size(), recorded.size()) << table;
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(pins[i].first, recorded[i].first);
+    EXPECT_EQ(pins[i].second, recorded[i].second) << pin_literal(pins[i]);
+  }
+}
+
+TEST(ReportIo, ServingJsonMatchesRecordedBytes) {
+  // Knobs off: one stream-mixed Poisson trace on 4 paper-default dies,
+  // shortest-queue, admit-all, near the knee.
+  ServeFixture plain;
+  const Cycles plain_service =
+      plain.compiled.cost({plain.plan_a, &plain.a.features}).total_cycles;
+  const ServingReport off = Cluster(plain.compiled, 4).simulate(
+      RequestTrace::poisson({plain.stream_a(), plain.stream_b()}, 300,
+                            static_cast<double>(plain_service) / (4 * 0.9), /*seed=*/7),
+      {.scheduler = serve::SchedulerKind::kShortestQueue});
+
+  // Knobs on: warmth with a one-plan budget, coalescing, pipelining with a
+  // variant family, slo-aware routing and shed-hopeless admission on an E+A
+  // fleet past saturation. A tight and a loose deadline stream are served;
+  // a third stream's one-cycle deadline is hopeless, so it is shed.
+  auto with_knobs = [](EngineConfig config) {
+    config.warmth.enabled = true;
+    config.warmth.die_budget_bytes = 48 << 10;  // holds one fixture plan
+    config.batching.max_coalesce = 4;
+    config.pipeline.enabled = true;
+    config.pipeline.variant_widths = {1, 4};
+    return config;
+  };
+  ServeFixture f(with_knobs(EngineConfig::paper_default(false)));
+  FleetSpec spec = FleetSpec::from_designs("EA");
+  for (serve::FleetDieConfig& die : spec.configs) die.engine = with_knobs(die.engine);
+  const Cycles service = f.compiled.cost({f.plan_a, &f.a.features}).total_cycles;
+  serve::TraceStream tight = f.stream_a();
+  tight.slo_cycles = static_cast<std::int64_t>(service + service / 4);
+  serve::TraceStream loose = f.stream_b();
+  loose.slo_cycles = static_cast<std::int64_t>(8 * service);
+  serve::TraceStream doomed = f.stream_a();
+  doomed.weight = 0.25;
+  doomed.slo_cycles = 1;
+  const ServingReport on = Cluster(f.compiled, spec).simulate(
+      RequestTrace::poisson({tight, loose, doomed}, 300, static_cast<double>(service) / 2.5,
+                            /*seed=*/11),
+      {.scheduler = serve::SchedulerKind::kSloAware,
+       .admission = serve::AdmissionKind::kShedHopeless});
+  // Every class the rollups split on is populated.
+  EXPECT_GT(on.shed_count(), 0u);
+  EXPECT_GT(on.slo_met_count(), 0u);
+  EXPECT_LT(on.slo_met_count(), on.slo_request_count());
+  EXPECT_GT(on.warm_hit_rate(), 0.0);
+  EXPECT_LT(on.warm_hit_rate(), 1.0);
+  EXPECT_GT(on.coalesce_rate(), 0.0);
+
+  // Recorded before the rollups shared one tally and one latency split.
+  expect_pins(off, {
+      {"json_bytes", 49889}, {"json_fnv1a", 0x98daa537dd5fb92eull}, {"served", 300},
+      {"sorted_fnv1a", 0x4072e56f2762943aull}, {"p50", 9647}, {"p95", 20209}, {"p99", 21743},
+      {"p100", 23470}, {"warm_p50", 0}, {"cold_p50", 9647}, {"warm_p99", 0},
+      {"cold_p99", 21743}, {"warm_p100", 0}, {"cold_p100", 23470},
+      {"mean_queue_depth", 0x401e3442ecb945a8ull},
+      {"throughput_per_second", 0x4135027546100d30ull}, {"warm_hit_rate", 0},
+      {"total_plan_swaps", 0}, {"shed_count", 0}, {"completed_count", 300},
+      {"slo_request_count", 0}, {"slo_met_count", 0},
+      {"slo_attainment", 0x3ff0000000000000ull}, {"total_groups", 300}, {"coalesce_rate", 0},
+      {"mean_batch_size", 0x3ff0000000000000ull},
+      {"stream_slo_attainment0", 0x3ff0000000000000ull},
+      {"stream_slo_attainment1", 0x3ff0000000000000ull},
+      {"die_utilization0", 0x3feeb3bf81351d57ull}, {"die_warm_hit_rate0", 0},
+      {"die_slo_attainment0", 0x3ff0000000000000ull},
+      {"die_utilization1", 0x3fee6f859a839089ull}, {"die_warm_hit_rate1", 0},
+      {"die_slo_attainment1", 0x3ff0000000000000ull},
+      {"die_utilization2", 0x3fec5240d03c636full}, {"die_warm_hit_rate2", 0},
+      {"die_slo_attainment2", 0x3ff0000000000000ull},
+      {"die_utilization3", 0x3fe9d48f4721ff56ull}, {"die_warm_hit_rate3", 0},
+      {"die_slo_attainment3", 0x3ff0000000000000ull},
+  });
+  expect_pins(on, {
+      {"json_bytes", 51393}, {"json_fnv1a", 0x8889f2dd84b530adull}, {"served", 265},
+      {"sorted_fnv1a", 0x5f03ac7166a3c012ull}, {"p50", 4814}, {"p95", 14220}, {"p99", 17010},
+      {"p100", 18558}, {"warm_p50", 5250}, {"cold_p50", 4255}, {"warm_p99", 17463},
+      {"cold_p99", 11658}, {"warm_p100", 18558}, {"cold_p100", 11658},
+      {"mean_queue_depth", 0x4001c3ec7d946b32ull},
+      {"throughput_per_second", 0x412b0caca15e5d2dull},
+      {"warm_hit_rate", 0x3fe6d298a24b59d7ull}, {"total_plan_swaps", 74}, {"shed_count", 35},
+      {"completed_count", 265}, {"slo_request_count", 300}, {"slo_met_count", 214},
+      {"slo_attainment", 0x3fe6d3a06d3a06d4ull}, {"total_groups", 170},
+      {"coalesce_rate", 0x3fe25acebb694c51ull}, {"mean_batch_size", 0x3ff8f0f0f0f0f0f1ull},
+      {"stream_slo_attainment0", 0x3fe3264c993264caull},
+      {"stream_slo_attainment1", 0x3ff0000000000000ull}, {"stream_slo_attainment2", 0},
+      {"die_utilization0", 0x3fe8f5f97d0eb4b3ull},
+      {"die_warm_hit_rate0", 0x3fe78d4fdf3b645aull},
+      {"die_slo_attainment0", 0x3fe7ced916872b02ull},
+      {"die_utilization1", 0x3fe8634c9efca593ull},
+      {"die_warm_hit_rate1", 0x3fe62be2be2be2beull},
+      {"die_slo_attainment1", 0x3feba83a83a83a84ull},
+  });
 }
 
 }  // namespace

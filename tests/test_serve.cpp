@@ -3,7 +3,8 @@
 // makespan improvement with more dies, determinism under a fixed seed,
 // FIFO vs shortest-queue ordering invariants, graph-affinity routing on a
 // two-graph trace, GraphSAGE's sampled plans on homogeneous and FleetSpec
-// clusters, trace generation, and the ServingReport rollup math.
+// clusters, trace generation, the ServingReport rollup math, and its
+// latency sorts against std::sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <limits>
 #include <set>
 
+#include "common/rng.hpp"
 #include "core/serving.hpp"
 #include "datasets/synthetic.hpp"
 #include "engine_test_util.hpp"
@@ -446,6 +448,93 @@ TEST(ServeReport, RollupMathIsExact) {
   EXPECT_EQ(empty.p99_latency_cycles(), 0u);
   EXPECT_DOUBLE_EQ(empty.mean_queue_depth(), 0.0);
   EXPECT_DOUBLE_EQ(empty.throughput_per_second(), 0.0);
+}
+
+/// A report with one served record per latency (arrival 0; every third
+/// one warm), and a shed record after every fifth: shed records have no
+/// latency, so their 1-cycle span must never reach a sample.
+ServingReport report_with_latencies(const std::vector<Cycles>& latencies) {
+  ServingReport rep;
+  for (std::size_t i = 0; i < latencies.size(); ++i) {
+    RequestRecord r;
+    r.start = r.finish = latencies[i];
+    r.warm_fraction = i % 3 == 0 ? 0.5 : 0.0;
+    rep.requests.push_back(r);
+    if (i % 5 == 0) {
+      RequestRecord shed;
+      shed.shed = true;
+      shed.start = shed.finish = 1;
+      rep.requests.push_back(shed);
+    }
+  }
+  return rep;
+}
+
+/// sorted_latencies() and every class percentile equal std::sort's answer.
+void expect_sorted_like_std_sort(const ServingReport& rep) {
+  std::vector<Cycles> all;
+  std::vector<Cycles> warm;
+  std::vector<Cycles> cold;
+  for (const RequestRecord& r : rep.requests) {
+    if (r.shed) continue;
+    all.push_back(r.latency_cycles());
+    (r.warm_hit() ? warm : cold).push_back(r.latency_cycles());
+  }
+  for (std::vector<Cycles>* v : {&all, &warm, &cold}) std::sort(v->begin(), v->end());
+  EXPECT_EQ(rep.sorted_latencies(), all);
+  for (const double pct : {0.1, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(rep.latency_percentile(pct), percentile_of_sorted(all, pct)) << pct;
+    EXPECT_EQ(rep.warm_latency_percentile(pct), percentile_of_sorted(warm, pct)) << pct;
+    EXPECT_EQ(rep.cold_latency_percentile(pct), percentile_of_sorted(cold, pct)) << pct;
+  }
+}
+
+TEST(ServeReport, LatencySortsMatchStdSort) {
+  // Integer sorting has one answer, whatever the algorithm: the radix sort
+  // behind the rollups must give std::sort's on every shape of sample.
+  constexpr Cycles kMax = std::numeric_limits<Cycles>::max();
+  constexpr Cycles k2To56 = Cycles{1} << 56;
+  Rng rng(17);
+  auto draw = [](std::size_t n, auto value) {
+    std::vector<Cycles> v(n);
+    for (Cycles& x : v) x = value();
+    return v;
+  };
+  auto below = [&rng](Cycles bound) { return [&rng, bound] { return rng.next_below(bound); }; };
+
+  expect_sorted_like_std_sort(report_with_latencies({}));
+  expect_sorted_like_std_sort(report_with_latencies({42}));
+  ServingReport all_shed;
+  for (Cycles t = 0; t < 300; ++t) {
+    RequestRecord r;
+    r.arrival = t;
+    r.start = r.finish = t + 5;
+    r.shed = true;
+    all_shed.requests.push_back(r);
+  }
+  expect_sorted_like_std_sort(all_shed);
+  EXPECT_TRUE(all_shed.sorted_latencies().empty());
+  // Each warmth class is sorted on its own (every third latency is warm):
+  // 2, 3 and 5 latencies give classes of one, two and three keys.
+  for (const std::size_t n : {2u, 3u, 5u, 100u, 5000u}) {
+    SCOPED_TRACE(n);
+    expect_sorted_like_std_sort(report_with_latencies(draw(n, [] { return Cycles{777}; })));
+    expect_sorted_like_std_sort(report_with_latencies(draw(n, below(50))));  // duplicates
+    expect_sorted_like_std_sort(report_with_latencies(draw(n, below(1'000'000))));
+    expect_sorted_like_std_sort(report_with_latencies(draw(n, [&rng] { return rng.next_u64(); })));
+    // A shared low byte: every latency a multiple of 256.
+    expect_sorted_like_std_sort(
+        report_with_latencies(draw(n, [&rng] { return rng.next_below(1 << 20) << 8; })));
+    // At or above 2^56, up to the Cycles maximum, beside small values.
+    expect_sorted_like_std_sort(report_with_latencies(draw(n, [&rng] {
+      switch (rng.next_below(4)) {
+        case 0: return kMax - rng.next_below(3);
+        case 1: return k2To56 + rng.next_below(k2To56);
+        case 2: return k2To56;
+        default: return rng.next_below(1000);
+      }
+    })));
+  }
 }
 
 TEST(ServeCluster, EmptyTraceYieldsEmptyReport) {
